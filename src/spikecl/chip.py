@@ -24,6 +24,7 @@ from .container import parse_bundle, serialize_bundle
 from .errors import (
     ConstraintViolation,
     ContractViolation,
+    FormatError,
     ProtocolError,
 )
 from .numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
@@ -94,14 +95,28 @@ def serialize_image(image: ConfigImage) -> bytes:
     return serialize_bundle(meta, arrays)
 
 
+_IMAGE_KEYS = ("layer_sizes", "scales", "thresholds", "leak_shift", "bits", "reset", "version")
+
+
 def parse_image(data: bytes) -> ConfigImage:
+    """Decode a config image; a malformed one raises a ``SpikeclError``."""
     meta, arrays = parse_bundle(data)
+    if not isinstance(meta, dict):
+        raise FormatError(f"chip config metadata is a {type(meta).__name__}, not an object")
     if meta.get("kind") != "chip-config":
         raise ContractViolation(f"not a chip config image: {meta.get('kind')!r}")
-    n = len(meta["layer_sizes"]) - 1
+    missing = [k for k in _IMAGE_KEYS if k not in meta]
+    if missing:
+        raise FormatError(f"chip config metadata lacks {missing}")
+    if not isinstance(meta["layer_sizes"], list):
+        raise FormatError("chip config layer_sizes must be a list")
+    names = [f"q{l}" for l in range(len(meta["layer_sizes"]) - 1)]
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise FormatError(f"chip config image lacks weight arrays {missing}")
     return ConfigImage(
         layer_sizes=meta["layer_sizes"],
-        quantized=[arrays[f"q{l}"] for l in range(n)],
+        quantized=[arrays[name] for name in names],
         scales=meta["scales"],
         thresholds=meta["thresholds"],
         leak_shift=meta["leak_shift"],
@@ -171,7 +186,8 @@ def validate_constraints(
     constraints: ChipConstraints | None = None,
     extra_arrays: dict | None = None,
 ) -> list[str]:
-    """Check the class cap, layer budget, per-layer memory, and bias absence.
+    """Check the class cap, layer budget, per-layer memory, bias absence
+    and, for a config image, that every weight fits its signed bit width.
 
     Returns a list of human-readable violations (empty means ok).
     """
@@ -187,6 +203,17 @@ def validate_constraints(
     else:
         sizes = subject.network_shape()
         mats = [q.shape for q in subject.quantized]
+        if subject.bits not in QUANT_BITS:
+            violations.append(f"bit width {subject.bits!r} is not one of {QUANT_BITS}")
+        else:
+            qmax = 2 ** (subject.bits - 1) - 1
+            for l, q in enumerate(subject.quantized):
+                if q.dtype.kind not in "iu":
+                    violations.append(f"layer {l} weights have non-integer dtype {q.dtype}")
+                elif q.size and (int(q.max()) > qmax or int(q.min()) < -qmax):
+                    violations.append(
+                        f"layer {l} has weights outside the {subject.bits}-bit range ±{qmax}"
+                    )
     if sizes[-1] > c.max_classes:
         violations.append(f"output classes {sizes[-1]} exceed cap {c.max_classes}")
     if len(mats) > c.max_layers:
@@ -217,21 +244,36 @@ def _integer_layer_counts(
     ``input_spikes`` is (B, T, n_in) or (T, n_in) with 0/1 entries. This is
     the single integer core backing both the protocol machine and batched
     twin evaluation.
+
+    The accumulate ``spikes @ Q`` runs as a float64 BLAS matmul on the
+    integer operands. Spikes are 0/1, so every partial sum, in any order,
+    is an integer of magnitude at most n_in * max|Q|; below 2**53 each is
+    exactly representable and the product equals the int64 one bit for bit,
+    whatever the BLAS blocking or thread count. The leak, threshold and
+    reset recurrence stays in int64.
     """
     x = np.asarray(input_spikes)
     if x.ndim == 2:
         x = x[None]
     if not np.all((x == 0) | (x == 1)):
         raise ContractViolation("chip input spikes must be binary")
-    spikes = x.astype(np.int64)
+    spikes = x.astype(np.float64)
     B, T, _ = spikes.shape
     shift = image.leak_shift
     counts = []
-    for q, thr in zip(image.quantized, image.thresholds):
-        cur = spikes.reshape(B * T, -1) @ q
-        cur = cur.reshape(B, T, -1)
+    for l, (q, thr) in enumerate(zip(image.quantized, image.thresholds)):
+        if q.dtype.kind not in "iu":
+            raise ContractViolation(f"layer {l} weights have non-integer dtype {q.dtype}")
+        peak = max(int(q.max()), -int(q.min())) if q.size else 0
+        if q.shape[0] * peak >= 2**53:
+            raise ContractViolation(
+                f"layer {l}: {q.shape[0]} inputs x max|q| {peak} reaches 2**53; "
+                "the accumulate would not be exact"
+            )
+        cur = spikes.reshape(B * T, -1) @ q.astype(np.float64)
+        cur = cur.astype(np.int64).reshape(B, T, -1)
         v = np.zeros((B, q.shape[1]), dtype=np.int64)
-        out = np.empty_like(cur)
+        out = np.empty(cur.shape, dtype=np.float64)
         for t in range(T):
             v = v - (v >> shift) + cur[:, t, :]
             s = v >= thr
@@ -241,7 +283,7 @@ def _integer_layer_counts(
                 v = v * ~s
             out[:, t, :] = s
         spikes = out
-        counts.append(out.sum(axis=1))
+        counts.append(out.sum(axis=1).astype(np.int64))
     return counts
 
 
@@ -262,7 +304,6 @@ class ChipModel:
     image: ConfigImage | None = None
     readout: list[np.ndarray] = field(default_factory=list)
     interrupt: bool = False
-    membranes: list[np.ndarray] = field(default_factory=list)
 
     @property
     def configured(self) -> bool:
@@ -277,13 +318,12 @@ def upload_config(chip: ChipModel, data: bytes | ConfigImage) -> ChipModel:
     if violations:
         raise ConstraintViolation("; ".join(violations))
     chip.image = image
-    chip.membranes = [np.zeros(q.shape[1], dtype=np.int64) for q in image.quantized]
     chip.readout = [np.zeros(q.shape[1], dtype=np.int64) for q in image.quantized]
     chip.interrupt = False
     return chip
 
 
-def chip_forward(chip: ChipModel, input_spikes: np.ndarray, timesteps: int | None = None) -> None:
+def chip_forward(chip: ChipModel, input_spikes: np.ndarray) -> None:
     """Process one input: fills the readout registers and asserts the interrupt."""
     if not chip.configured:
         raise ProtocolError("forward before any config upload")
@@ -292,11 +332,8 @@ def chip_forward(chip: ChipModel, input_spikes: np.ndarray, timesteps: int | Non
     x = np.asarray(input_spikes)
     if x.ndim != 2:
         raise ProtocolError("chip takes one input at a time (T, n_in)")
-    if timesteps is not None and x.shape[0] != timesteps:
-        raise ContractViolation(f"input has {x.shape[0]} steps, expected {timesteps}")
     counts = _integer_layer_counts(chip.image, x)
     chip.readout = [c[0] for c in counts]
-    chip.membranes = [np.zeros_like(m) for m in chip.membranes]  # stateless per input
     chip.interrupt = True
 
 
@@ -407,10 +444,11 @@ def mentor_learner_epoch(
 ) -> dict:
     """One epoch of coupled training over ``batches`` of (x_enc, labels).
 
-    Per batch: chip handshake for the readout prediction, external forward,
-    simulated-twin forward, composite loss, backprop through the external
-    and twin paths (the chip readout is a constant), strategy hooks,
-    optimizer step. The simulated twin is re-quantized from the current
+    Per batch: external forward, chip handshake for the readout prediction
+    (only when alpha != 0; at alpha = 0 its term is zero and it is
+    skipped), simulated-twin forward, composite loss, backprop through the
+    external and twin paths (the chip readout is a constant), strategy
+    hooks, optimizer step. The simulated twin is re-quantized from the current
     weights every batch (it lives on the external processor, so tracking is
     free and the rounding is crossed straight-through); the physical chip
     only receives a fresh config at epoch end (or per batch behind the
@@ -438,8 +476,10 @@ def mentor_learner_epoch(
         loss = spec.lam * ce_e
 
         if chip_in_loop:
-            y_inn = _chip_readout_batch(chip, x_enc)
-            ce_inn, _ = softmax_cross_entropy_batch(y_inn, labels)
+            ce_inn = 0.0  # at alpha = 0 the readout would only be scaled by zero
+            if spec.alpha != 0.0:
+                y_inn = _chip_readout_batch(chip, x_enc)
+                ce_inn, _ = softmax_cross_entropy_batch(y_inn, labels)
             sim_net = dequantize_to_network(
                 quantize_network(state.net, state.quant_spec, state.task)
             )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spikecl.chip import (
+    QUANT_BITS,
     ChipConstraints,
     ChipModel,
     ConfigImage,
@@ -20,7 +21,15 @@ from spikecl.chip import (
     upload_config,
     validate_constraints,
 )
-from spikecl.errors import ConstraintViolation, ContractViolation, ProtocolError, TransportError
+import spikecl.chip as chip_module
+from spikecl.container import parse_bundle, serialize_bundle
+from spikecl.errors import (
+    ConstraintViolation,
+    ContractViolation,
+    FormatError,
+    ProtocolError,
+    TransportError,
+)
 from spikecl.rng import RngStream
 from spikecl.snn import LifParams, SpikingNetwork, forward, init_network
 from spikecl.train import LossSpec, OptimizerState, SurrogateSpec
@@ -79,6 +88,33 @@ class TestConfigImage:
         assert again.scales == image.scales
         assert again.thresholds == image.thresholds
 
+    def _bundle(self, mutate_meta=None, drop_array=None):
+        image = quantize_network(small_net(), QuantSpec())
+        meta, arrays = parse_bundle(serialize_image(image))
+        if mutate_meta is not None:
+            meta = mutate_meta(meta)
+        if drop_array is not None:
+            del arrays[drop_array]
+        return serialize_bundle(meta, arrays)
+
+    def test_list_metadata_is_format_error(self):
+        with pytest.raises(FormatError):
+            parse_image(self._bundle(mutate_meta=lambda meta: [meta]))
+
+    def test_missing_metadata_key_is_format_error(self):
+        def drop_thresholds(meta):
+            del meta["thresholds"]
+            return meta
+
+        with pytest.raises(FormatError, match="thresholds"):
+            parse_image(self._bundle(mutate_meta=drop_thresholds))
+
+    def test_missing_weight_array_is_format_error(self):
+        chip = ChipModel()
+        with pytest.raises(FormatError, match="q1"):
+            upload_config(chip, self._bundle(drop_array="q1"))
+        assert not chip.configured
+
     def test_corrupted_checksum_is_transport_error_and_chip_unchanged(self):
         chip = ChipModel()
         blob = bytearray(serialize_image(quantize_network(small_net(), QuantSpec())))
@@ -123,6 +159,28 @@ class TestConstraints:
         net = init_network([4, 2000], rng)
         violations = validate_constraints(net, ChipConstraints())
         assert any("neurons" in v for v in violations)
+
+    @pytest.mark.parametrize("bits", QUANT_BITS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_out_of_range_weight_rejected_on_upload(self, bits, sign):
+        image = quantize_network(small_net(), QuantSpec(bits=bits))
+        qmax = QuantSpec(bits=bits).qmax
+        image.quantized[1][0, 1] = sign * qmax
+        assert validate_constraints(image) == []  # the range edge is legal
+        for value in (qmax + 1, 2**40):
+            image.quantized[1][0, 1] = sign * value
+            assert any("range" in v for v in validate_constraints(image))
+            chip = ChipModel()
+            with pytest.raises(ConstraintViolation):
+                upload_config(chip, serialize_image(image))
+            assert not chip.configured
+
+    def test_non_integer_weights_rejected_on_upload(self):
+        image = quantize_network(small_net(), QuantSpec())
+        image.quantized[0] = image.quantized[0] + 0.5
+        assert any("non-integer" in v for v in validate_constraints(image))
+        with pytest.raises(ConstraintViolation):
+            upload_config(ChipModel(), image)
 
     def test_bias_storage_flagged(self):
         image = quantize_network(small_net(), QuantSpec())
@@ -210,7 +268,100 @@ def hand_integer_222(q0, q1, thr0, thr1, shift, x):
     return counts
 
 
+def int64_layer_counts_oracle(image, input_spikes):
+    """Reference integer core with a plain int64 accumulate; the float64
+    BLAS core must match it bit for bit."""
+    x = np.asarray(input_spikes)
+    if x.ndim == 2:
+        x = x[None]
+    spikes = x.astype(np.int64)
+    B, T, _ = spikes.shape
+    counts = []
+    for q, thr in zip(image.quantized, image.thresholds):
+        cur = (spikes.reshape(B * T, -1) @ q).reshape(B, T, -1)
+        v = np.zeros((B, q.shape[1]), dtype=np.int64)
+        out = np.empty_like(cur)
+        for t in range(T):
+            v = v - (v >> image.leak_shift) + cur[:, t, :]
+            s = v >= thr
+            v = v - thr * s if image.reset == "subtract" else v * ~s
+            out[:, t, :] = s
+        spikes = out
+        counts.append(out.sum(axis=1))
+    return counts
+
+
+def random_image(rng, sizes, bits, reset, pinned=0.1):
+    """Uniform weights in [-qmax, qmax] with a fraction pinned at +-qmax;
+    thresholds spread so that some neurons fire often and some rarely."""
+    qmax = QuantSpec(bits=bits).qmax
+    quantized, thresholds = [], []
+    for l, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        u = rng.fork(f"q{l}").uniform((n_in, n_out))
+        q = np.rint((2.0 * u - 1.0) * qmax).astype(np.int64)
+        pin = rng.fork(f"pin{l}").uniform((n_in, n_out)) < pinned
+        q[pin] = np.where(u[pin] < 0.5, -qmax, qmax)
+        thresholds.append(int(qmax * np.sqrt(n_in) * (0.2 + rng.fork(f"t{l}").uniform((1,))[0])))
+        quantized.append(q)
+    return ConfigImage(
+        layer_sizes=list(sizes), quantized=quantized, scales=[1.0] * len(quantized),
+        thresholds=thresholds, leak_shift=2, bits=bits, reset=reset,
+    )
+
+
 class TestIntegerCore:
+    @pytest.mark.parametrize("bits", QUANT_BITS)
+    @pytest.mark.parametrize("reset", ["subtract", "zero"])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_blas_core_matches_int64_oracle(self, bits, reset, batched):
+        rng = RngStream(1000 + bits)
+        image = random_image(rng, [784, 40, 24, 10], bits, reset)
+        shape = (6, 12, 784) if batched else (12, 784)
+        x = (rng.fork("x").uniform(shape) < 0.5).astype(np.float64)
+        got = chip_module._integer_layer_counts(image, x)
+        ref = int64_layer_counts_oracle(image, x)
+        assert sum(int(c.sum()) for c in ref) > 0
+        for a, b in zip(got, ref):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bits", QUANT_BITS)
+    def test_blas_core_exact_at_the_largest_sums(self, bits):
+        # all 784 inputs spike into weights at +qmax: currents S, S - 1 and
+        # S - 2 against threshold S - 1, one timestep, so a current off by
+        # one unit flips a spike
+        qmax = QuantSpec(bits=bits).qmax
+        q0 = np.full((784, 3), qmax, dtype=np.int64)
+        q0[0, 1:] -= [1, 2]
+        image = ConfigImage(
+            layer_sizes=[784, 3, 1], quantized=[q0, np.ones((3, 1), dtype=np.int64)],
+            scales=[1.0, 1.0], thresholds=[784 * qmax - 1, 1], leak_shift=3, bits=bits,
+            reset="subtract",
+        )
+        got = chip_module._integer_layer_counts(image, np.ones((1, 784)))
+        assert got[0].tolist() == [[1, 1, 0]]
+        for a, b in zip(got, int64_layer_counts_oracle(image, np.ones((1, 784)))):
+            assert np.array_equal(a, b)
+
+    def test_accumulate_bound_violation_raises(self):
+        image = ConfigImage(
+            layer_sizes=[2, 1], quantized=[np.array([[2**52], [1]], dtype=np.int64)],
+            scales=[1.0], thresholds=[1], leak_shift=3, bits=16, reset="subtract",
+        )
+        with pytest.raises(ContractViolation, match="2\\*\\*53"):
+            chip_twin_counts(image, np.ones((3, 2)))
+        image.quantized[0][0, 0] = 2**52 - 1  # 2 * (2**52 - 1) < 2**53
+        assert np.array_equal(
+            chip_twin_counts(image, np.ones((3, 2))),
+            int64_layer_counts_oracle(image, np.ones((3, 2)))[-1],
+        )
+
+    def test_non_integer_weights_raise(self):
+        image = quantize_network(small_net(), QuantSpec())
+        image.quantized[0] = image.quantized[0].astype(np.float64)
+        with pytest.raises(ContractViolation):
+            chip_twin_counts(image, np.ones((3, 2)))
+
     def test_hand_simulation(self):
         q0 = np.array([[40, -10], [25, 90]], dtype=np.int64)
         q1 = np.array([[55, 100], [-30, 70]], dtype=np.int64)
@@ -320,11 +471,26 @@ class TestMentorLearner:
             losses.append(mentor_learner_epoch(state, chip, batches)["mean_loss"])
         assert losses[-1] < losses[0]
 
-    def test_epoch_uploads_config_and_chip_matches_twin(self):
+    def _count_handshakes(self, monkeypatch):
+        calls = []
+        real = chip_module.chip_forward
+
+        def counting(chip, x):
+            calls.append(x.shape)
+            real(chip, x)
+
+        monkeypatch.setattr(chip_module, "chip_forward", counting)
+        return calls
+
+    def test_epoch_uploads_config_and_chip_matches_twin(self, monkeypatch):
+        # alpha = 0: no handshake during training, yet the epoch-end upload
+        # still leaves the chip in step with the twin
         rng = RngStream(7)
         state = self._state(rng, mu=1.0)
         chip = ChipModel()
+        calls = self._count_handshakes(monkeypatch)
         mentor_learner_epoch(state, chip, self._toy_batches(rng.fork("data")))
+        assert calls == []
         assert chip.configured
         probe = (rng.fork("probe").uniform((6, 4)) < 0.5).astype(np.float64)
         chip_forward(chip, probe)
@@ -332,11 +498,13 @@ class TestMentorLearner:
         twin = chip_twin_counts(state.twin_image, probe)
         assert np.array_equal(regs[-1], twin[0])
 
-    def test_alpha_term_uses_chip_readout(self):
+    def test_alpha_term_uses_chip_readout(self, monkeypatch):
         rng = RngStream(8)
         state = self._state(rng, mu=1.0)
         state.loss_spec = LossSpec(lam=1.0, mu=1.0, alpha=0.5, beta=0.5)
         chip = ChipModel()
+        calls = self._count_handshakes(monkeypatch)
         out = mentor_learner_epoch(state, chip, self._toy_batches(rng.fork("data"), 2))
         assert out["batches"] == 2
         assert chip.configured
+        assert calls == [(10, 4)] * 32  # one handshake per training sample

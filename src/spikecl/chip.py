@@ -375,7 +375,8 @@ def encode_frames(payload: bytes, cmd: int = CMD_CONFIG_CHUNK) -> list[bytes]:
 
 
 def decode_frames(frames: list[bytes]) -> bytes:
-    """Reassemble framed chunks, verifying structure and checksums."""
+    """Reassemble framed chunks in any order, verifying structure and
+    checksums; a missing or repeated offset raises TransportError."""
     import struct as _struct
     import zlib as _zlib
 
@@ -392,6 +393,8 @@ def decode_frames(frames: list[bytes]) -> bytes:
         chunk = body[8:]
         if len(chunk) != length:
             raise TransportError("frame length mismatch")
+        if off in parts:
+            raise TransportError(f"duplicate frame at offset {off}")
         parts[off] = chunk
     out = bytearray()
     for off in sorted(parts):
@@ -415,7 +418,6 @@ class MentorState:
     loss_spec: LossSpec
     quant_spec: QuantSpec
     task: int | None = None  # active head in multi-head mode
-    epoch: int = 0
     upload_per_batch: bool = False
     twin_image: ConfigImage | None = None
 
@@ -516,5 +518,4 @@ def mentor_learner_epoch(
     if chip_in_loop and not state.upload_per_batch:
         state.refresh_twin()
         upload_config(chip, state.twin_image)
-    state.epoch += 1
     return {"mean_loss": total_loss / max(n_batches, 1), "batches": n_batches}

@@ -93,13 +93,10 @@ def finalize_hebbian(acc: HebbianAccumulator) -> np.ndarray:
 @dataclass
 class HebbianStore:
     """Elementwise maximum of per-task coincidence statistics over completed
-    tasks, keyed like network parameters. Optionally keeps per-task
-    snapshots (equivalent information; the max is what gating uses)."""
+    tasks, keyed like network parameters."""
 
     h_max: dict[str, np.ndarray] = field(default_factory=dict)
     tasks_completed: int = 0
-    keep_snapshots: bool = False
-    snapshots: list[dict[str, np.ndarray]] = field(default_factory=list)
 
 
 def finalize_task(store: HebbianStore, h_tau: dict[str, np.ndarray]) -> HebbianStore:
@@ -113,8 +110,6 @@ def finalize_task(store: HebbianStore, h_tau: dict[str, np.ndarray]) -> HebbianS
             store.h_max[name] = np.maximum(store.h_max[name], h)
         else:
             store.h_max[name] = h.copy()
-    if store.keep_snapshots:
-        store.snapshots.append({k: v.copy() for k, v in h_tau.items()})
     store.tasks_completed += 1
     return store
 
@@ -262,7 +257,6 @@ class StrategyConfig:
     name: str = "none"
     hwc_threshold_rel: float = 0.03
     hwc_threshold_abs: float | None = None
-    hwc_keep_snapshots: bool = False
     ewc_strength: float = 5000.0
     ewc_fisher_samples: int = 200
     si_strength: float = 0.1
@@ -327,7 +321,7 @@ class HwcStrategy(Strategy):
     def __init__(self, cfg, scenario, seed, surrogate):
         super().__init__(cfg, scenario, seed, surrogate)
         self.mode = "hard" if cfg.name == "hwc-hard" else "soft"
-        self.store = HebbianStore(keep_snapshots=cfg.hwc_keep_snapshots)
+        self.store = HebbianStore()
         self.mask: PotentialMask | None = None
         self._acc: dict[str, HebbianAccumulator] = {}
 

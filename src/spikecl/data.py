@@ -232,6 +232,39 @@ def _pixel_grid():
     return _PIX
 
 
+def _nearest_segment_d2(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """(n, P) squared distance from each pixel to the nearest kept segment
+    a[i, s] -> b[i, s]; inf where a row keeps no segment.
+
+    x and y stay separate (rows, P) planes: every dot product is
+    x*x' + y*y', the same IEEE operations in the same order as a sum over a
+    length-2 coordinate axis, so the corpus bytes do not depend on this
+    layout. Rows that drop segment s skip it (a min with inf is a no-op).
+    """
+    px, py = np.ascontiguousarray(_pixel_grid().T)  # (P,) each
+    dx = b[:, :, 0] - a[:, :, 0]  # (n, S)
+    dy = b[:, :, 1] - a[:, :, 1]
+    length2 = np.maximum(dx * dx + dy * dy, 1e-12)
+    min_d2 = np.full((a.shape[0], px.size), np.inf)
+    for s in range(a.shape[1]):
+        rows = np.flatnonzero(keep[:, s])
+        sx = dx[rows, s, None]  # (r, 1)
+        sy = dy[rows, s, None]
+        ex = px - a[rows, s, 0, None]  # (r, P): pixel minus segment start
+        ey = py - a[rows, s, 1, None]
+        t = ex * sx
+        t += ey * sy
+        t /= length2[rows, s, None]
+        np.clip(t, 0.0, 1.0, out=t)
+        ex -= t * sx
+        ey -= t * sy
+        ex *= ex
+        ey *= ey
+        ex += ey
+        min_d2[rows] = np.minimum(min_d2[rows], ex)
+    return min_d2
+
+
 def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
     """(n, 784) grayscale digits: jittered affine transforms of the stroke
     skeleton, rasterized as soft distance fields.
@@ -268,19 +301,7 @@ def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
     b = np.concatenate([b, db], axis=1)
     keep = np.concatenate([seg_keep, d_on], axis=1)
 
-    pix = _pixel_grid()  # (P, 2)
-    d = b - a  # (n, S, 2)
-    length2 = np.maximum((d * d).sum(axis=2), 1e-12)  # (n, S)
-    min_d2 = np.full((n, pix.shape[0]), np.inf)
-    for s in range(d.shape[1]):  # segment loop keeps temporaries at (n, P, 2)
-        ap = pix[None, :, :] - a[:, None, s, :]
-        ds = d[:, None, s, :]
-        t = np.clip((ap * ds).sum(axis=2) / length2[:, None, s], 0.0, 1.0)
-        diff = ap - t[:, :, None] * ds
-        d2 = (diff * diff).sum(axis=2)
-        d2[~keep[:, s], :] = np.inf
-        np.minimum(min_d2, d2, out=min_d2)
-    dist = np.sqrt(np.minimum(min_d2, 4.0))
+    dist = np.sqrt(np.minimum(_nearest_segment_d2(a, b, keep), 4.0))
 
     thickness = 0.025 + 0.028 * rng.uniform((n,))
     img = np.clip(1.2 - dist / thickness[:, None], 0.0, 1.0)
@@ -311,7 +332,11 @@ def generate_digit_corpus(
         for digit in range(10):
             stream = root.fork(f"{split}/digit{digit}")
             done = 0
-            while done < per:  # chunked to bound the (n, P, S) temporaries
+            # 256-sample chunks bound the (n, P) temporaries, and they are
+            # also part of the RNG draw sequence: each chunk draws its own
+            # blocks from `stream`, so changing the chunk size changes every
+            # rendered corpus.
+            while done < per:
                 n = min(256, per - done)
                 lo = digit * per + done
                 xs[lo : lo + n] = _render_digits(digit, n, stream)

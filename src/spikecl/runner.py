@@ -32,7 +32,6 @@ from .data import (
 from .errors import ConfigurationError
 from .metrics import (
     MetricsRecord,
-    accuracy_from_logits,
     aggregate_summary,
     emit_results,
     incremental_accuracy,
@@ -367,11 +366,6 @@ def evaluate_task(
         correct += int((np.atleast_2d(logits).argmax(axis=1) == y).sum())
         total += len(y)
     return correct / total
-
-
-def task_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Argmax accuracy; re-exported here as the metrics entry point."""
-    return accuracy_from_logits(logits, labels)
 
 
 # ---------------------------------------------------------------------------

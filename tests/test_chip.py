@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikecl.chip import (
     QUANT_BITS,
@@ -426,6 +428,22 @@ class TestFrames:
         frames = encode_frames(bytes(10000))
         with pytest.raises(TransportError):
             decode_frames(frames[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=st.binary(min_size=1, max_size=20000), data=st.data())
+    def test_any_order_decodes_and_duplicates_or_gaps_raise(self, payload, data):
+        frames = encode_frames(payload)
+        order = data.draw(st.permutations(range(len(frames))))
+        assert decode_frames([frames[i] for i in order]) == payload
+        i = data.draw(st.integers(0, len(frames) - 1))
+        with pytest.raises(TransportError):
+            decode_frames(frames + [frames[i]])
+        # frames carry no total length, so only a drop before the last
+        # frame leaves a gap that this layer can see
+        if len(frames) > 1:
+            j = data.draw(st.integers(0, len(frames) - 2))
+            with pytest.raises(TransportError):
+                decode_frames(frames[:j] + frames[j + 1 :])
 
 
 class TestMentorLearner:

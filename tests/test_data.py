@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import spikecl.data as data_mod
 from spikecl.data import (
     DEFAULT_SPLIT_PAIRS,
     DriftSpec,
@@ -129,10 +130,98 @@ class TestSplitStream:
         assert stream.scenario == "task-incremental"
 
 
+def _nearest_segment_d2_oracle(a, b, keep):
+    """The segment loop the corpus was defined with: (n, P, 2) temporaries
+    summed over the coordinate axis, dropped strokes set to inf."""
+    pix = data_mod._pixel_grid()  # (P, 2)
+    d = b - a  # (n, S, 2)
+    length2 = np.maximum((d * d).sum(axis=2), 1e-12)  # (n, S)
+    min_d2 = np.full((a.shape[0], pix.shape[0]), np.inf)
+    for s in range(d.shape[1]):
+        ap = pix[None, :, :] - a[:, None, s, :]
+        ds = d[:, None, s, :]
+        t = np.clip((ap * ds).sum(axis=2) / length2[:, None, s], 0.0, 1.0)
+        diff = ap - t[:, :, None] * ds
+        d2 = (diff * diff).sum(axis=2)
+        d2[~keep[:, s], :] = np.inf
+        np.minimum(min_d2, d2, out=min_d2)
+    return min_d2
+
+
+def _render_digits_oracle(digit: int, n: int, rng: RngStream) -> np.ndarray:
+    """The renderer the corpus was defined with, draw for draw. Test-only
+    reference for `spikecl.data._render_digits`."""
+    segs = data_mod._DIGIT_STROKES[digit]
+    a0 = np.array([s[0] for s in segs])  # (S, 2)
+    b0 = np.array([s[1] for s in segs])
+    angle = (rng.uniform((n,)) - 0.5) * (np.pi / 4.5)
+    scale = 0.75 + 0.45 * rng.uniform((n,))
+    shear = (rng.uniform((n,)) - 0.5) * 0.4
+    shift = (rng.uniform((n, 2)) - 0.5) * 0.18
+    rot = np.empty((n, 2, 2))
+    rot[:, 0, 0] = np.cos(angle)
+    rot[:, 0, 1] = -np.sin(angle)
+    rot[:, 1, 0] = np.sin(angle) + shear
+    rot[:, 1, 1] = np.cos(angle)
+    rot *= scale[:, None, None]
+    center = np.array([0.5, 0.5])
+    a = np.einsum("sj,nij->nsi", a0 - center, rot) + center + shift[:, None, :]
+    b = np.einsum("sj,nij->nsi", b0 - center, rot) + center + shift[:, None, :]
+
+    seg_keep = rng.uniform((n, a.shape[1])) >= 0.06
+    n_distract = 2
+    da = rng.uniform((n, n_distract, 2)) * 0.84 + 0.08
+    db = da + (rng.uniform((n, n_distract, 2)) - 0.5) * 0.3
+    d_on = rng.uniform((n, n_distract)) < 0.45
+    a = np.concatenate([a, da], axis=1)
+    b = np.concatenate([b, db], axis=1)
+    keep = np.concatenate([seg_keep, d_on], axis=1)
+
+    dist = np.sqrt(np.minimum(_nearest_segment_d2_oracle(a, b, keep), 4.0))
+
+    thickness = 0.025 + 0.028 * rng.uniform((n,))
+    img = np.clip(1.2 - dist / thickness[:, None], 0.0, 1.0)
+    img *= (0.6 + 0.4 * rng.uniform((n,)))[:, None]
+    img += rng.normal(img.shape) * 0.04
+    np.clip(img, 0.0, 1.0, out=img)
+    return np.round(img * 255.0) / 255.0
+
+
 class TestDigitCorpus:
+    # Byte equality against the oracle rather than a stored corpus hash:
+    # np.sin/np.cos may differ in the last bit between CPUs (SIMD dispatch),
+    # so a hash pinned on one machine can fail on another.
+    @pytest.mark.parametrize("seed", [90210, 7])
+    @pytest.mark.parametrize("digit", range(10))
+    def test_renderer_matches_segment_loop_oracle(self, digit, seed):
+        got = data_mod._render_digits(digit, 64, RngStream(seed).fork(f"d{digit}"))
+        want = _render_digits_oracle(digit, 64, RngStream(seed).fork(f"d{digit}"))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 257])
+    def test_renderer_matches_oracle_at_edge_sizes(self, n):
+        got = data_mod._render_digits(8, n, RngStream(11))
+        want = _render_digits_oracle(8, n, RngStream(11))
+        assert got.shape == (n, 784)
+        assert got.tobytes() == want.tobytes()
+
+    def test_distance_field_matches_oracle_bit_for_bit(self):
+        # the 8-bit quantization hides most last-bit changes, so compare the
+        # float field too: random segments, some degenerate (a == b), some
+        # rows with every segment dropped
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-0.2, 1.2, (40, 9, 2))
+        b = a + rng.normal(0.0, 0.3, a.shape)
+        b[:, 0] = a[:, 0]
+        keep = rng.uniform(size=(40, 9)) < 0.7
+        keep[:3] = False
+        got = data_mod._nearest_segment_d2(a, b, keep)
+        want = _nearest_segment_d2_oracle(a, b, keep)
+        assert np.isinf(got[:3]).all()
+        assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         a = generate_digit_corpus(20, 5, seed=9)
-        import spikecl.data as data_mod
         data_mod._CORPUS_CACHE.clear()
         b = generate_digit_corpus(20, 5, seed=9)
         for x, y in zip(a, b):

@@ -74,7 +74,7 @@ def accumulate_hebbian(acc: HebbianAccumulator, pre_rates: np.ndarray, post_rate
         pre = pre[None, :]
         post = post[None, :]
     for r in (pre, post):
-        if np.any(r < 0.0) or np.any(r > 1.0):
+        if not np.all((r >= 0.0) & (r <= 1.0)):
             raise ContractViolation("firing rates must lie in [0, 1]")
     if pre.shape[0] != post.shape[0] or (pre.shape[1], post.shape[1]) != acc.sums.shape:
         raise ContractViolation("rate shapes do not match the synapse matrix")
@@ -102,7 +102,7 @@ class HebbianStore:
 def finalize_task(store: HebbianStore, h_tau: dict[str, np.ndarray]) -> HebbianStore:
     """Fold one completed task's statistics into the running maximum."""
     for name, h in h_tau.items():
-        if np.any(h < 0.0) or np.any(h > 1.0):
+        if not np.all((h >= 0.0) & (h <= 1.0)):
             raise ContractViolation(f"H values for {name} outside [0, 1]")
         if name in store.h_max:
             if store.h_max[name].shape != h.shape:

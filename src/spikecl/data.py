@@ -495,7 +495,7 @@ def encode(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None
     probability feature * max_rate; direct-repeat thresholds at 0.5 and
     repeats (consuming no randomness)."""
     f = np.asarray(features, dtype=np.float64)
-    if np.any(f < 0.0) or np.any(f > 1.0):
+    if not np.all((f >= 0.0) & (f <= 1.0)):
         raise ContractViolation("features must lie in [0, 1]")
     if spec.kind == "direct-repeat":
         row = (f >= 0.5).astype(np.float64)
@@ -510,7 +510,7 @@ def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None 
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ContractViolation("batch features must be 2-D")
-    if np.any(f < 0.0) or np.any(f > 1.0):
+    if not np.all((f >= 0.0) & (f <= 1.0)):
         raise ContractViolation("features must lie in [0, 1]")
     B, n = f.shape
     if spec.kind == "direct-repeat":
@@ -518,5 +518,5 @@ def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None 
         return np.repeat(rows[:, None, :], spec.timesteps, axis=1)
     if rng is None:
         raise ContractViolation("rate-poisson encoding requires an rng stream")
-    p = np.broadcast_to((f * spec.max_rate)[:, None, :], (B, spec.timesteps, n))
-    return rng.bernoulli(p, (B, spec.timesteps, n))
+    # (B, 1, n) broadcasts over the T steps, so bernoulli checks B*n values
+    return rng.bernoulli((f * spec.max_rate)[:, None, :], (B, spec.timesteps, n))

@@ -8,6 +8,8 @@ order with separate IEEE multiply and add, so its result is bit-identical to
 the naive triple-loop product on every platform. That exactness costs speed,
 which is why it backs the paths whose results are asserted exactly (e.g.
 coincidence-statistic accumulation) while the simulation hot loops use BLAS.
+It skips the terms whose left factor is zero, which is exact for finite
+inputs (see ``matmul``) and saves most of the work on sparse firing rates.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For every output entry the sum over the inner dimension is accumulated
     one term at a time in ascending index order, each term a single IEEE
     multiply followed by a single add.
+
+    Terms with ``a[i, k] == 0`` are skipped. That is exact for finite
+    inputs: such a term is +0 or -0, every sum starts at +0 and so is never
+    -0 (round-to-nearest gives -0 only for -0 + -0), and adding +-0 to a
+    sum that is not -0 leaves it unchanged.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -47,10 +54,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"inner dimensions differ: {a.shape} x {b.shape}"
         )
     out = np.zeros((a.shape[0], b.shape[1]))
-    tmp = np.empty_like(out)
     for k in range(a.shape[1]):
-        np.multiply(a[:, k : k + 1], b[k : k + 1, :], out=tmp)
-        np.add(out, tmp, out=out)
+        rows = np.flatnonzero(a[:, k])
+        out[rows] += a[rows, k, None] * b[k]
     require_finite(out, "matmul result")
     return out
 

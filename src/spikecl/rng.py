@@ -16,6 +16,13 @@ all in wrapping 64-bit arithmetic. A stream owns a monotonically advancing
 counter ``i``; vector draws consume a contiguous counter block, so the draw
 sequence depends only on the seed and the sequence of draw calls.
 
+The mix runs in place on the counter block; its only other allocation is
+one scratch buffer of the same size for the shifted words.
+``bernoulli`` compares integers instead of floats: a uniform is
+``u = k * 2^-53`` with ``k = x >> 11``, and for any p in [0, 1]
+``u < p`` holds exactly when ``k < ceil(p * 2^53)`` (both scalings by a
+power of two are exact), so the integer test draws the same bits.
+
 Streams are single-owner. Parallel or per-purpose randomness goes through
 ``fork``, which derives an independent child stream from the parent's base
 and a string tag (FNV-1a hashed), without touching the parent's counter.
@@ -57,11 +64,17 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * _U64_C1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _U64_C2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer applied in place to a uint64 array."""
+    shifted = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=shifted)
+    z ^= shifted
+    z *= _U64_C1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _U64_C2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class RngStream:
@@ -93,16 +106,20 @@ class RngStream:
     def _raw(self, n: int) -> np.ndarray:
         """Next ``n`` 64-bit outputs as a uint64 array; advances the counter."""
         start = self._counter + 1
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        words = _mix_array(np.uint64(self._base) + idx * _U64_GAMMA)
+        words = np.arange(start, start + n, dtype=np.uint64)
+        words *= _U64_GAMMA
+        words += np.uint64(self._base)
         self._counter += n
-        return words
+        return _mix_array(words)
 
     def uniform(self, shape: tuple[int, ...] | int) -> np.ndarray:
         """Uniform float64 matrix on [0, 1)."""
         shape = _as_shape(shape)
         n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _UNIT
+        k = self._raw(n)
+        k >>= np.uint64(11)
+        u = k.astype(np.float64)
+        u *= _UNIT
         return u.reshape(shape)
 
     def normal(self, shape: tuple[int, ...] | int) -> np.ndarray:
@@ -127,10 +144,13 @@ class RngStream:
     def bernoulli(self, p, shape: tuple[int, ...] | int) -> np.ndarray:
         """0/1 float64 matrix; ``p`` is a scalar or array broadcastable to shape."""
         p = np.asarray(p, dtype=np.float64)
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ContractViolation(f"bernoulli p outside [0, 1]: {p!r}")
-        u = self.uniform(_as_shape(shape))
-        return (u < p).astype(np.float64)
+        shape = _as_shape(shape)
+        k = self._raw(math.prod(shape))
+        k >>= np.uint64(11)
+        bound = np.ceil(p * 2.0**53).astype(np.uint64)
+        return (k.reshape(shape) < bound).astype(np.float64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of uniforms)."""

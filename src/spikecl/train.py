@@ -196,12 +196,18 @@ def backward(
     return backward_dlogits(net, trace, cross_entropy_grad(probs, labels), surrogate)
 
 
+# Rows per in-place optimizer block: a (128, 256) float64 block and its
+# slots stay in L2 while every operation of the update runs over them.
+_STEP_ROWS = 128
+
+
 @dataclass
 class OptimizerState:
     """Optimizer kind plus per-parameter accumulator slots.
 
-    Slots are created lazily the first time a parameter receives a
-    gradient, always mirroring the weight's shape.
+    A parameter's slots are created, as float64 zeros of the weight's shape,
+    on the first step that gives it a gradient; later steps update them in
+    place.
     """
 
     kind: str = "adam"
@@ -220,23 +226,69 @@ class OptimizerState:
 
 
 def optimizer_step(opt: OptimizerState, net: SpikingNetwork, grads: dict[str, np.ndarray]) -> None:
-    """Apply one update in place; parameters without gradients are untouched."""
+    """Apply one update in place; parameters without gradients are untouched.
+
+    Weights, slots and the Adam step count change in place. A weight that is
+    not a writeable C-contiguous float64 array is first replaced by a copy
+    that is. Each block of rows goes through the textbook expressions with
+    the same IEEE operations in the same order:
+
+        adam:          m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+                       w = w - (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
+        sgd-momentum:  buf = momentum*buf + g;  w = w - lr*buf
+    """
     for name, g in grads.items():
         w = net.get_param(name)
         if g.shape != w.shape:
             raise ContractViolation(f"gradient {name} shape {g.shape} != weight {w.shape}")
         require_finite(g, f"gradient {name}")
+        if not (w.dtype == np.float64 and w.flags.c_contiguous and w.flags.writeable):
+            w = np.array(w, dtype=np.float64, order="C")
+            net.set_param(name, w)
+        slot = opt.slots.get(name)
         if opt.kind == "adam":
-            slot = opt.slots.setdefault(
-                name, {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
-            )
+            if slot is None:
+                slot = opt.slots[name] = {"m": np.zeros(w.shape), "v": np.zeros(w.shape), "t": 0}
             slot["t"] += 1
-            slot["m"] = opt.beta1 * slot["m"] + (1.0 - opt.beta1) * g
-            slot["v"] = opt.beta2 * slot["v"] + (1.0 - opt.beta2) * g * g
-            m_hat = slot["m"] / (1.0 - opt.beta1 ** slot["t"])
-            v_hat = slot["v"] / (1.0 - opt.beta2 ** slot["t"])
-            net.set_param(name, w - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps))
+            _adam_rows(opt, w, g, slot["m"], slot["v"], slot["t"])
         else:
-            slot = opt.slots.setdefault(name, {"buf": np.zeros_like(w)})
-            slot["buf"] = opt.momentum * slot["buf"] + g
-            net.set_param(name, w - opt.lr * slot["buf"])
+            if slot is None:
+                slot = opt.slots[name] = {"buf": np.zeros(w.shape)}
+            _momentum_rows(opt, w, g, slot["buf"])
+
+
+def _adam_rows(opt: OptimizerState, w, g, m, v, t: int) -> None:
+    c1 = 1.0 - opt.beta1 ** t
+    c2 = 1.0 - opt.beta2 ** t
+    num = np.empty((min(_STEP_ROWS, w.shape[0]),) + w.shape[1:])
+    den = np.empty_like(num)
+    for r in range(0, w.shape[0], _STEP_ROWS):
+        rows = slice(r, r + _STEP_ROWS)
+        wb, gb, mb, vb = w[rows], g[rows], m[rows], v[rows]
+        nb, db = num[: len(wb)], den[: len(wb)]
+        np.multiply(gb, 1.0 - opt.beta1, out=nb)
+        mb *= opt.beta1
+        mb += nb
+        np.multiply(gb, 1.0 - opt.beta2, out=db)
+        db *= gb
+        vb *= opt.beta2
+        vb += db
+        np.divide(mb, c1, out=nb)
+        nb *= opt.lr
+        np.divide(vb, c2, out=db)
+        np.sqrt(db, out=db)
+        db += opt.eps
+        nb /= db
+        wb -= nb
+
+
+def _momentum_rows(opt: OptimizerState, w, g, buf) -> None:
+    step = np.empty((min(_STEP_ROWS, w.shape[0]),) + w.shape[1:])
+    for r in range(0, w.shape[0], _STEP_ROWS):
+        rows = slice(r, r + _STEP_ROWS)
+        wb, bb = w[rows], buf[rows]
+        sb = step[: len(wb)]
+        bb *= opt.momentum
+        bb += g[rows]
+        np.multiply(bb, opt.lr, out=sb)
+        wb -= sb

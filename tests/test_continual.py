@@ -24,7 +24,7 @@ from spikecl.container import read_bundle
 from spikecl.errors import ConfigurationError, ContractViolation
 from spikecl.rng import RngStream
 from spikecl.snn import forward, init_network
-from spikecl.train import SurrogateSpec, backward
+from spikecl.train import OptimizerState, SurrogateSpec, backward, optimizer_step
 
 
 class TestHebbianAccumulation:
@@ -93,6 +93,10 @@ class TestStoreAndPotential:
         finalize_task(store, h1)
         assert np.array_equal(store.h_max["w0"], h1["w0"])
         assert store.tasks_completed == 1
+
+    def test_nan_statistics_rejected(self):
+        with pytest.raises(ContractViolation):
+            finalize_task(HebbianStore(), {"w0": np.array([[0.3, np.nan]])})
 
     def test_max_absorption(self):
         store = HebbianStore()
@@ -398,3 +402,47 @@ class TestApplyStrategy:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
             StrategyConfig("replay")
+
+
+class TestSnapshotsSurviveInPlaceSteps:
+    """The optimizer updates weights in place; what strategies keep of the
+    weights must be copies, not views that move with the next step."""
+
+    def _net(self):
+        return init_network([3, 2], RngStream(60))
+
+    def _step(self, net, seed):
+        opt = OptimizerState(lr=0.05)
+        optimizer_step(opt, net, {"w0": RngStream(seed).normal((3, 2))})
+
+    def test_ewc_anchor_does_not_move(self):
+        net, sur = self._net(), SurrogateSpec()
+        strat = apply_strategy(StrategyConfig("ewc", ewc_fisher_samples=4), "task-incremental", 0, sur)
+        spikes = RngStream(61).bernoulli(0.5, (4, 5, 3))
+
+        def provider(n):
+            return ((spikes[i], i % 2) for i in range(n))
+
+        strat.after_task(TaskContext(task=1, total_tasks=2), net, provider)
+        anchor = {k: a.copy() for k, a in strat.tasks[0][1].items()}
+        self._step(net, 62)
+        assert not np.array_equal(net.weights[0], anchor["w0"])
+        for k, a in strat.tasks[0][1].items():
+            assert a.tobytes() == anchor[k].tobytes()
+
+    def test_si_snapshots_do_not_move(self):
+        net = self._net()
+        strat = apply_strategy(StrategyConfig("si"), "task-incremental", 0, SurrogateSpec())
+        ctx = TaskContext(task=1, total_tasks=2)
+        strat.before_task(ctx, net)
+        start = {k: a.copy() for k, a in strat._theta_start.items()}
+        grads = strat.grad_transform(ctx, net, {"w0": RngStream(63).normal((3, 2))})
+        pending = strat._pending[0]["w0"].copy()
+        optimizer_step(OptimizerState(lr=0.05), net, grads)
+        assert strat._pending[0]["w0"].tobytes() == pending.tobytes()
+        strat.after_task(ctx, net)
+        anchor = strat.anchor["w0"].copy()
+        self._step(net, 64)
+        assert strat._theta_start["w0"].tobytes() == start["w0"].tobytes()
+        assert strat.anchor["w0"].tobytes() == anchor.tobytes()
+        assert not np.array_equal(net.weights[0], anchor)

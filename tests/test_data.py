@@ -339,6 +339,27 @@ class TestEncode:
         with pytest.raises(ContractViolation):
             encode(np.array([1.5]), EncoderSpec(), RngStream(0))
 
+    @pytest.mark.parametrize("kind", ["rate-poisson", "direct-repeat"])
+    def test_nan_features_rejected(self, kind):
+        spec = EncoderSpec(kind=kind)
+        with pytest.raises(ContractViolation):
+            encode(np.array([0.5, np.nan]), spec, RngStream(0))
+        batch = RngStream(1).uniform((3, 4))
+        batch[1] = np.nan  # an all-NaN row used to encode as silence
+        with pytest.raises(ContractViolation):
+            encode_batch(batch, spec, RngStream(0))
+
+    def test_batch_draw_is_one_block_over_the_window(self):
+        # (B, T, n) spikes from one draw of B*T*n words, row-major
+        spec = EncoderSpec(timesteps=6, max_rate=0.8)
+        x = RngStream(8).uniform((3, 5))
+        p = np.broadcast_to((x * 0.8)[:, None, :], (3, 6, 5))
+        stream = RngStream(2)
+        enc = encode_batch(x, spec, stream)
+        ref = RngStream(2)
+        assert enc.tobytes() == ref.bernoulli(np.ascontiguousarray(p), (3, 6, 5)).tobytes()
+        assert stream._counter == ref._counter == 3 * 6 * 5
+
     def test_validation(self):
         with pytest.raises(ContractViolation):
             EncoderSpec(kind="temporal")

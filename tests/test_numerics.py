@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikecl.errors import ContractViolation
 from spikecl.numerics import (
@@ -65,6 +66,42 @@ class TestMatmul:
         a = rng.uniform((m, k)) * 4 - 2
         b = rng.uniform((k, n)) * 4 - 2
         assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+
+
+# Left factors rich in exact zeros (both signs), as firing rates are.
+_sparse_entries = st.one_of(
+    st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0, allow_nan=False, width=64)
+)
+
+
+class TestMatmulZeroSkipping:
+    """``matmul`` skips zero left-factor terms; the result stays bit-identical."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), k=st.integers(1, 12), n=st.integers(1, 5))
+    def test_matches_triple_loop_bitwise(self, data, m, k, n):
+        a = data.draw(hnp.arrays(np.float64, (m, k), elements=_sparse_entries))
+        zero_col = data.draw(st.integers(-1, k - 1))
+        if zero_col >= 0:
+            a[:, zero_col] = data.draw(st.sampled_from([0.0, -0.0]))
+        b = data.draw(hnp.arrays(np.float64, (k, n), elements=st.floats(-4.0, 4.0, width=64)))
+        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+    def test_negative_zero_terms_never_make_negative_zero(self):
+        # every term is -0: the sum must stay +0, as in the triple loop
+        a = np.array([[-0.0, 0.0, -0.0]])
+        b = np.array([[1.0], [-1.0], [2.0]])
+        out = matmul(a, b)
+        assert out.tobytes() == naive_matmul(a, b).tobytes()
+        assert not np.signbit(out).any()
+
+    def test_sparse_rates_bitwise(self):
+        rng = RngStream(102)
+        a = rng.uniform((40, 16))
+        a[rng.fork("zeros").uniform((40, 16)) < 0.7] = 0.0
+        a[:, 3] = 0.0
+        b = rng.fork("b").uniform((16, 9)) * 2 - 1
+        assert matmul(a, b).tobytes() == naive_matmul(a, b).tobytes()
 
 
 class TestSoftmaxCrossEntropy:

@@ -187,6 +187,102 @@ class TestOptimizer:
             optimizer_step(OptimizerState(), net, {"w0": np.zeros((2, 2))})
 
 
+def _optimizer_step_oracle(opt, net, grads):
+    """The out-of-place update: fresh slot and weight arrays every step."""
+    for name, g in grads.items():
+        w = net.get_param(name)
+        if opt.kind == "adam":
+            slot = opt.slots.setdefault(
+                name, {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
+            )
+            slot["t"] += 1
+            slot["m"] = opt.beta1 * slot["m"] + (1.0 - opt.beta1) * g
+            slot["v"] = opt.beta2 * slot["v"] + (1.0 - opt.beta2) * g * g
+            m_hat = slot["m"] / (1.0 - opt.beta1 ** slot["t"])
+            v_hat = slot["v"] / (1.0 - opt.beta2 ** slot["t"])
+            net.set_param(name, w - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps))
+        else:
+            slot = opt.slots.setdefault(name, {"buf": np.zeros_like(w)})
+            slot["buf"] = opt.momentum * slot["buf"] + g
+            net.set_param(name, w - opt.lr * slot["buf"])
+
+
+def _one_layer(w):
+    return SpikingNetwork(list(w.shape), [w], [LifParams()])
+
+
+def _assert_same_state(opt, net, ref_opt, ref_net):
+    assert net.weights[0].tobytes() == ref_net.weights[0].tobytes()
+    assert opt.slots.keys() == ref_opt.slots.keys()
+    for name, slot in ref_opt.slots.items():
+        assert opt.slots[name].keys() == slot.keys()
+        for key, value in slot.items():
+            assert np.asarray(opt.slots[name][key]).tobytes() == np.asarray(value).tobytes()
+
+
+class TestInPlaceOptimizer:
+    """The blocked in-place step is bit-identical to the out-of-place oracle."""
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
+    @pytest.mark.parametrize("shape", [(784, 256), (300, 7), (1, 1)])
+    def test_fifty_steps_match_oracle(self, kind, shape):
+        rng = RngStream(11).fork(f"{kind}/{shape}")
+        w = rng.fork("w").normal(shape)
+        net, ref_net = _one_layer(w.copy()), _one_layer(w.copy())
+        opt, ref_opt = OptimizerState(kind=kind, lr=0.01), OptimizerState(kind=kind, lr=0.01)
+        for step in range(50):
+            draw = rng.fork(f"g{step}")
+            g = draw.normal(shape) * 10.0 ** (4 * draw.uniform(()) - 3)
+            g[draw.uniform((shape[0],)) < 0.3] = 0.0  # rows without gradient
+            optimizer_step(opt, net, {"w0": g})
+            _optimizer_step_oracle(ref_opt, ref_net, {"w0": g})
+        _assert_same_state(opt, net, ref_opt, ref_net)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
+    @pytest.mark.parametrize("layout", ["read-only", "fortran", "float32"])
+    def test_accepts_any_weight_array(self, kind, layout):
+        rng = RngStream(9)
+        w = rng.normal((130, 5))
+        if layout == "float32":
+            w = w.astype(np.float32)
+        elif layout == "fortran":
+            w = np.asfortranarray(w)
+        original = w.copy()
+        if layout == "read-only":
+            w.setflags(write=False)
+        net, ref_net = _one_layer(w), _one_layer(original.copy())
+        opt, ref_opt = OptimizerState(kind=kind, lr=0.01), OptimizerState(kind=kind, lr=0.01)
+        for step in range(3):
+            g = rng.fork(f"g{step}").normal((130, 5))
+            optimizer_step(opt, net, {"w0": g})
+            _optimizer_step_oracle(ref_opt, ref_net, {"w0": g})
+        assert net.weights[0].dtype == np.float64
+        assert net.weights[0].flags.c_contiguous and net.weights[0].flags.writeable
+        _assert_same_state(opt, net, ref_opt, ref_net)
+        assert np.array_equal(w, original)  # the caller's array is left alone
+
+    def test_slots_created_once_and_updated_in_place(self):
+        net = _one_layer(RngStream(4).normal((3, 2)))
+        opt = OptimizerState()
+        optimizer_step(opt, net, {"w0": np.ones((3, 2))})
+        m, v, w = opt.slots["w0"]["m"], opt.slots["w0"]["v"], net.weights[0]
+        optimizer_step(opt, net, {"w0": np.ones((3, 2))})
+        assert opt.slots["w0"]["m"] is m and opt.slots["w0"]["v"] is v
+        assert net.weights[0] is w
+        assert opt.slots["w0"]["t"] == 2
+
+    def test_non_finite_gradient_leaves_state_untouched(self):
+        net = _one_layer(np.array([[0.5, -0.5]]))
+        opt = OptimizerState()
+        optimizer_step(opt, net, {"w0": np.array([[0.1, 0.2]])})
+        before_w, before_m = net.weights[0].copy(), opt.slots["w0"]["m"].copy()
+        with pytest.raises(ContractViolation):
+            optimizer_step(opt, net, {"w0": np.array([[np.nan, 0.2]])})
+        assert np.array_equal(net.weights[0], before_w)
+        assert np.array_equal(opt.slots["w0"]["m"], before_m)
+        assert opt.slots["w0"]["t"] == 1
+
+
 class TestDistillation:
     def test_self_distillation_equals_softened_entropy(self):
         z = np.array([1.0, 2.0, 0.5])

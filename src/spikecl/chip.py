@@ -236,14 +236,36 @@ def validate_constraints(
     return violations
 
 
+def _exact_float_weights(image: ConfigImage) -> list[np.ndarray]:
+    """The image's integer weights as float64 copies for ``_integer_layer_counts``.
+
+    Raises ``ContractViolation`` for non-integer weights, and for weights
+    so large that a float64 accumulate of 0/1 spikes against them could
+    round.
+    """
+    weights = []
+    for l, q in enumerate(image.quantized):
+        if q.dtype.kind not in "iu":
+            raise ContractViolation(f"layer {l} weights have non-integer dtype {q.dtype}")
+        peak = max(int(q.max()), -int(q.min())) if q.size else 0
+        if q.shape[0] * peak >= 2**53:
+            raise ContractViolation(
+                f"layer {l}: {q.shape[0]} inputs x max|q| {peak} reaches 2**53; "
+                "the accumulate would not be exact"
+            )
+        weights.append(q.astype(np.float64))
+    return weights
+
+
 def _integer_layer_counts(
-    image: ConfigImage, input_spikes: np.ndarray
+    image: ConfigImage, input_spikes: np.ndarray, weights: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:
     """Integer LIF pass over all layers; per-layer spike counts (B, n).
 
     ``input_spikes`` is (B, T, n_in) or (T, n_in) with 0/1 entries. This is
     the single integer core backing both the protocol machine and batched
-    twin evaluation.
+    twin evaluation. ``weights`` is ``_exact_float_weights(image)``, made
+    here when not given; the chip keeps its copy from the upload.
 
     The accumulate ``spikes @ Q`` runs as a float64 BLAS matmul on the
     integer operands. Spikes are 0/1, so every partial sum, in any order,
@@ -257,22 +279,16 @@ def _integer_layer_counts(
         x = x[None]
     if not np.all((x == 0) | (x == 1)):
         raise ContractViolation("chip input spikes must be binary")
+    if weights is None:
+        weights = _exact_float_weights(image)
     spikes = x.astype(np.float64)
     B, T, _ = spikes.shape
     shift = image.leak_shift
     counts = []
-    for l, (q, thr) in enumerate(zip(image.quantized, image.thresholds)):
-        if q.dtype.kind not in "iu":
-            raise ContractViolation(f"layer {l} weights have non-integer dtype {q.dtype}")
-        peak = max(int(q.max()), -int(q.min())) if q.size else 0
-        if q.shape[0] * peak >= 2**53:
-            raise ContractViolation(
-                f"layer {l}: {q.shape[0]} inputs x max|q| {peak} reaches 2**53; "
-                "the accumulate would not be exact"
-            )
-        cur = spikes.reshape(B * T, -1) @ q.astype(np.float64)
+    for w, thr in zip(weights, image.thresholds):
+        cur = spikes.reshape(B * T, -1) @ w
         cur = cur.astype(np.int64).reshape(B, T, -1)
-        v = np.zeros((B, q.shape[1]), dtype=np.int64)
+        v = np.zeros((B, w.shape[1]), dtype=np.int64)
         out = np.empty(cur.shape, dtype=np.float64)
         for t in range(T):
             v = v - (v >> shift) + cur[:, t, :]
@@ -302,6 +318,7 @@ class ChipModel:
 
     constraints: ChipConstraints = field(default_factory=ChipConstraints)
     image: ConfigImage | None = None
+    weights: list[np.ndarray] = field(default_factory=list)  # float64 copies of image.quantized
     readout: list[np.ndarray] = field(default_factory=list)
     interrupt: bool = False
 
@@ -317,7 +334,9 @@ def upload_config(chip: ChipModel, data: bytes | ConfigImage) -> ChipModel:
     violations = validate_constraints(image, chip.constraints)
     if violations:
         raise ConstraintViolation("; ".join(violations))
+    weights = _exact_float_weights(image)
     chip.image = image
+    chip.weights = weights
     chip.readout = [np.zeros(q.shape[1], dtype=np.int64) for q in image.quantized]
     chip.interrupt = False
     return chip
@@ -332,7 +351,7 @@ def chip_forward(chip: ChipModel, input_spikes: np.ndarray) -> None:
     x = np.asarray(input_spikes)
     if x.ndim != 2:
         raise ProtocolError("chip takes one input at a time (T, n_in)")
-    counts = _integer_layer_counts(chip.image, x)
+    counts = _integer_layer_counts(chip.image, x, chip.weights)
     chip.readout = [c[0] for c in counts]
     chip.interrupt = True
 
@@ -418,7 +437,6 @@ class MentorState:
     loss_spec: LossSpec
     quant_spec: QuantSpec
     task: int | None = None  # active head in multi-head mode
-    upload_per_batch: bool = False
     twin_image: ConfigImage | None = None
 
     def refresh_twin(self) -> ConfigImage:
@@ -453,8 +471,8 @@ def mentor_learner_epoch(
     hooks, optimizer step. The simulated twin is re-quantized from the current
     weights every batch (it lives on the external processor, so tracking is
     free and the rounding is crossed straight-through); the physical chip
-    only receives a fresh config at epoch end (or per batch behind the
-    flag). With mu = 0 the chip and twin are never touched.
+    only receives a fresh config at epoch end. With mu = 0 the chip and
+    twin are never touched.
     """
     spec = state.loss_spec
     chip_in_loop = spec.mu != 0.0
@@ -511,11 +529,7 @@ def mentor_learner_epoch(
         total_loss += loss
         n_batches += 1
 
-        if chip_in_loop and state.upload_per_batch:
-            state.refresh_twin()
-            upload_config(chip, state.twin_image)
-
-    if chip_in_loop and not state.upload_per_batch:
+    if chip_in_loop:
         state.refresh_twin()
         upload_config(chip, state.twin_image)
     return {"mean_loss": total_loss / max(n_batches, 1), "batches": n_batches}

@@ -17,15 +17,21 @@ no-op relative to ``none``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .container import write_bundle
 from .errors import ConfigurationError, ContractViolation
-from .numerics import matmul
+from .numerics import matmul, softmax_cross_entropy_batch
 from .rng import RngStream
 from .snn import SpikingNetwork, forward, record_firing_rates
-from .train import SurrogateSpec, backward, backward_dlogits, distillation_grad, distillation_loss
+from .train import SurrogateSpec, backward_dlogits, backward_layers, distillation_grad, distillation_loss
+
+# Nothing here calls ``backward``. The name stays because bench/tracer.py
+# times ``spikecl.continual.backward``, and drops that patch point with a
+# warning when the name is missing.
+from .train import backward  # noqa: F401
 
 STRATEGIES = ("none", "joint", "hwc-soft", "hwc-hard", "ewc", "si", "lwf", "xdg")
 
@@ -166,6 +172,10 @@ def write_mask_dump(path, mask: PotentialMask) -> None:
 # Baseline primitives
 
 
+# Samples per batched forward and BPTT in ``ewc_fisher``.
+_FISHER_CHUNK = 16
+
+
 def ewc_fisher(
     net: SpikingNetwork,
     examples,
@@ -175,39 +185,81 @@ def ewc_fisher(
 ) -> dict[str, np.ndarray]:
     """Diagonal Fisher estimate: mean squared log-likelihood gradient.
 
-    ``examples`` yields (spike_train, label) pairs; gradients are taken one
-    sample at a time at the true label.
+    ``examples`` yields (spike_train, label) pairs; each sample's gradient
+    is taken at its true label. Samples are drawn ``_FISHER_CHUNK`` at a
+    time, and each chunk runs one batched forward and one BPTT. The loss
+    gradient at the logits is left unscaled, so each row is one sample's
+    own gradient. The per-sample weight gradients are then formed, squared
+    and summed one at a time in sample order; only one exists at a time.
     """
     sums: dict[str, np.ndarray] = {}
     n = 0
-    for spikes, label in examples:
-        trace, logits = forward(net, spikes, task=task, gates=gates)
-        grads = backward(net, trace, logits, int(label), surrogate)
-        for name, g in grads.items():
-            if name not in sums:
-                sums[name] = np.zeros_like(g)
-            sums[name] += g * g
-        n += 1
+    examples = iter(examples)
+    while chunk := list(islice(examples, _FISHER_CHUNK)):
+        labels = np.array([int(label) for _, label in chunk])
+        trace, logits = forward(
+            net, np.stack([spikes for spikes, _ in chunk]), task=task, gates=gates
+        )
+        _, dlogits = softmax_cross_entropy_batch(logits, labels)
+        dlogits[np.arange(len(chunk)), labels] -= 1.0
+        for name, prev, du in backward_layers(net, trace, dlogits, surrogate):
+            acc = sums.setdefault(name, np.zeros((prev.shape[2], du.shape[2])))
+            for b in range(len(chunk)):
+                g = prev[b].T @ du[b]
+                g *= g
+                acc += g
+        n += len(chunk)
     if n == 0:
         raise ContractViolation("fisher estimation needs at least one example")
     return {name: s / n for name, s in sums.items()}
 
 
+# Elements per row block in ``regularizer_penalty``. A block of the weight,
+# the gradient and both scratch arrays (64 KiB each) stays in cache while
+# every task's anchor and importance stream past it.
+_PENALTY_BLOCK = 8192
+
+
 def regularizer_penalty(
-    importances: dict[str, np.ndarray],
-    anchors: dict[str, np.ndarray],
+    importances,
+    anchors,
     net: SpikingNetwork,
     strength: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """(strength/2) * sum importance * (theta - anchor)^2, with gradients."""
-    if not importances:
+    """(strength/2) * sum importance * (theta - anchor)^2, with gradients.
+
+    ``importances`` and ``anchors`` are dicts keyed like the network's
+    parameters, or equal-length sequences of such dicts, one pair per task, whose
+    penalties add up. Each parameter's gradient is the sum, in task order,
+    of the terms (strength * importance) * (theta - anchor). It is built in
+    place, a block of rows at a time, with two scratch arrays per parameter
+    whatever the task count. The loss is half the inner product of each
+    term with its theta - anchor.
+    """
+    if isinstance(importances, dict):
+        importances, anchors = [importances], [anchors]
+    if not importances or not importances[0]:
         raise ContractViolation("importance store is empty")
     loss = 0.0
     grads: dict[str, np.ndarray] = {}
-    for name, imp in importances.items():
-        diff = net.get_param(name) - anchors[name]
-        loss += 0.5 * strength * float((imp * diff * diff).sum())
-        grads[name] = strength * imp * diff
+    for name in importances[0]:
+        w = net.get_param(name)
+        grad = grads[name] = np.empty_like(w)
+        rows = max(1, _PENALTY_BLOCK // w.shape[1])
+        diff = np.empty_like(w[:rows])
+        term = np.empty_like(diff)
+        for r in range(0, len(w), rows):
+            block = slice(r, r + rows)
+            wb, gb = w[block], grad[block]
+            db, tb = diff[: len(wb)], term[: len(wb)]
+            for k, (imp, anchor) in enumerate(zip(importances, anchors)):
+                np.subtract(wb, anchor[name][block], out=db)
+                out = tb if k else gb
+                np.multiply(imp[name][block], strength, out=out)
+                out *= db
+                loss += 0.5 * float(np.vdot(out, db))
+                if k:
+                    gb += tb
     return loss, grads
 
 
@@ -372,14 +424,11 @@ class EwcStrategy(Strategy):
     def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
         if not self.tasks:
             return 0.0, None
-        total = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for fisher, anchor in self.tasks:
-            loss, g = regularizer_penalty(fisher, anchor, net, self.cfg.ewc_strength)
-            total += loss
-            for name, arr in g.items():
-                grads[name] = grads.get(name, 0.0) + arr
-        return total, grads
+        fishers, anchors = zip(*self.tasks)
+        loss, grads = regularizer_penalty(fishers, anchors, net, self.cfg.ewc_strength)
+        for g in grads.values():
+            g += 0.0  # -0 to +0, so g is 0.0 + term_1 + ... + term_k bit for bit
+        return loss, grads
 
     def after_task(self, ctx, net, sample_provider=None):
         if sample_provider is None:
@@ -471,10 +520,7 @@ class LwfStrategy(Strategy):
                 trace_h, new_logits = forward(net, x_enc, task=h)
             old2 = np.atleast_2d(old_logits)
             new2 = np.atleast_2d(new_logits)
-            per = [
-                distillation_loss(old2[i], new2[i], temp) for i in range(old2.shape[0])
-            ]
-            total += strength * float(np.mean(per))
+            total += strength * distillation_loss(old2, new2, temp)
             dlog = strength * distillation_grad(old2, new2, temp)
             for name, g in backward_dlogits(net, trace_h, dlog, self.surrogate).items():
                 grads[name] = grads.get(name, 0.0) + g

@@ -67,7 +67,6 @@ class RunConfig:
     dropout: float = 0.0
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     chip: bool = False
-    chip_upload_per_batch: bool = False
     quant: QuantSpec = field(default_factory=QuantSpec)
     profile: str = "ci"
     train_cap: int | None = 2000
@@ -268,7 +267,6 @@ def _chip_task(config, net, stream, task_idx, strategy, run_rng, surrogate, chip
         loss_spec=config.loss,
         quant_spec=config.quant,
         task=head,
-        upload_per_batch=config.chip_upload_per_batch,
     )
     n = len(task.train_y)
     for epoch in range(config.epochs_per_task):

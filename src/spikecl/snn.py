@@ -150,13 +150,12 @@ class ForwardTrace:
     """Everything the backward pass and rate recording need from one forward.
 
     Per layer (index 0 is the input layer): spikes (B, T, n). For non-input
-    layers additionally the pre-reset potentials ``u`` and post-reset
-    membrane potentials ``v``.
+    layers additionally the pre-reset potentials ``u``; the post-reset
+    membrane potential follows from ``u`` and the spikes.
     """
 
     spikes: list[np.ndarray]
     pre_reset: list[np.ndarray]
-    potentials: list[np.ndarray]
     task: int | None
     gates: list[np.ndarray] | None
     mode: str
@@ -189,14 +188,13 @@ def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams):
 def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
     """Run the membrane recurrence over time for one layer.
 
-    ``currents`` is (B, T, n). Returns (spikes, pre_reset, potentials),
-    each (B, T, n). In relaxed mode the hard threshold is replaced by the
-    surrogate's smooth activation (and reset uses that real-valued output).
+    ``currents`` is (B, T, n). Returns (spikes, pre_reset), each (B, T, n).
+    In relaxed mode the hard threshold is replaced by the surrogate's smooth
+    activation (and reset uses that real-valued output).
     """
     B, T, n = currents.shape
     s_all = np.empty_like(currents)
     u_all = np.empty_like(currents)
-    v_all = np.empty_like(currents)
     v = np.zeros((B, n))
     for t in range(T):
         u = p.decay * v + currents[:, t, :]
@@ -210,8 +208,7 @@ def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
             v = u * (1.0 - s)
         u_all[:, t, :] = u
         s_all[:, t, :] = s
-        v_all[:, t, :] = v
-    return s_all, u_all, v_all
+    return s_all, u_all
 
 
 def forward(
@@ -262,19 +259,17 @@ def forward(
     B, T, _ = x.shape
     spikes = [x]
     pre_reset: list[np.ndarray] = []
-    potentials: list[np.ndarray] = []
     for l, w in enumerate(matrices):
         prev = spikes[-1]
         cur = prev.reshape(B * T, -1) @ w
         cur = cur.reshape(B, T, -1)
         if gates is not None and l < n_hidden:
             cur = cur * gates[l]
-        s, u, v = _layer_dynamics(cur, net.lif[l], mode, surrogate)
+        s, u = _layer_dynamics(cur, net.lif[l], mode, surrogate)
         spikes.append(s)
         pre_reset.append(u)
-        potentials.append(v)
     logits = spikes[-1].sum(axis=1)
-    trace = ForwardTrace(spikes, pre_reset, potentials, task, gates, mode, batched)
+    trace = ForwardTrace(spikes, pre_reset, task, gates, mode, batched)
     if not batched:
         logits = logits[0]
     return trace, logits

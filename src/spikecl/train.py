@@ -105,17 +105,22 @@ def composite_loss(y: int, yhat_enn, yhat_inn, yhat_sim, spec: LossSpec) -> floa
 
 
 def distillation_loss(old_logits, new_logits, temperature: float) -> float:
-    """Cross-entropy between temperature-softened old and new distributions."""
-    old = np.asarray(old_logits, dtype=np.float64).reshape(-1)
-    new = np.asarray(new_logits, dtype=np.float64).reshape(-1)
-    if old.shape != new.shape:
-        raise ContractViolation("logit vectors must have equal length")
+    """Cross-entropy between temperature-softened old and new distributions.
+
+    Takes one sample's logits (K,) or a batch (B, K); a batch gives the mean
+    of its per-sample losses.
+    """
+    old = np.atleast_2d(np.asarray(old_logits, dtype=np.float64))
+    new = np.atleast_2d(np.asarray(new_logits, dtype=np.float64))
+    if old.shape != new.shape or old.ndim != 2:
+        raise ContractViolation("logits must be equal-shape (K,) vectors or (B, K) batches")
     if not (temperature > 0.0):
         raise ContractViolation("temperature must be > 0")
     p_old = softmax(old / temperature)
     z = new / temperature
-    log_p_new = z - z.max() - np.log(np.exp(z - z.max()).sum())
-    return float(-(p_old * log_p_new).sum())
+    z = z - z.max(axis=1, keepdims=True)
+    log_p_new = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-(p_old * log_p_new).sum(axis=1).mean())
 
 
 def distillation_grad(old_logits: np.ndarray, new_logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -125,16 +130,20 @@ def distillation_grad(old_logits: np.ndarray, new_logits: np.ndarray, temperatur
     return (p_new - p_old) / (temperature * p_new.shape[0])
 
 
-def backward_dlogits(
+def backward_layers(
     net: SpikingNetwork,
     trace: ForwardTrace,
     dlogits: np.ndarray,
     surrogate: SurrogateSpec,
-) -> dict[str, np.ndarray]:
-    """BPTT given the loss gradient at the spike-count logits.
+):
+    """BPTT given the loss gradient at the spike-count logits, layer by layer.
 
-    Returns gradients keyed like the network's parameters; in multi-head
-    mode only the head active in ``trace`` appears.
+    Yields ``(name, prev, du)`` from the output layer down: the parameter
+    name, that layer's input spikes ``prev`` (B, T, m) and the loss gradient
+    ``du`` (B, T, n) at its pre-reset potentials. The weight gradient of
+    sample b is ``prev[b].T @ du[b]``; the batch gradient sums that over b.
+    ``du`` also feeds the next layer down, so consumers must not write to
+    it. In multi-head mode only the head active in ``trace`` appears.
     """
     matrices = list(net.weights)
     names = [f"w{l}" for l in range(len(net.weights))]
@@ -149,7 +158,6 @@ def backward_dlogits(
     if d.shape != (B, net.n_outputs()):
         raise ContractViolation(f"dlogits shape {d.shape} does not match trace")
 
-    grads: dict[str, np.ndarray] = {}
     ds_next: np.ndarray | None = None  # dL/ds of the layer below, all timesteps
     for l in range(L - 1, -1, -1):
         p = net.lif[l]
@@ -171,12 +179,26 @@ def backward_dlogits(
         if trace.gates is not None and l < L - 1:
             du = du * trace.gates[l]
 
-        prev = trace.spikes[l]
-        flat_prev = prev.reshape(B * T, -1)
-        flat_du = du.reshape(B * T, -1)
-        grads[names[l]] = flat_prev.T @ flat_du
+        yield names[l], trace.spikes[l], du
         if l > 0:
-            ds_next = (flat_du @ matrices[l].T).reshape(B, T, -1)
+            ds_next = (du.reshape(B * T, -1) @ matrices[l].T).reshape(B, T, -1)
+
+
+def backward_dlogits(
+    net: SpikingNetwork,
+    trace: ForwardTrace,
+    dlogits: np.ndarray,
+    surrogate: SurrogateSpec,
+) -> dict[str, np.ndarray]:
+    """BPTT given the loss gradient at the spike-count logits.
+
+    Returns gradients keyed like the network's parameters; in multi-head
+    mode only the head active in ``trace`` appears.
+    """
+    grads: dict[str, np.ndarray] = {}
+    for name, prev, du in backward_layers(net, trace, dlogits, surrogate):
+        rows = prev.shape[0] * prev.shape[1]
+        grads[name] = prev.reshape(rows, -1).T @ du.reshape(rows, -1)
     return grads
 
 

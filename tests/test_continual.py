@@ -23,7 +23,7 @@ from spikecl.continual import (
 from spikecl.container import read_bundle
 from spikecl.errors import ConfigurationError, ContractViolation
 from spikecl.rng import RngStream
-from spikecl.snn import forward, init_network
+from spikecl.snn import LifParams, forward, init_network
 from spikecl.train import OptimizerState, SurrogateSpec, backward, optimizer_step
 
 
@@ -246,6 +246,84 @@ class TestEwc:
             ewc_fisher(net, [], sur)
 
 
+def _ewc_fisher_oracle(net, examples, surrogate, task=None, gates=None):
+    """One forward and one backward per sample; squares summed in sample order."""
+    sums = {}
+    n = 0
+    for spikes, label in examples:
+        trace, logits = forward(net, spikes, task=task, gates=gates)
+        grads = backward(net, trace, logits, int(label), surrogate)
+        for name, g in grads.items():
+            if name not in sums:
+                sums[name] = np.zeros_like(g)
+            sums[name] += g * g
+        n += 1
+    return {name: s / n for name, s in sums.items()}
+
+
+def _fisher_case(kind, count):
+    """(net, examples, kwargs) for a small net of the given kind."""
+    rng = RngStream(400 + count)
+    kwargs = {}
+    if kind == "multi-head":
+        net = init_network([6, 9, 7], rng, n_heads=3, head_size=4, gain=2.5)
+        kwargs["task"] = 1
+    elif kind == "zero-reset":
+        lif = LifParams(decay=0.8, threshold=1.0, reset="zero")
+        net = init_network([6, 9, 7, 4], rng, lif=lif, gain=2.5)
+    else:
+        net = init_network([6, 9, 7, 4], rng, gain=2.5)
+    if kind == "xdg":
+        kwargs["gates"] = xdg_gates([9, 7], 2, 0.6, seed=5)
+    xs = rng.fork("x").bernoulli(0.4, (count, 8, 6))
+    ys = np.arange(count) % 4
+    return net, list(zip(xs, ys)), kwargs
+
+
+class TestBatchedFisher:
+    """``ewc_fisher`` runs chunks of samples through one forward and one
+    BPTT; the per-sample oracle runs each sample on its own."""
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("kind", ["single-head", "multi-head", "xdg", "zero-reset"])
+    def test_matches_per_sample_oracle(self, kind, count):
+        net, examples, kwargs = _fisher_case(kind, count)
+        sur = SurrogateSpec()
+        got = ewc_fisher(net, iter(examples), sur, **kwargs)
+        want = _ewc_fisher_oracle(net, examples, sur, **kwargs)
+        assert got.keys() == want.keys()
+        assert sum(float(w.sum()) for w in want.values()) > 0.0
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0.0)
+
+    def test_drift_shape_is_bit_identical(self):
+        # the drift net (64-256-256-8, T = 10): batched and single-sample
+        # forwards round alike here, so the estimate matches bit for bit
+        rng = RngStream(31)
+        net = init_network([64, 256, 256, 8], rng, head_gain=0.25)
+        xs = rng.fork("x").bernoulli(0.3, (33, 10, 64))
+        examples = list(zip(xs, np.arange(33) % 8))
+        sur = SurrogateSpec()
+        got = ewc_fisher(net, examples, sur)
+        want = _ewc_fisher_oracle(net, examples, sur)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
+
+    def test_empty_iterable_rejected(self):
+        net, _, _ = _fisher_case("single-head", 1)
+        with pytest.raises(ContractViolation):
+            ewc_fisher(net, iter(()), SurrogateSpec())
+
+
+def _penalty_grad_oracle(tasks, net, strength):
+    """Per-task strength * importance * diff, summed from 0.0 in task order."""
+    grads = {}
+    for imp, anchor in tasks:
+        for name, f in imp.items():
+            grads[name] = grads.get(name, 0.0) + strength * f * (net.get_param(name) - anchor[name])
+    return grads
+
+
 class TestRegularizerPenalty:
     def test_zero_at_anchor(self):
         rng = RngStream(2)
@@ -285,6 +363,45 @@ class TestRegularizerPenalty:
         anchor = {"w0": rng.fork("anchor").normal((3, 3))}
         loss, _ = regularizer_penalty(imp, anchor, net, 2.0)
         assert loss >= 0.0
+
+    def _tasks(self, count):
+        # w0 (300, 64) spans three row blocks of the in-place sum, the last
+        # one partial; w1 fits in one
+        rng = RngStream(70)
+        net = init_network([300, 64, 3], rng)
+        tasks = []
+        for k in range(count):
+            imp = {n: rng.fork(f"f{k}{n}").uniform(net.get_param(n).shape) for n in ("w0", "w1")}
+            imp["w0"][[0, -1]] = 0.0  # zero importance with negative drift gives -0 terms
+            anchor = {n: net.get_param(n) + 1.0 + rng.fork(f"a{k}{n}").normal(net.get_param(n).shape)
+                      for n in ("w0", "w1")}
+            tasks.append((imp, anchor))
+        return net, tasks
+
+    def test_single_pair_gradient_is_the_textbook_expression(self):
+        net, tasks = self._tasks(1)
+        loss, grads = regularizer_penalty(tasks[0][0], tasks[0][1], net, 7.0)
+        for name, f in tasks[0][0].items():
+            want = 7.0 * f * (net.get_param(name) - tasks[0][1][name])
+            assert grads[name].tobytes() == want.tobytes()  # -0 entries included
+        want_loss = sum(
+            0.5 * 7.0 * float((f * (net.get_param(n) - tasks[0][1][n]) ** 2).sum())
+            for n, f in tasks[0][0].items()
+        )
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_ewc_hook_sums_tasks_exactly(self, count):
+        net, tasks = self._tasks(count)
+        strat = apply_strategy(StrategyConfig("ewc", ewc_strength=3.0), "task-incremental", 0, SurrogateSpec())
+        strat.tasks.extend(tasks)
+        loss, grads = strat.batch_loss(TaskContext(task=2, total_tasks=9), net, None, None, None, None)
+        want = _penalty_grad_oracle(tasks, net, 3.0)
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes()
+        want_loss = sum(regularizer_penalty(imp, anchor, net, 3.0)[0] for imp, anchor in tasks)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
 
 
 class TestSi:

@@ -177,7 +177,8 @@ class TestForward:
         M = [np.abs(w).sum(axis=0).max() for w in net.weights]
         x = (rng.fork("x").uniform((8, 3)) < 0.5).astype(np.float64)
         trace, _ = forward(net, x)
-        for l, v in enumerate(trace.potentials):
+        for l, (u, s) in enumerate(zip(trace.pre_reset, trace.spikes[1:])):
+            v = u * (1.0 - s)  # post-reset membrane potential
             assert v.max() <= 0.9 * 1.0 + M[l] + 1e-12
 
 

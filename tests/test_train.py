@@ -301,6 +301,13 @@ class TestDistillation:
         val = distillation_loss([1.0, 2.0, 0.5], [0.5, 1.5, 1.0], 2.0)
         assert val == pytest.approx(1.0720210095245482, abs=1e-14)
 
+    def test_batch_is_mean_of_samples(self):
+        rng = RngStream(90)
+        old = rng.fork("old").normal((7, 5)) * 3.0
+        new = rng.fork("new").normal((7, 5)) * 3.0
+        per = [distillation_loss(o, n, 1.5) for o, n in zip(old, new)]
+        assert distillation_loss(old, new, 1.5) == pytest.approx(float(np.mean(per)), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ContractViolation):
             distillation_loss([1.0], [1.0, 2.0], 1.0)

@@ -1,4 +1,4 @@
-"""Simulated internal neuromorphic processing unit and the mentor-learner loop.
+"""Simulated internal neuromorphic processing unit and the chip's loss term.
 
 The chip holds quantized integer weights and runs integer LIF dynamics:
 leak by arithmetic right shift, integer accumulation, threshold compare,
@@ -7,11 +7,13 @@ one input, wait for the interrupt, read spike-count registers layer by
 layer (reading the last layer clears the interrupt) -- and any call out of
 order raises a protocol error without touching chip state.
 
-Training couples three predictions of the same topology: the full-precision
-external network, the chip's register readout, and a float "twin" of the
-quantized chip evaluated externally. Only the external and twin paths carry
-gradients; the chip readout enters the loss as a constant. After each epoch
-the freshly trained weights are re-quantized and uploaded.
+In the chip loop, training couples three predictions of the same topology:
+the full-precision external network, the chip's register readout, and a
+float "twin" of the quantized chip evaluated externally. ``twin_loss`` adds
+the chip's and the twin's cross-entropy to the external network's loss;
+only the twin path carries gradients, and the chip readout enters as a
+constant. ``upload_weights`` re-quantizes and uploads the trained weights
+(``spikecl.runner`` calls it before a task and after each epoch).
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from .errors import (
 )
 from .numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
 from .snn import LifParams, SpikingNetwork, forward
-from .train import LossSpec, OptimizerState, SurrogateSpec, backward_dlogits, optimizer_step
+from .train import LossSpec, SurrogateSpec, backward_dlogits
+
+# Nothing here calls ``optimizer_step``; ``spikecl.runner.train_step`` makes
+# the only step. The name stays because bench/tracer.py times
+# ``spikecl.chip.optimizer_step``, and drops that patch point with a warning
+# when the name is missing.
+from .train import optimizer_step  # noqa: F401
 
 QUANT_BITS = (4, 8, 16)
 
@@ -380,68 +388,76 @@ _FRAME_PAYLOAD_MAX = 4096
 
 
 def encode_frames(payload: bytes, cmd: int = CMD_CONFIG_CHUNK) -> list[bytes]:
-    """Split a payload into checksummed frames:
-    SOF, cmd, u32 offset, u16 length, bytes, u32 crc32(frame body)."""
+    """Split a payload into checksummed frames: SOF, cmd, u32 offset,
+    u32 total payload length, u16 chunk length, bytes, u32 crc32(frame body).
+
+    Every transfer has at least one frame; an empty payload is one empty
+    frame.
+    """
     import struct as _struct
     import zlib as _zlib
 
     frames = []
-    for off in range(0, len(payload), _FRAME_PAYLOAD_MAX):
+    for off in range(0, max(len(payload), 1), _FRAME_PAYLOAD_MAX):
         chunk = payload[off : off + _FRAME_PAYLOAD_MAX]
-        body = bytes([FRAME_SOF, cmd]) + _struct.pack("<IH", off, len(chunk)) + chunk
+        header = _struct.pack("<IIH", off, len(payload), len(chunk))
+        body = bytes([FRAME_SOF, cmd]) + header + chunk
         frames.append(body + _struct.pack("<I", _zlib.crc32(body)))
     return frames
 
 
 def decode_frames(frames: list[bytes]) -> bytes:
     """Reassemble framed chunks in any order, verifying structure and
-    checksums; a missing or repeated offset raises TransportError."""
+    checksums. No frames, a missing or repeated offset, frames that disagree
+    on the total length, or a reassembled payload of another length raise
+    TransportError."""
     import struct as _struct
     import zlib as _zlib
 
     from .errors import TransportError
 
+    if not frames:
+        raise TransportError("no frames")
     parts: dict[int, bytes] = {}
+    totals = set()
     for frame in frames:
-        if len(frame) < 12 or frame[0] != FRAME_SOF:
+        if len(frame) < 16 or frame[0] != FRAME_SOF:
             raise TransportError("malformed frame")
         body, crc = frame[:-4], _struct.unpack("<I", frame[-4:])[0]
         if _zlib.crc32(body) != crc:
             raise TransportError("frame checksum mismatch")
-        off, length = _struct.unpack("<IH", body[2:8])
-        chunk = body[8:]
+        off, total, length = _struct.unpack("<IIH", body[2:12])
+        chunk = body[12:]
         if len(chunk) != length:
             raise TransportError("frame length mismatch")
         if off in parts:
             raise TransportError(f"duplicate frame at offset {off}")
         parts[off] = chunk
+        totals.add(total)
+    if len(totals) != 1:
+        raise TransportError(f"frames disagree on the total length: {sorted(totals)}")
     out = bytearray()
     for off in sorted(parts):
         if off != len(out):
             raise TransportError("missing frame")
         out += parts[off]
+    total = totals.pop()
+    if len(out) != total:
+        raise TransportError(f"reassembled {len(out)} bytes, frames declare {total}")
     return bytes(out)
 
 
 # ---------------------------------------------------------------------------
-# Mentor-learner training loop
+# The chip's loss term
 
 
-@dataclass
-class MentorState:
-    """External full-precision network plus the chip-side bookkeeping."""
-
-    net: SpikingNetwork
-    optimizer: OptimizerState
-    surrogate: SurrogateSpec
-    loss_spec: LossSpec
-    quant_spec: QuantSpec
-    task: int | None = None  # active head in multi-head mode
-    twin_image: ConfigImage | None = None
-
-    def refresh_twin(self) -> ConfigImage:
-        self.twin_image = quantize_network(self.net, self.quant_spec, self.task)
-        return self.twin_image
+def upload_weights(
+    chip: ChipModel, net: SpikingNetwork, spec: QuantSpec, task: int | None = None
+) -> ConfigImage:
+    """Quantize the current weights (the active head's view) and upload them."""
+    image = quantize_network(net, spec, task)
+    upload_config(chip, image)
+    return image
 
 
 def _chip_readout_batch(chip: ChipModel, x_enc: np.ndarray) -> np.ndarray:
@@ -455,81 +471,40 @@ def _chip_readout_batch(chip: ChipModel, x_enc: np.ndarray) -> np.ndarray:
     return np.stack(outs).astype(np.float64)
 
 
-def mentor_learner_epoch(
-    state: MentorState,
+def twin_loss(
     chip: ChipModel,
-    batches,
-    strategy=None,
-    ctx=None,
-) -> dict:
-    """One epoch of coupled training over ``batches`` of (x_enc, labels).
+    net: SpikingNetwork,
+    x_enc: np.ndarray,
+    labels: np.ndarray,
+    loss_spec: LossSpec,
+    quant_spec: QuantSpec,
+    surrogate: SurrogateSpec,
+    task: int | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The chip's term mu*(alpha*H(y, chip) + beta*H(y, twin)) of one batch
+    and its gradients, keyed by the external network's parameter names.
 
-    Per batch: external forward, chip handshake for the readout prediction
-    (only when alpha != 0; at alpha = 0 its term is zero and it is
-    skipped), simulated-twin forward, composite loss, backprop through the
-    external and twin paths (the chip readout is a constant), strategy
-    hooks, optimizer step. The simulated twin is re-quantized from the current
-    weights every batch (it lives on the external processor, so tracking is
-    free and the rounding is crossed straight-through); the physical chip
-    only receives a fresh config at epoch end. With mu = 0 the chip and
-    twin are never touched.
+    The chip readout comes from the per-sample handshake with the uploaded
+    image, only when alpha != 0 (at alpha = 0 its term is zero), and enters
+    as a constant. The twin is re-quantized from the current weights on
+    every call (it lives on the external processor, so tracking is free);
+    its gradients cross the rounding straight through to the external
+    weights.
     """
-    spec = state.loss_spec
-    chip_in_loop = spec.mu != 0.0
-    if chip_in_loop and state.twin_image is None:
-        state.refresh_twin()
-        upload_config(chip, state.twin_image)
-
-    total_loss = 0.0
-    n_batches = 0
-    for item in batches:
-        x_enc, labels, *rest = item
-        gates = rest[0] if rest else None  # external-net-only (e.g. dropout)
-        labels = np.asarray(labels, dtype=np.int64)
-        trace_e, logits_e = forward(state.net, x_enc, task=state.task, gates=gates)
-        ce_e, probs_e = softmax_cross_entropy_batch(np.atleast_2d(logits_e), labels)
-        grads: dict[str, np.ndarray] = {}
-        for name, g in backward_dlogits(
-            state.net, trace_e, spec.lam * cross_entropy_grad(probs_e, labels), state.surrogate
-        ).items():
-            grads[name] = g
-        loss = spec.lam * ce_e
-
-        if chip_in_loop:
-            ce_inn = 0.0  # at alpha = 0 the readout would only be scaled by zero
-            if spec.alpha != 0.0:
-                y_inn = _chip_readout_batch(chip, x_enc)
-                ce_inn, _ = softmax_cross_entropy_batch(y_inn, labels)
-            sim_net = dequantize_to_network(
-                quantize_network(state.net, state.quant_spec, state.task)
-            )
-            trace_s, logits_s = forward(sim_net, x_enc)
-            ce_s, probs_s = softmax_cross_entropy_batch(np.atleast_2d(logits_s), labels)
-            loss += spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
-            if spec.beta != 0.0:
-                dlog_s = spec.mu * spec.beta * cross_entropy_grad(probs_s, labels)
-                twin_grads = backward_dlogits(sim_net, trace_s, dlog_s, state.surrogate)
-                # straight-through: twin gradients drive the external weights
-                for l, name in enumerate(f"w{i}" for i in range(len(sim_net.weights))):
-                    ext_name = name
-                    if state.net.multi_head and l == len(sim_net.weights) - 1:
-                        ext_name = f"head{state.task}"
-                    grads[ext_name] = grads.get(ext_name, 0.0) + twin_grads[name]
-
-        if strategy is not None and ctx is not None:
-            extra_loss, extra_grads = strategy.batch_loss(
-                ctx, state.net, x_enc, labels, trace_e, logits_e
-            )
-            loss += extra_loss
-            if extra_grads:
-                for name, g in extra_grads.items():
-                    grads[name] = grads.get(name, 0.0) + g
-            grads = strategy.grad_transform(ctx, state.net, grads)
-        optimizer_step(state.optimizer, state.net, grads)
-        total_loss += loss
-        n_batches += 1
-
-    if chip_in_loop:
-        state.refresh_twin()
-        upload_config(chip, state.twin_image)
-    return {"mean_loss": total_loss / max(n_batches, 1), "batches": n_batches}
+    spec = loss_spec
+    ce_inn = 0.0
+    if spec.alpha != 0.0:
+        ce_inn, _ = softmax_cross_entropy_batch(_chip_readout_batch(chip, x_enc), labels)
+    sim_net = dequantize_to_network(quantize_network(net, quant_spec, task))
+    trace_s, logits_s = forward(sim_net, x_enc)
+    ce_s, probs_s = softmax_cross_entropy_batch(np.atleast_2d(logits_s), labels)
+    loss = spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
+    grads: dict[str, np.ndarray] = {}
+    if spec.beta != 0.0:
+        dlog_s = spec.mu * spec.beta * cross_entropy_grad(probs_s, labels)
+        twin_grads = backward_dlogits(sim_net, trace_s, dlog_s, surrogate)
+        last = len(sim_net.weights) - 1
+        for l in range(len(sim_net.weights)):
+            ext_name = f"head{task}" if net.multi_head and l == last else f"w{l}"
+            grads[ext_name] = twin_grads[f"w{l}"]
+    return loss, grads

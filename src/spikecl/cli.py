@@ -1,4 +1,4 @@
-"""Command-line interface: run experiments, report tables, self-check, validate.
+"""Command-line interface: run experiments, report tables, validate checkpoints.
 
 Exit code 0 on success; failures print one machine-parsable line to stderr
 of the form ``spikecl-error: <category>: <message>`` and exit nonzero.
@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import SpikeclError
@@ -55,76 +53,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    """Small-instance brute-force checks of the core numerics."""
-    from .continual import HebbianAccumulator, accumulate_hebbian, finalize_hebbian
-    from .metrics import incremental_accuracy
-    from .numerics import matmul
-    from .rng import RngStream
-    from .snn import LifParams, forward, init_network
-    from .train import SurrogateSpec, backward
-    from .numerics import softmax_cross_entropy_batch
-
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        failures += 0 if ok else 1
-
-    rng = RngStream(2024)
-    a = rng.uniform((5, 7)) - 0.5
-    b = rng.uniform((7, 4)) - 0.5
-    ref = np.zeros((5, 4))
-    for i in range(5):
-        for j in range(4):
-            s = 0.0
-            for k in range(7):
-                s += a[i, k] * b[k, j]
-            ref[i, j] = s
-    check("matmul vs triple-loop oracle (exact)", np.array_equal(matmul(a, b), ref))
-
-    net = init_network([2, 2, 2], rng.fork("net"), lif=LifParams(), gain=1.5)
-    sur = SurrogateSpec()
-    x = (rng.fork("x").uniform((3, 5, 2)) < 0.5).astype(np.float64)
-    y = np.array([0, 1, 0])
-    trace, logits = forward(net, x, mode="relaxed", surrogate=sur)
-    grads = backward(net, trace, logits, y, sur)
-    h, worst = 1e-6, 0.0
-    for name in ("w0", "w1"):
-        w = net.get_param(name)
-        for idx in ((0, 0), (1, 1), (0, 1)):
-            orig = w[idx]
-            w[idx] = orig + h
-            lp = softmax_cross_entropy_batch(forward(net, x, mode="relaxed", surrogate=sur)[1], y)[0]
-            w[idx] = orig - h
-            lm = softmax_cross_entropy_batch(forward(net, x, mode="relaxed", surrogate=sur)[1], y)[0]
-            w[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, abs(grads[name][idx] - fd) / max(abs(fd), abs(grads[name][idx]), 1e-8))
-    check(f"relaxed gradients vs finite differences (max rel err {worst:.2e})", worst < 1e-4)
-
-    pre = rng.fork("pre").uniform((6, 3))
-    post = rng.fork("post").uniform((6, 4))
-    acc = HebbianAccumulator((3, 4))
-    accumulate_hebbian(acc, pre, post)
-    ref_h = np.zeros((3, 4))
-    for nidx in range(6):
-        ref_h += np.outer(pre[nidx], post[nidx])
-    ref_h /= 6
-    check("coincidence accumulator vs per-sample oracle (exact)",
-          np.array_equal(finalize_hebbian(acc), ref_h))
-
-    accs = rng.fork("accs").uniform((5,)).tolist()
-    ok = all(
-        incremental_accuracy(accs, c) == sum(accs[:c]) / c for c in range(1, 6)
-    )
-    check("incremental accuracy vs brute-force mean (exact)", ok)
-
-    print("oracle: all checks passed" if failures == 0 else f"oracle: {failures} check(s) failed")
-    return 0 if failures == 0 else 1
-
-
 def _cmd_validate(args) -> int:
     from .chip import ChipConstraints, validate_constraints
     from .snn import load_network
@@ -158,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="incremental stages to tabulate (default 1 3 5)")
     p_rep.add_argument("--out", help="also write the table to this file")
     p_rep.set_defaults(func=_cmd_report, stage_default=(1, 3, 5))
-
-    p_orc = sub.add_parser("oracle", help="run small-instance brute-force self-checks")
-    p_orc.set_defaults(func=_cmd_oracle)
 
     p_val = sub.add_parser("validate", help="check a checkpoint against chip constraints")
     p_val.add_argument("checkpoint", help="network checkpoint path")

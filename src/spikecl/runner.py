@@ -1,4 +1,10 @@
-"""Experiment orchestration: config, training loops, evaluation, persistence.
+"""Experiment orchestration: config, training, evaluation, persistence.
+
+Training has one step, ``train_step``, and one epoch loop, ``train_epoch``,
+fed by one batch iterator. Every task, the pooled joint phase and the chip
+loop run through them. The chip is an optional loss term
+(``chip.twin_loss``); ``mentor_learner_epoch`` is the chip loop's epoch,
+which adds that term and uploads the trained weights to the chip.
 
 A run is a pure function of (config, seed): every random draw comes from
 named forks of one seeded stream, datasets are deterministic, and result
@@ -15,8 +21,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .chip import ChipModel, MentorState, QuantSpec, chip_twin_counts, quantize_network
-from .chip import mentor_learner_epoch
+from .chip import (
+    ChipModel,
+    ConfigImage,
+    QuantSpec,
+    chip_twin_counts,
+    quantize_network,
+    twin_loss,
+    upload_weights,
+)
 from .continual import Strategy, StrategyConfig, TaskContext, apply_strategy
 from .data import (
     DEFAULT_SPLIT_PAIRS,
@@ -192,10 +205,6 @@ def build_network(config: RunConfig, stream: TaskStream, rng: RngStream) -> Spik
     )
 
 
-def _fresh_optimizer(config: RunConfig) -> OptimizerState:
-    return OptimizerState(kind=config.optimizer, lr=config.learning_rate)
-
-
 # ---------------------------------------------------------------------------
 # Training
 
@@ -208,124 +217,169 @@ def _hidden_sizes(net: SpikingNetwork) -> list[int]:
     return list(net.layer_sizes[1:]) if net.multi_head else list(net.layer_sizes[1:-1])
 
 
-def _batch_gates(config, net, strategy, ctx, drop_rng):
-    """Strategy unit gates combined with per-batch dropout keep-masks."""
-    gates = strategy.train_gates(ctx, net)
-    if config.dropout > 0.0:
-        masks = [
-            drop_rng.bernoulli(1.0 - config.dropout, (n,)) for n in _hidden_sizes(net)
-        ]
-        gates = masks if gates is None else [g * m for g, m in zip(gates, masks)]
-    return gates
+@dataclass
+class MentorState:
+    """The learner of one task: the external full-precision network, its
+    optimizer and loss weights, and, in the chip loop, the last image
+    uploaded to the chip."""
+
+    net: SpikingNetwork
+    optimizer: OptimizerState
+    surrogate: SurrogateSpec
+    loss_spec: LossSpec
+    quant_spec: QuantSpec
+    task: int | None = None  # active head in multi-head mode
+    twin_image: ConfigImage | None = None
 
 
-def _train_batch(net, opt, x_enc, labels, head, strategy, ctx, surrogate, gates=None):
-    trace, logits = forward(net, x_enc, task=head, gates=gates)
-    loss, probs = softmax_cross_entropy_batch(np.atleast_2d(logits), labels)
-    grads = backward_dlogits(net, trace, cross_entropy_grad(probs, labels), surrogate)
+def _learner(config: RunConfig, net: SpikingNetwork, task: int | None = None) -> MentorState:
+    """A learner with a fresh optimizer; every task starts one."""
+    optimizer = OptimizerState(kind=config.optimizer, lr=config.learning_rate)
+    return MentorState(net, optimizer, config.surrogate, config.loss, config.quant, task)
+
+
+def _add_grads(grads: dict, extra: dict | None) -> None:
+    for name, g in (extra or {}).items():
+        grads[name] = grads.get(name, 0.0) + g
+
+
+def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
+    """One epoch's shuffled batches ``(x_enc, labels, gates)``, with the
+    per-sample task ids appended when ``tids`` is given.
+
+    Each draw comes from its own named fork of ``run_rng``: ``shuffle/`` for
+    the order, ``encode/`` per batch for the spike trains and, only when
+    ``dropout > 0``, ``dropout/`` per batch for the keep-masks, which
+    multiply the strategy's unit gates.
+    """
+    order = run_rng.fork(f"shuffle/{tag}").permutation(len(ys))
+    for bi, start in enumerate(range(0, len(ys), config.batch_size)):
+        idx = order[start : start + config.batch_size]
+        x_enc = encode_batch(xs[idx], config.encoder, run_rng.fork(f"encode/{tag}/batch{bi}"))
+        gates = strategy.train_gates(ctx, net)
+        if config.dropout > 0.0:
+            drop_rng = run_rng.fork(f"dropout/{tag}/batch{bi}")
+            masks = [drop_rng.bernoulli(1.0 - config.dropout, (n,)) for n in _hidden_sizes(net)]
+            gates = masks if gates is None else [g * m for g, m in zip(gates, masks)]
+        batch = (x_enc, ys[idx], gates)
+        yield batch if tids is None else batch + (tids[idx],)
+
+
+def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, chip=None) -> float:
+    """One optimizer step on one batch; returns the batch loss.
+
+    ``batch`` is ``(x_enc, labels, gates)``, which trains head
+    ``state.task``, or ``(x_enc, labels, gates, tasks)``, a pooled
+    multi-head batch with one task id per sample: one forward and backward
+    per head, each weighted by its share of the batch. The cross-entropy
+    gradient is scaled by ``loss.lam``. With a ``chip``, the chip's term
+    (``chip.twin_loss``) is added, then the strategy's ``batch_loss``
+    (which sees no trace or logits for a pooled batch), and
+    ``grad_transform`` shapes the step.
+    """
+    x_enc, labels, gates, *pooled = batch
+    net, spec = state.net, state.loss_spec
+    labels = np.asarray(labels, dtype=np.int64)
+    if not pooled:
+        trace, logits = forward(net, x_enc, task=state.task, gates=gates)
+        ce, probs = softmax_cross_entropy_batch(np.atleast_2d(logits), labels)
+        dlog = spec.lam * cross_entropy_grad(probs, labels)
+        grads = backward_dlogits(net, trace, dlog, state.surrogate)
+        loss = spec.lam * ce
+    else:
+        tasks = pooled[0]
+        trace = logits = None
+        grads, loss = {}, 0.0
+        for t in np.unique(tasks):
+            sub = tasks == t
+            share = sub.sum() / len(labels)
+            trace_t, logits_t = forward(net, x_enc[sub], task=int(t), gates=gates)
+            ce, probs = softmax_cross_entropy_batch(np.atleast_2d(logits_t), labels[sub])
+            dlog = spec.lam * cross_entropy_grad(probs, labels[sub]) * share
+            _add_grads(grads, backward_dlogits(net, trace_t, dlog, state.surrogate))
+            loss += spec.lam * ce * share
+    if chip is not None:
+        chip_loss, chip_grads = twin_loss(
+            chip, net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
+        )
+        loss += chip_loss
+        _add_grads(grads, chip_grads)
     extra_loss, extra_grads = strategy.batch_loss(ctx, net, x_enc, labels, trace, logits)
-    if extra_grads:
-        for name, g in extra_grads.items():
-            grads[name] = grads.get(name, 0.0) + g
+    _add_grads(grads, extra_grads)
     grads = strategy.grad_transform(ctx, net, grads)
-    optimizer_step(opt, net, grads)
+    optimizer_step(state.optimizer, net, grads)
     return loss + extra_loss
 
 
-def _external_task(config, net, stream, task_idx, strategy, run_rng, surrogate):
-    """Sequential training of one task without the chip."""
-    task = stream.tasks[task_idx]
-    opt = _fresh_optimizer(config)
-    head = _head_for(net, task_idx)
-    n = len(task.train_y)
+def train_epoch(state: MentorState, batches, strategy: Strategy, ctx: TaskContext, chip=None) -> dict:
+    """``train_step`` over every batch; returns the mean loss and the batch count."""
+    total_loss, n_batches = 0.0, 0
+    for batch in batches:
+        total_loss += train_step(state, batch, strategy, ctx, chip)
+        n_batches += 1
+    return {"mean_loss": total_loss / max(n_batches, 1), "batches": n_batches}
+
+
+def mentor_learner_epoch(
+    state: MentorState, chip: ChipModel, batches, strategy: Strategy, ctx: TaskContext
+) -> dict:
+    """One epoch of the chip loop: ``train_epoch`` with the chip's loss term.
+
+    The weights are quantized and uploaded before the task's first epoch
+    and after every epoch. With mu = 0 the chip and twin are never touched,
+    and the epoch equals ``train_epoch`` without a chip.
+    """
+    if state.loss_spec.mu == 0.0:
+        return train_epoch(state, batches, strategy, ctx)
+    if state.twin_image is None:
+        state.twin_image = upload_weights(chip, state.net, state.quant_spec, state.task)
+    out = train_epoch(state, batches, strategy, ctx, chip)
+    state.twin_image = upload_weights(chip, state.net, state.quant_spec, state.task)
+    return out
+
+
+def _fit(config, state, strategy, run_rng, tag, ctx, xs, ys, tids=None, chip=None) -> None:
+    """``config.epochs_per_task`` epochs over (xs, ys), with the chip in the
+    loop when ``chip`` is given."""
     for epoch in range(config.epochs_per_task):
-        ctx = TaskContext(
-            task=task_idx + 1, total_tasks=len(stream.tasks),
-            scenario=stream.scenario, epoch=epoch, total_epochs=config.epochs_per_task,
+        ctx = replace(ctx, epoch=epoch)
+        batches = _batches(
+            config, state.net, strategy, ctx, run_rng, f"{tag}/epoch{epoch}", xs, ys, tids
         )
-        order = run_rng.fork(f"shuffle/task{task_idx}/epoch{epoch}").permutation(n)
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            enc_rng = run_rng.fork(f"encode/task{task_idx}/epoch{epoch}/batch{bi}")
-            x_enc = encode_batch(task.train_x[idx], config.encoder, enc_rng)
-            gates = _batch_gates(
-                config, net, strategy, ctx,
-                run_rng.fork(f"dropout/task{task_idx}/epoch{epoch}/batch{bi}"),
-            )
-            _train_batch(net, opt, x_enc, task.train_y[idx], head, strategy, ctx,
-                         surrogate, gates)
+        if chip is None:
+            train_epoch(state, batches, strategy, ctx)
+        else:
+            mentor_learner_epoch(state, chip, batches, strategy, ctx)
 
 
-def _chip_task(config, net, stream, task_idx, strategy, run_rng, surrogate, chip):
-    """Mentor-learner training of one task with the chip in the loop."""
+def train_task(config, net, stream, task_idx, strategy, run_rng, chip=None) -> MentorState:
+    """Sequential training of one task; the chip, when given, is in the loop."""
     task = stream.tasks[task_idx]
-    head = _head_for(net, task_idx)
-    state = MentorState(
-        net=net,
-        optimizer=_fresh_optimizer(config),
-        surrogate=surrogate,
-        loss_spec=config.loss,
-        quant_spec=config.quant,
-        task=head,
+    state = _learner(config, net, _head_for(net, task_idx))
+    ctx = TaskContext(
+        task=task_idx + 1, total_tasks=len(stream.tasks), scenario=stream.scenario,
+        total_epochs=config.epochs_per_task,
     )
-    n = len(task.train_y)
-    for epoch in range(config.epochs_per_task):
-        ctx = TaskContext(
-            task=task_idx + 1, total_tasks=len(stream.tasks),
-            scenario=stream.scenario, epoch=epoch, total_epochs=config.epochs_per_task,
-        )
-        order = run_rng.fork(f"shuffle/task{task_idx}/epoch{epoch}").permutation(n)
-
-        def batches():
-            for bi, start in enumerate(range(0, n, config.batch_size)):
-                idx = order[start : start + config.batch_size]
-                enc_rng = run_rng.fork(f"encode/task{task_idx}/epoch{epoch}/batch{bi}")
-                gates = _batch_gates(
-                    config, net, strategy, ctx,
-                    run_rng.fork(f"dropout/task{task_idx}/epoch{epoch}/batch{bi}"),
-                )
-                x_enc = encode_batch(task.train_x[idx], config.encoder, enc_rng)
-                yield x_enc, task.train_y[idx], gates
-
-        mentor_learner_epoch(state, chip, batches(), strategy, ctx)
+    _fit(config, state, strategy, run_rng, f"task{task_idx}", ctx,
+         task.train_x, task.train_y, chip=chip)
     return state
 
 
-def _joint_phase(config, net, stream, strategy, run_rng, surrogate):
+def _joint_phase(config, net, stream, strategy, run_rng):
     """Upper bound: one pooled phase over all tasks' training data."""
     xs = np.concatenate([t.train_x for t in stream.tasks])
     ys = np.concatenate([t.train_y for t in stream.tasks])
-    tids = np.concatenate(
-        [np.full(len(t.train_y), i, dtype=np.int64) for i, t in enumerate(stream.tasks)]
-    )
-    opt = _fresh_optimizer(config)
-    n = len(ys)
-    total = len(stream.tasks)
-    for epoch in range(config.epochs_per_task):
-        ctx = TaskContext(
-            task=total, total_tasks=total, scenario=stream.scenario,
-            epoch=epoch, total_epochs=config.epochs_per_task,
+    tids = None
+    if net.multi_head:
+        tids = np.concatenate(
+            [np.full(len(t.train_y), i, dtype=np.int64) for i, t in enumerate(stream.tasks)]
         )
-        order = run_rng.fork(f"shuffle/joint/epoch{epoch}").permutation(n)
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            enc_rng = run_rng.fork(f"encode/joint/epoch{epoch}/batch{bi}")
-            x_enc = encode_batch(xs[idx], config.encoder, enc_rng)
-            labels = ys[idx]
-            batch_tasks = tids[idx]
-            if net.multi_head:
-                # mixed-task batch: accumulate per-head gradients, one step
-                grads: dict[str, np.ndarray] = {}
-                for t in np.unique(batch_tasks):
-                    sub = batch_tasks == t
-                    trace, logits = forward(net, x_enc[sub], task=int(t))
-                    _, probs = softmax_cross_entropy_batch(np.atleast_2d(logits), labels[sub])
-                    dlog = cross_entropy_grad(probs, labels[sub]) * (sub.sum() / len(labels))
-                    for name, g in backward_dlogits(net, trace, dlog, surrogate).items():
-                        grads[name] = grads.get(name, 0.0) + g
-                optimizer_step(opt, net, grads)
-            else:
-                _train_batch(net, opt, x_enc, labels, None, strategy, ctx, surrogate)
+    total = len(stream.tasks)
+    ctx = TaskContext(
+        task=total, total_tasks=total, scenario=stream.scenario,
+        total_epochs=config.epochs_per_task,
+    )
+    _fit(config, _learner(config, net), strategy, run_rng, "joint", ctx, xs, ys, tids)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +459,7 @@ def _run_seed_full(config: RunConfig, seed: int):
 
     if strategy.pooled:
         t0 = time.perf_counter()
-        _joint_phase(config, net, stream, strategy, run_rng, config.surrogate)
+        _joint_phase(config, net, stream, strategy, run_rng)
         accs = [
             evaluate_task(net, stream, i, n_tasks - 1, config, run_rng, strategy)
             for i in range(n_tasks)
@@ -427,10 +481,7 @@ def _run_seed_full(config: RunConfig, seed: int):
             epoch=0, total_epochs=config.epochs_per_task,
         )
         strategy.before_task(ctx, net)
-        if config.chip:
-            _chip_task(config, net, stream, task_idx, strategy, run_rng, config.surrogate, chip)
-        else:
-            _external_task(config, net, stream, task_idx, strategy, run_rng, config.surrogate)
+        train_task(config, net, stream, task_idx, strategy, run_rng, chip)
         provider = _make_sample_provider(stream.tasks[task_idx], config, run_rng, task_idx)
         strategy.after_task(ctx, net, provider)
 

@@ -22,7 +22,6 @@ from .numerics import (
     cross_entropy_grad,
     require_finite,
     softmax,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
 )
 from .snn import ForwardTrace, SpikingNetwork
@@ -65,9 +64,9 @@ class LossSpec:
     """Weights of the composite interaction loss, plus the distillation
     temperature used by the LwF baseline.
 
-    ``lam`` scales the external-network term; ``mu`` gates the whole chip
-    side; ``alpha`` and ``beta`` weight the chip readout and its simulated
-    twin inside it.
+    ``lam`` scales the external network's cross-entropy in every run, with
+    or without the chip; ``mu`` gates the whole chip side; ``alpha`` and
+    ``beta`` weight the chip readout and its simulated twin inside it.
     """
 
     lam: float = 1.0
@@ -83,25 +82,6 @@ class LossSpec:
             raise ContractViolation("lam + mu must be positive")
         if not (self.distill_temperature > 0.0):
             raise ContractViolation("distillation temperature must be > 0")
-
-
-def composite_loss(y: int, yhat_enn, yhat_inn, yhat_sim, spec: LossSpec) -> float:
-    """L = lam*H(y, enn) + mu*(alpha*H(y, inn) + beta*H(y, sim)).
-
-    With ``mu == 0`` the chip-side predictions are ignored entirely (fully
-    external training), so the result is exactly lam*H(y, enn).
-    """
-    enn = np.asarray(yhat_enn, dtype=np.float64).reshape(-1)
-    loss_enn, _ = softmax_cross_entropy(enn, y)
-    if spec.mu == 0.0:
-        return spec.lam * loss_enn
-    inn = np.asarray(yhat_inn, dtype=np.float64).reshape(-1)
-    sim = np.asarray(yhat_sim, dtype=np.float64).reshape(-1)
-    if inn.shape != enn.shape or sim.shape != enn.shape:
-        raise ContractViolation("prediction vectors must share the class count")
-    loss_inn, _ = softmax_cross_entropy(inn, y)
-    loss_sim, _ = softmax_cross_entropy(sim, y)
-    return spec.lam * loss_enn + spec.mu * (spec.alpha * loss_inn + spec.beta * loss_sim)
 
 
 def distillation_loss(old_logits, new_logits, temperature: float) -> float:

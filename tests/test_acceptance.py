@@ -13,7 +13,6 @@ import pytest
 
 from spikecl.chip import (
     ChipModel,
-    MentorState,
     QuantSpec,
     chip_forward,
     chip_twin_counts,
@@ -52,12 +51,13 @@ from spikecl.runner import (
     evaluate_task,
     run_experiment,
     run_seed,
-    _chip_task,
-    _external_task,
     _make_sample_provider,
+    train_task,
 )
 from spikecl.snn import forward, init_network
-from spikecl.train import LossSpec, SurrogateSpec, backward, composite_loss
+from spikecl.train import LossSpec, SurrogateSpec, backward
+
+from oracles import composite_loss
 
 SEEDS = (1, 2, 3)
 
@@ -140,7 +140,7 @@ def test_criterion_3_chip_degradation_bound():
     ctx = TaskContext(task=1, total_tasks=len(stream.tasks), scenario=stream.scenario,
                       epoch=0, total_epochs=cfg.epochs_per_task)
     strategy.before_task(ctx, net)
-    state = _chip_task(cfg, net, stream, 0, strategy, rng, cfg.surrogate, chip)
+    state = train_task(cfg, net, stream, 0, strategy, rng, chip)
 
     # external accuracy (float forward) vs chip twin (integer emulation)
     task = stream.tasks[0]
@@ -195,7 +195,7 @@ def _train_stream(cfg, stream, strategy_name, threshold_abs=None):
                           scenario=stream.scenario, epoch=0,
                           total_epochs=cfg.epochs_per_task)
         strategy.before_task(ctx, net)
-        _external_task(cfg, net, stream, idx, strategy, rng, cfg.surrogate)
+        train_task(cfg, net, stream, idx, strategy, rng)
         provider = _make_sample_provider(stream.tasks[idx], cfg, rng, idx)
         strategy.after_task(ctx, net, provider)
     return net
@@ -212,7 +212,7 @@ def test_criterion_4_hard_mask_freezing():
     ctx1 = TaskContext(task=1, total_tasks=2, scenario=stream.scenario,
                        epoch=0, total_epochs=cfg.epochs_per_task)
     strategy.before_task(ctx1, net)
-    _external_task(cfg, net, stream, 0, strategy, rng, cfg.surrogate)
+    train_task(cfg, net, stream, 0, strategy, rng)
     strategy.after_task(ctx1, net, _make_sample_provider(stream.tasks[0], cfg, rng, 0))
 
     ctx2 = TaskContext(task=2, total_tasks=2, scenario=stream.scenario,
@@ -222,7 +222,7 @@ def test_criterion_4_hard_mask_freezing():
     frozen = {k: (v == 0.0) for k, v in mask.values.items()}
     n_frozen = int(sum(f.sum() for f in frozen.values()))
     before = {k: net.get_param(k).copy() for k in frozen}
-    _external_task(cfg, net, stream, 1, strategy, rng, cfg.surrogate)
+    train_task(cfg, net, stream, 1, strategy, rng)
     frozen_ok = all(
         np.array_equal(net.get_param(k)[frozen[k]], before[k][frozen[k]])
         for k in frozen

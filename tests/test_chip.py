@@ -8,14 +8,12 @@ from spikecl.chip import (
     ChipConstraints,
     ChipModel,
     ConfigImage,
-    MentorState,
     QuantSpec,
     chip_forward,
     chip_twin_counts,
     decode_frames,
     dequantize_to_network,
     encode_frames,
-    mentor_learner_epoch,
     parse_image,
     quantize_network,
     read_layer_spikes,
@@ -32,7 +30,9 @@ from spikecl.errors import (
     ProtocolError,
     TransportError,
 )
+from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
 from spikecl.rng import RngStream
+from spikecl.runner import MentorState, mentor_learner_epoch
 from spikecl.snn import LifParams, SpikingNetwork, forward, init_network
 from spikecl.train import LossSpec, OptimizerState, SurrogateSpec
 
@@ -429,6 +429,26 @@ class TestFrames:
         with pytest.raises(TransportError):
             decode_frames(frames[1:])
 
+    def test_missing_last_frame(self):
+        frames = encode_frames(bytes(range(256)) * 20)
+        assert len(frames) == 2
+        with pytest.raises(TransportError):
+            decode_frames(frames[:-1])
+
+    def test_empty_payload_is_one_frame(self):
+        frames = encode_frames(b"")
+        assert len(frames) == 1
+        assert decode_frames(frames) == b""
+        with pytest.raises(TransportError):
+            decode_frames([])
+
+    def test_frames_disagreeing_on_total_length(self):
+        # 4096 + 1904 bytes reassemble to the 6000 that the second frame declares
+        short, long = encode_frames(bytes(5000)), encode_frames(bytes(6000))
+        for frames in ([long[1], short[0]], [short[0], long[1]]):
+            with pytest.raises(TransportError):
+                decode_frames(frames)
+
     @settings(max_examples=60, deadline=None)
     @given(payload=st.binary(min_size=1, max_size=20000), data=st.data())
     def test_any_order_decodes_and_duplicates_or_gaps_raise(self, payload, data):
@@ -438,12 +458,11 @@ class TestFrames:
         i = data.draw(st.integers(0, len(frames) - 1))
         with pytest.raises(TransportError):
             decode_frames(frames + [frames[i]])
-        # frames carry no total length, so only a drop before the last
-        # frame leaves a gap that this layer can see
-        if len(frames) > 1:
-            j = data.draw(st.integers(0, len(frames) - 2))
-            with pytest.raises(TransportError):
-                decode_frames(frames[:j] + frames[j + 1 :])
+        # every frame carries the total length, so dropping any frame,
+        # the last or the only one included, is detected
+        j = data.draw(st.integers(0, len(frames) - 1))
+        with pytest.raises(TransportError):
+            decode_frames(frames[:j] + frames[j + 1 :])
 
 
 class TestMentorLearner:
@@ -457,8 +476,12 @@ class TestMentorLearner:
             x = rng.fork(f"x{b}").bernoulli(
                 np.broadcast_to(feats[:, None, :], (batch, 10, 4)), (batch, 10, 4)
             )
-            batches.append((x, labels))
+            batches.append((x, labels, None))
         return batches
+
+    def _epoch(self, state, chip, batches):
+        strategy = apply_strategy(StrategyConfig("none"), "task-incremental", 0, state.surrogate)
+        return mentor_learner_epoch(state, chip, batches, strategy, TaskContext(task=1, total_tasks=1))
 
     def _state(self, rng, mu):
         net = init_network([4, 8, 2], rng, gain=2.0)
@@ -474,7 +497,7 @@ class TestMentorLearner:
         rng = RngStream(5)
         state = self._state(rng, mu=0.0)
         chip = ChipModel()
-        mentor_learner_epoch(state, chip, self._toy_batches(rng.fork("data")))
+        self._epoch(state, chip, self._toy_batches(rng.fork("data")))
         assert not chip.configured  # fully external mode
         assert state.twin_image is None
 
@@ -483,10 +506,10 @@ class TestMentorLearner:
         state = self._state(rng, mu=1.0)
         chip = ChipModel()
         batches = self._toy_batches(rng.fork("data"), n_batches=8)
-        first = mentor_learner_epoch(state, chip, batches)
+        first = self._epoch(state, chip, batches)
         losses = [first["mean_loss"]]
         for _ in range(4):
-            losses.append(mentor_learner_epoch(state, chip, batches)["mean_loss"])
+            losses.append(self._epoch(state, chip, batches)["mean_loss"])
         assert losses[-1] < losses[0]
 
     def _count_handshakes(self, monkeypatch):
@@ -507,7 +530,7 @@ class TestMentorLearner:
         state = self._state(rng, mu=1.0)
         chip = ChipModel()
         calls = self._count_handshakes(monkeypatch)
-        mentor_learner_epoch(state, chip, self._toy_batches(rng.fork("data")))
+        self._epoch(state, chip, self._toy_batches(rng.fork("data")))
         assert calls == []
         assert chip.configured
         probe = (rng.fork("probe").uniform((6, 4)) < 0.5).astype(np.float64)
@@ -522,7 +545,7 @@ class TestMentorLearner:
         state.loss_spec = LossSpec(lam=1.0, mu=1.0, alpha=0.5, beta=0.5)
         chip = ChipModel()
         calls = self._count_handshakes(monkeypatch)
-        out = mentor_learner_epoch(state, chip, self._toy_batches(rng.fork("data"), 2))
+        out = self._epoch(state, chip, self._toy_batches(rng.fork("data"), 2))
         assert out["batches"] == 2
         assert chip.configured
         assert calls == [(10, 4)] * 32  # one handshake per training sample

@@ -138,11 +138,6 @@ class TestRunExperiment:
 
 
 class TestCli:
-    def test_oracle_passes(self, capsys):
-        assert cli_main(["oracle"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
-
     def test_validate_ok(self, tmp_path, capsys):
         net = init_network([16, 8, 2], RngStream(0))
         path = tmp_path / "ok.ckpt"

@@ -9,11 +9,11 @@ from spikecl.data import DriftSpec, build_split_stream, generate_digit_corpus
 from spikecl.rng import RngStream
 from spikecl.runner import (
     RunConfig,
-    _external_task,
     _make_sample_provider,
     build_network,
     build_stream,
     run_seed,
+    train_task,
 )
 
 
@@ -64,7 +64,7 @@ def train_one_task(strategy_name):
     ctx = TaskContext(task=1, total_tasks=5, scenario=stream.scenario,
                       epoch=0, total_epochs=1)
     strategy.before_task(ctx, net)
-    _external_task(cfg, net, stream, 0, strategy, rng, cfg.surrogate)
+    train_task(cfg, net, stream, 0, strategy, rng)
     strategy.after_task(ctx, net, _make_sample_provider(stream.tasks[0], cfg, rng, 0))
     return net
 
@@ -101,7 +101,7 @@ def test_soft_mask_scales_but_does_not_freeze():
             vals = np.concatenate([v.ravel() for v in strategy.mask.values.values()])
             assert (vals >= 0).all() and (vals <= 1).all()
             assert (vals < 1).any()
-        _external_task(cfg, net, stream, idx, strategy, rng, cfg.surrogate)
+        train_task(cfg, net, stream, idx, strategy, rng)
         strategy.after_task(ctx, net, _make_sample_provider(stream.tasks[idx], cfg, rng, idx))
 
 

@@ -13,10 +13,11 @@ from spikecl.train import (
     SurrogateSpec,
     backward,
     backward_dlogits,
-    composite_loss,
     distillation_loss,
     optimizer_step,
 )
+
+from oracles import composite_loss
 
 
 class TestSurrogate:

@@ -487,24 +487,25 @@ def twin_loss(
     The chip readout comes from the per-sample handshake with the uploaded
     image, only when alpha != 0 (at alpha = 0 its term is zero), and enters
     as a constant. The twin is re-quantized from the current weights on
-    every call (it lives on the external processor, so tracking is free);
-    its gradients cross the rounding straight through to the external
-    weights.
+    every call (it lives on the external processor, so tracking is free),
+    only when beta != 0 (at beta = 0 its term and gradients are zero); its
+    gradients cross the rounding straight through to the external weights.
     """
     spec = loss_spec
     ce_inn = 0.0
     if spec.alpha != 0.0:
         ce_inn, _ = softmax_cross_entropy_batch(_chip_readout_batch(chip, x_enc), labels)
+    if spec.beta == 0.0:
+        return spec.mu * (spec.alpha * ce_inn), {}
     sim_net = dequantize_to_network(quantize_network(net, quant_spec, task))
     trace_s, logits_s = forward(sim_net, x_enc)
     ce_s, probs_s = softmax_cross_entropy_batch(np.atleast_2d(logits_s), labels)
     loss = spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
+    dlog_s = spec.mu * spec.beta * cross_entropy_grad(probs_s, labels)
+    twin_grads = backward_dlogits(sim_net, trace_s, dlog_s, surrogate)
     grads: dict[str, np.ndarray] = {}
-    if spec.beta != 0.0:
-        dlog_s = spec.mu * spec.beta * cross_entropy_grad(probs_s, labels)
-        twin_grads = backward_dlogits(sim_net, trace_s, dlog_s, surrogate)
-        last = len(sim_net.weights) - 1
-        for l in range(len(sim_net.weights)):
-            ext_name = f"head{task}" if net.multi_head and l == last else f"w{l}"
-            grads[ext_name] = twin_grads[f"w{l}"]
+    last = len(sim_net.weights) - 1
+    for l in range(len(sim_net.weights)):
+        ext_name = f"head{task}" if net.multi_head and l == last else f"w{l}"
+        grads[ext_name] = twin_grads[f"w{l}"]
     return loss, grads

@@ -67,6 +67,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _error_line(category: str, exc: Exception) -> None:
+    # one line, whatever the message holds (a YAML error spans several)
+    print(f"spikecl-error: {category}: {' '.join(str(exc).split())}", file=sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spikecl", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spikecl {__version__}")
@@ -101,10 +106,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SpikeclError as exc:
-        print(f"spikecl-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error_line(type(exc).__name__, exc)
         return 2
     except OSError as exc:
-        print(f"spikecl-error: IOError: {exc}", file=sys.stderr)
+        _error_line("IOError", exc)
         return 3
 
 

@@ -73,11 +73,6 @@ def serialize_idx(idx: IdxFile) -> bytes:
     return out + idx.data.astype(np.uint8).tobytes()
 
 
-def write_idx(path, idx: IdxFile) -> None:
-    with open(path, "wb") as f:
-        f.write(serialize_idx(idx))
-
-
 def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Load a paired image/label set; pixels scaled to [0, 1] by /255."""
     img = load_idx(images_path)
@@ -232,26 +227,58 @@ def _pixel_grid():
     return _PIX
 
 
-def _nearest_segment_d2(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _nearest_segment_d2(
+    a: np.ndarray, b: np.ndarray, keep: np.ndarray, reach: float = np.inf
+) -> np.ndarray:
     """(n, P) squared distance from each pixel to the nearest kept segment
     a[i, s] -> b[i, s]; inf where a row keeps no segment.
 
-    x and y stay separate (rows, P) planes: every dot product is
-    x*x' + y*y', the same IEEE operations in the same order as a sum over a
+    With a finite ``reach``, each value below reach**2 is exact and each
+    other value is at least reach**2 (inf where no segment was measured).
+    A pixel whose distance to a segment is below reach lies within reach of
+    the segment's axis-aligned bounding box in both x and y, since the
+    distance to the box is a lower bound on the distance to the segment. So
+    each segment is measured only on one window per row: its box grown by
+    reach, plus a 1e-6 pixel pad that exceeds the rounding of the field and
+    of the index bounds, clamped to the canvas. One window size per segment
+    serves every row; a window larger than a row's box only measures more
+    pixels. The default reach (inf) measures every pixel.
+
+    Inside a window every pixel goes through the same IEEE operations in the
+    same order as over the full canvas, so the measured values do not depend
+    on the window. x and y stay separate planes: every dot product is
+    x*x' + y*y', the same operations in the same order as a sum over a
     length-2 coordinate axis, so the corpus bytes do not depend on this
     layout. Rows that drop segment s skip it (a min with inf is a no-op).
     """
     px, py = np.ascontiguousarray(_pixel_grid().T)  # (P,) each
+    n, P = a.shape[0], px.size
     dx = b[:, :, 0] - a[:, :, 0]  # (n, S)
     dy = b[:, :, 1] - a[:, :, 1]
     length2 = np.maximum(dx * dx + dy * dy, 1e-12)
-    min_d2 = np.full((a.shape[0], px.size), np.inf)
+    # first and one-past-last pixel index per row, segment and axis whose
+    # centre (i + 0.5) / _CANVAS lies within the grown box
+    pad = reach * _CANVAS + 1e-6
+    first = np.clip(np.ceil(np.minimum(a, b) * _CANVAS - 0.5 - pad), 0, _CANVAS).astype(np.intp)
+    stop = np.clip(np.floor(np.maximum(a, b) * _CANVAS - 0.5 + pad) + 1, 0, _CANVAS).astype(np.intp)
+    min_d2 = np.full(n * P, np.inf)
     for s in range(a.shape[1]):
         rows = np.flatnonzero(keep[:, s])
+        if rows.size == 0:
+            continue
+        wx, wy = (stop[rows, s] - first[rows, s]).max(axis=0)
+        if wx <= 0 or wy <= 0:
+            continue  # no row's window meets the canvas
+        x0 = np.minimum(first[rows, s, 0], _CANVAS - wx)
+        y0 = np.minimum(first[rows, s, 1], _CANVAS - wy)
+        window = (y0[:, None, None] + np.arange(wy)[:, None]) * _CANVAS + (
+            x0[:, None, None] + np.arange(wx)
+        )
+        window = window.reshape(rows.size, wy * wx)  # (r, K) pixel indices
         sx = dx[rows, s, None]  # (r, 1)
         sy = dy[rows, s, None]
-        ex = px - a[rows, s, 0, None]  # (r, P): pixel minus segment start
-        ey = py - a[rows, s, 1, None]
+        ex = px[window] - a[rows, s, 0, None]  # (r, K): pixel minus segment start
+        ey = py[window] - a[rows, s, 1, None]
         t = ex * sx
         t += ey * sy
         t /= length2[rows, s, None]
@@ -261,8 +288,9 @@ def _nearest_segment_d2(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> np.nd
         ex *= ex
         ey *= ey
         ex += ey
-        min_d2[rows] = np.minimum(min_d2[rows], ex)
-    return min_d2
+        window += rows[:, None] * P  # flat indices into min_d2
+        min_d2[window] = np.minimum(min_d2[window], ex)
+    return min_d2.reshape(n, P)
 
 
 def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
@@ -301,9 +329,13 @@ def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
     b = np.concatenate([b, db], axis=1)
     keep = np.concatenate([seg_keep, d_on], axis=1)
 
-    dist = np.sqrt(np.minimum(_nearest_segment_d2(a, b, keep), 4.0))
-
+    # drawn before the field, which draws nothing, so the draw sequence is
+    # unchanged. A pixel 1.2 * thickness or farther from every stroke is
+    # clipped to 0 below, and so is inf; the field is exact below reach, and
+    # reach exceeds every row's 1.2 * thickness by at least 0.3 * 0.025 (0.2 px)
     thickness = 0.025 + 0.028 * rng.uniform((n,))
+    d2 = _nearest_segment_d2(a, b, keep, reach=1.5 * thickness.max())
+    dist = np.sqrt(np.minimum(d2, 4.0))
     img = np.clip(1.2 - dist / thickness[:, None], 0.0, 1.0)
     img *= (0.6 + 0.4 * rng.uniform((n,)))[:, None]
     img += rng.normal(img.shape) * 0.04
@@ -347,18 +379,6 @@ def generate_digit_corpus(
     result = (*sets[0], *sets[1])
     _CORPUS_CACHE[key] = result
     return result
-
-
-def corpus_to_idx(xs: np.ndarray, ys: np.ndarray) -> tuple[IdxFile, IdxFile]:
-    """Package a rendered corpus as IDX image/label files."""
-    n = len(ys)
-    img = IdxFile(
-        IDX_MAGIC_IMAGES,
-        (n, _CANVAS, _CANVAS),
-        np.round(xs * 255.0).astype(np.uint8).ravel(),
-    )
-    lab = IdxFile(IDX_MAGIC_LABELS, (n,), ys.astype(np.uint8))
-    return img, lab
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +475,6 @@ def build_synthetic_drift(spec: DriftSpec, seed: int) -> TaskStream:
     return TaskStream("domain-incremental", tasks, d)
 
 
-def export_drift_csv(stream: TaskStream, out_dir) -> list[str]:
-    """Per-day CSV dump (feature columns + label) for cross-checking."""
-    import os
-
-    paths = []
-    for i, task in enumerate(stream.tasks, start=1):
-        path = os.path.join(out_dir, f"drift_day{i}.csv")
-        with open(path, "w") as f:
-            cols = [f"f{j}" for j in range(task.train_x.shape[1])] + ["label"]
-            f.write(",".join(cols) + "\n")
-            for x, y in zip(task.train_x, task.train_y):
-                f.write(",".join(repr(v) for v in x) + f",{int(y)}\n")
-        paths.append(path)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Spike encoding
 
@@ -488,21 +492,6 @@ class EncoderSpec:
             raise ContractViolation("timesteps must be >= 1")
         if not (0.0 < self.max_rate <= 1.0):
             raise ContractViolation("max_rate must be in (0, 1]")
-
-
-def encode(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None) -> np.ndarray:
-    """Spike train (T, n) for one sample. rate-poisson draws each step with
-    probability feature * max_rate; direct-repeat thresholds at 0.5 and
-    repeats (consuming no randomness)."""
-    f = np.asarray(features, dtype=np.float64)
-    if not np.all((f >= 0.0) & (f <= 1.0)):
-        raise ContractViolation("features must lie in [0, 1]")
-    if spec.kind == "direct-repeat":
-        row = (f >= 0.5).astype(np.float64)
-        return np.tile(row, (spec.timesteps, 1))
-    if rng is None:
-        raise ContractViolation("rate-poisson encoding requires an rng stream")
-    return rng.bernoulli(f * spec.max_rate, (spec.timesteps, f.size))
 
 
 def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None) -> np.ndarray:

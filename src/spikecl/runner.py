@@ -9,7 +9,13 @@ which adds that term and uploads the trained weights to the chip.
 A run is a pure function of (config, seed): every random draw comes from
 named forks of one seeded stream, datasets are deterministic, and result
 files are byte-identical across repeated runs (except the wall_ms timing
-column, which is excluded from the determinism contract).
+column, which is excluded from the determinism contract). The limit: the
+float path's matmuls sum in an order that depends on the BLAS thread count,
+so checkpoint bytes can differ between, say, OPENBLAS_NUM_THREADS=1 and =2
+(a two-task split hwc-hard run at hidden [64, 64] wrote different
+checkpoints; its results.csv matched). Fix the thread count to compare
+bytes across machines. The rendered corpus and the spike encodings do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -123,19 +129,26 @@ _SECTION_TYPES = {
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from a plain dict, rejecting unknown keys."""
-    raw = dict(raw or {})
+    """Build a RunConfig from a plain dict, rejecting unknown keys and a top
+    level or section that is not a mapping."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config must be a mapping, not {type(raw).__name__}")
     kwargs = {}
     valid = set(RunConfig.__dataclass_fields__)
     for key, value in raw.items():
         if key not in valid:
             raise ConfigurationError(f"unknown config key {key!r}")
-        if key in _SECTION_TYPES and isinstance(value, dict):
+        if key in _SECTION_TYPES:
+            if not isinstance(value, dict):
+                raise ConfigurationError(
+                    f"config section {key!r} must be a mapping, not {type(value).__name__}"
+                )
             cls = _SECTION_TYPES[key]
-            section_valid = set(cls.__dataclass_fields__)
-            bad = set(value) - section_valid
+            bad = set(value) - set(cls.__dataclass_fields__)
             if bad:
-                raise ConfigurationError(f"unknown keys in {key!r}: {sorted(bad)}")
+                raise ConfigurationError(f"unknown keys in {key!r}: {sorted(map(str, bad))}")
             kwargs[key] = cls(**value)
         else:
             kwargs[key] = value
@@ -144,7 +157,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path) as f:
-        return config_from_dict(yaml.safe_load(f))
+        try:
+            raw = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"{path}: not valid YAML: {exc}") from exc
+    return config_from_dict(raw)
 
 
 def apply_profile(config: RunConfig, profile: str) -> RunConfig:

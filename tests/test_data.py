@@ -1,7 +1,12 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikecl.data as data_mod
 from spikecl.data import (
@@ -11,18 +16,15 @@ from spikecl.data import (
     IdxFile,
     build_split_stream,
     build_synthetic_drift,
-    corpus_to_idx,
-    encode,
     encode_batch,
-    export_drift_csv,
     generate_digit_corpus,
     load_idx,
     load_idx_pair,
     serialize_idx,
-    write_idx,
 )
 from spikecl.errors import ConfigurationError, ContractViolation, FormatError
 from spikecl.rng import RngStream
+from oracles import corpus_to_idx, encode, export_drift_csv, write_idx
 
 
 def make_image_bytes(count, rows, cols, pixels):
@@ -220,6 +222,29 @@ class TestDigitCorpus:
         assert np.isinf(got[:3]).all()
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        segments=st.integers(1, 9),
+        reach=st.floats(0.01, 0.5),
+    )
+    def test_finite_reach_field_is_exact_within_reach(self, seed, n, segments, reach):
+        # segments partly or wholly off the canvas, a degenerate one (a == b)
+        # and a row that drops every segment
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 2.0, (n, segments, 2))
+        b = a + rng.normal(0.0, 0.3, a.shape)
+        b[:, 0] = a[:, 0]
+        keep = rng.uniform(size=(n, segments)) < 0.7
+        keep[0] = False
+        got = data_mod._nearest_segment_d2(a, b, keep, reach=reach)
+        want = _nearest_segment_d2_oracle(a, b, keep)
+        near = want < reach**2
+        assert got[near].tobytes() == want[near].tobytes()
+        assert (got[~near] >= reach**2).all()
+        assert np.isinf(got[0]).all()
+
     def test_deterministic(self):
         a = generate_digit_corpus(20, 5, seed=9)
         data_mod._CORPUS_CACHE.clear()
@@ -241,6 +266,32 @@ class TestDigitCorpus:
         x, y = load_idx_pair(tmp_path / "img", tmp_path / "lab")
         assert np.array_equal(x, train_x)  # corpus is 8-bit quantized already
         assert np.array_equal(y, train_y)
+
+
+_RENDER_AND_ENCODE = """
+import sys
+from spikecl.data import EncoderSpec, encode_batch, generate_digit_corpus
+from spikecl.rng import RngStream
+corpus = generate_digit_corpus(12, 4, seed=90210)
+spikes = encode_batch(corpus[0], EncoderSpec(timesteps=10), RngStream(3))
+with open(sys.argv[1], "wb") as f:
+    for part in (*corpus, spikes):
+        f.write(part.tobytes())
+"""
+
+
+def test_corpus_and_encodings_do_not_depend_on_blas_threads(tmp_path):
+    # checkpoint bytes may differ between BLAS thread counts (the float
+    # path's sums); the data a run trains on must not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bin"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", _RENDER_AND_ENCODE, str(out)],
+                       env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestDrift:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +192,34 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--seed", "9"]) == 0
         records = parse_results(tmp_path / "out" / "results.csv")
         assert {r.seed for r in records} == {9}
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "- scenario: split-mnist\n- seeds: [1]\n",  # a list at the top level
+        "strategy: hwc-hard\n",  # a section that is not a mapping
+        "hidden: [64, 64\n",  # unclosed flow sequence: a YAML error
+        "strategy: {1: a, nam: b}\n",  # unknown section keys of mixed types
+    ],
+    ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key"],
+)
+def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikecl.cli", "run", "--config", str(cfg_path),
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConfigurationError: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigExtras:

@@ -97,6 +97,28 @@ def test_chip_batch_loss_is_mean_of_composite_loss():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_twin_loss_at_beta_zero_skips_the_twin(monkeypatch):
+    import spikecl.chip as chip_mod
+
+    rng = RngStream(23)
+    net = init_network([10, 12, 3], rng.fork("net"), gain=4.0, head_gain=2.0)
+    spec = LossSpec(lam=0.8, mu=1.3, alpha=0.6, beta=0.0)
+    quant = QuantSpec(bits=8)
+    chip = ChipModel()
+    image = upload_weights(chip, net, quant)
+    x = _spikes(rng.fork("x"), (9, 10, 10), p=0.6)
+    y = rng.fork("y").integers(9, 3)
+    ce_chip, _ = softmax_cross_entropy_batch(chip_twin_counts(image, x).astype(np.float64), y)
+
+    def twin_forward(*args, **kwargs):
+        raise AssertionError("the twin forward ran at beta = 0")
+
+    monkeypatch.setattr(chip_mod, "forward", twin_forward)
+    loss, grads = chip_mod.twin_loss(chip, net, x, y, spec, quant, SurrogateSpec())
+    assert loss == spec.mu * (spec.alpha * ce_chip)
+    assert grads == {}
+
+
 def test_chip_with_mu_zero_trains_the_same_weights_as_no_chip():
     def trained(chip, lam=0.7):
         cfg = RunConfig(

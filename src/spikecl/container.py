@@ -84,13 +84,16 @@ def parse_bundle(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     (meta_len,) = struct.unpack("<I", take(4))
     try:
         metadata = json.loads(take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
         raise FormatError(f"bad bundle metadata: {exc}") from exc
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"bad array name: {exc}") from exc
         code, rows, cols = struct.unpack("<BII", take(9))
         if code not in _DTYPES:
             raise FormatError(f"unknown dtype code {code}")

@@ -13,6 +13,7 @@ Two scenario families are built here:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -57,7 +58,7 @@ def load_idx(path) -> IdxFile:
     if len(raw) < header:
         raise FormatError(f"{path}: truncated IDX dimension block")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(raw) != header + count:
         raise FormatError(
             f"{path}: payload size {len(raw) - header} does not match dims {dims}"
@@ -86,7 +87,7 @@ def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             f"image count {img.dims[0]} != label count {lab.dims[0]}"
         )
     n = img.dims[0]
-    features = img.data.reshape(n, -1).astype(np.float64) / 255.0
+    features = img.data.reshape(n, math.prod(img.dims[1:])).astype(np.float64) / 255.0
     return features, lab.data.astype(np.int64)
 
 

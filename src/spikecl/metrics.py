@@ -21,18 +21,6 @@ CSV_COLUMNS = (
 )
 
 
-def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class
-    index (np.argmax returns the first maximum)."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise ContractViolation("logits must be a nonempty (N, K) array")
-    if y.shape != (z.shape[0],):
-        raise ContractViolation("labels do not match predictions")
-    return float((z.argmax(axis=1) == y).mean())
-
-
 def incremental_accuracy(per_task_accuracies, c: int) -> float:
     """Mean of the first ``c`` per-task accuracies."""
     accs = list(per_task_accuracies)

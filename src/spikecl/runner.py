@@ -20,8 +20,11 @@ depend on it.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,49 +120,59 @@ class RunConfig:
             raise ConfigurationError("dropout must be in [0, 1)")
 
 
-_SECTION_TYPES = {
-    "strategy": StrategyConfig,
-    "lif": LifParams,
-    "encoder": EncoderSpec,
-    "surrogate": SurrogateSpec,
-    "loss": LossSpec,
-    "quant": QuantSpec,
-    "drift": DriftSpec,
-}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _checked(value, hint, where: str):
+    """``value`` if it fits the field annotation ``hint``, with nested
+    sections built and checked field by field; else ConfigurationError.
+
+    A float field takes an int, and no number field takes a bool.
+    """
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be a mapping, not {type(value).__name__}")
+        hints = typing.get_type_hints(hint)
+        fields = [f.name for f in dataclasses.fields(hint)]
+        bad = set(value) - set(fields)
+        if bad:
+            raise ConfigurationError(f"unknown keys in {where}: {sorted(map(str, bad))}")
+        return hint(**{k: _checked(v, hints[k], f"{where}.{k}") for k, v in value.items()})
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return value
+        (hint,) = [a for a in args if a is not type(None)]
+        return _checked(value, hint, where)
+    if hint is list or origin is list:
+        if isinstance(value, list):
+            return [_checked(v, args[0], f"{where}[{i}]") for i, v in enumerate(value)] if args else value
+        wanted = "a list"
+    else:
+        kinds = (int, float) if hint is float else hint
+        if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+            return value
+        wanted = _TYPE_NAMES[hint]
+    raise ConfigurationError(f"{where} must be {wanted}, not {type(value).__name__}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from a plain dict, rejecting unknown keys and a top
-    level or section that is not a mapping."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config must be a mapping, not {type(raw).__name__}")
-    kwargs = {}
-    valid = set(RunConfig.__dataclass_fields__)
-    for key, value in raw.items():
-        if key not in valid:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigurationError(
-                    f"config section {key!r} must be a mapping, not {type(value).__name__}"
-                )
-            cls = _SECTION_TYPES[key]
-            bad = set(value) - set(cls.__dataclass_fields__)
-            if bad:
-                raise ConfigurationError(f"unknown keys in {key!r}: {sorted(map(str, bad))}")
-            kwargs[key] = cls(**value)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+    """Build a RunConfig from a plain dict. Every value is checked against
+    its dataclass field's annotation (int, float, str, bool, list, optional
+    or a nested section) before anything is built; unknown keys, a wrong
+    type and a top level or section that is not a mapping raise
+    ConfigurationError."""
+    return _checked({} if raw is None else raw, RunConfig, "config")
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as f:
+    """Parse a YAML config file; bytes that are not valid YAML, an integer
+    too long to convert and nesting too deep to compose all raise
+    ConfigurationError."""
+    with open(path, "rb") as f:
         try:
             raw = yaml.safe_load(f)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"{path}: not valid YAML: {exc}") from exc
     return config_from_dict(raw)
 

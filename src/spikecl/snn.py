@@ -21,7 +21,6 @@ import numpy as np
 
 from .container import read_bundle, write_bundle
 from .errors import ContractViolation
-from .numerics import require_finite
 from .rng import RngStream
 
 RESET_MODES = ("subtract", "zero")
@@ -166,49 +165,33 @@ class ForwardTrace:
         return self.spikes[0].shape[1]
 
 
-def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams):
-    """One LIF update: leak, integrate, threshold, reset.
-
-    Returns ``(new_state, spikes)`` where spikes are 0/1 floats.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    input_current = np.asarray(input_current, dtype=np.float64)
-    if state.shape != input_current.shape:
-        raise ContractViolation("state and input current shapes differ")
-    require_finite(input_current, "input current")
-    u = p.decay * state + input_current
-    spikes = (u >= p.threshold).astype(np.float64)
-    if p.reset == "subtract":
-        v = u - p.threshold * spikes
-    else:
-        v = u * (1.0 - spikes)
-    return v, spikes
-
-
 def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
-    """Run the membrane recurrence over time for one layer.
+    """Run the membrane recurrence over time for one layer, in place.
 
-    ``currents`` is (B, T, n). Returns (spikes, pre_reset), each (B, T, n).
-    In relaxed mode the hard threshold is replaced by the surrogate's smooth
-    activation (and reset uses that real-valued output).
+    ``currents`` is (B, T, n) and is overwritten with the pre-reset
+    potentials u_t = decay*v_{t-1} + I_t. Returns (spikes, currents). In
+    relaxed mode the hard threshold is replaced by the surrogate's smooth
+    activation (and reset uses that real-valued output). Every step runs the
+    same IEEE operations as the textbook update, so the bits match it.
     """
     B, T, n = currents.shape
     s_all = np.empty_like(currents)
-    u_all = np.empty_like(currents)
     v = np.zeros((B, n))
     for t in range(T):
-        u = p.decay * v + currents[:, t, :]
+        u, s = currents[:, t, :], s_all[:, t, :]
+        v *= p.decay
+        u += v
         if mode == "spike":
-            s = (u >= p.threshold).astype(np.float64)
+            np.greater_equal(u, p.threshold, out=s)
         else:
-            s = surrogate.relaxed_activation(u - p.threshold)
+            s[...] = surrogate.relaxed_activation(u - p.threshold)
         if p.reset == "subtract":
-            v = u - p.threshold * s
+            np.multiply(s, p.threshold, out=v)
+            np.subtract(u, v, out=v)
         else:
-            v = u * (1.0 - s)
-        u_all[:, t, :] = u
-        s_all[:, t, :] = s
-    return s_all, u_all
+            np.subtract(1.0, s, out=v)
+            v *= u
+    return s_all, currents
 
 
 def forward(
@@ -261,10 +244,9 @@ def forward(
     pre_reset: list[np.ndarray] = []
     for l, w in enumerate(matrices):
         prev = spikes[-1]
-        cur = prev.reshape(B * T, -1) @ w
-        cur = cur.reshape(B, T, -1)
+        cur = (prev.reshape(B * T, -1) @ w).reshape(B, T, -1)
         if gates is not None and l < n_hidden:
-            cur = cur * gates[l]
+            cur *= gates[l]
         s, u = _layer_dynamics(cur, net.lif[l], mode, surrogate)
         spikes.append(s)
         pre_reset.append(u)

@@ -48,10 +48,19 @@ class SurrogateSpec:
         if not (self.width > 0.0):
             raise ContractViolation("surrogate width must be > 0")
 
-    def pseudo_derivative(self, x: np.ndarray) -> np.ndarray:
+    def pseudo_derivative(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """1 / (1 + width*|x|)**2 (fast-sigmoid) or (|x| <= width) / (2*width)
+        (boxcar), built in ``out`` (which may be ``x``) with one pass per
+        operation of that expression."""
+        out = np.abs(x, out=np.empty(np.shape(x)) if out is None else out)
         if self.shape == "fast-sigmoid":
-            return 1.0 / (1.0 + self.width * np.abs(x)) ** 2
-        return (np.abs(x) <= self.width) / (2.0 * self.width)
+            out *= self.width
+            out += 1.0
+            np.square(out, out=out)
+            return np.divide(1.0, out, out=out)
+        np.less_equal(out, self.width, out=out)
+        out /= 2.0 * self.width
+        return out
 
     def relaxed_activation(self, x: np.ndarray) -> np.ndarray:
         if self.shape == "fast-sigmoid":
@@ -143,21 +152,27 @@ def backward_layers(
         p = net.lif[l]
         u = trace.pre_reset[l]
         s = trace.spikes[l + 1]
-        sd = surrogate.pseudo_derivative(u - p.threshold)
-        if p.reset == "subtract":
-            dv_du = 1.0 - p.threshold * sd
-        else:
-            dv_du = (1.0 - s) - u * sd
         ds = np.broadcast_to(d[:, None, :], s.shape) if l == L - 1 else ds_next
-
-        du = np.empty_like(u)
+        # du_t = ds_t*sd_t + dv*dv_du_t with dv = decay*du_{t+1}: form the
+        # first product for every step at once, then add the recurrence.
+        sd = np.subtract(u, p.threshold)
+        surrogate.pseudo_derivative(sd, out=sd)
+        du = np.multiply(ds, sd)
+        if p.reset == "subtract":  # dv_du = 1 - threshold*sd, over sd
+            sd *= p.threshold
+            dv_du = np.subtract(1.0, sd, out=sd)
+        else:  # dv_du = (1 - s) - u*sd
+            sd *= u
+            dv_du = np.subtract(1.0, s)
+            dv_du -= sd
         dv = np.zeros((B, u.shape[2]))
         for t in range(T - 1, -1, -1):
-            du_t = ds[:, t, :] * sd[:, t, :] + dv * dv_du[:, t, :]
-            du[:, t, :] = du_t
-            dv = p.decay * du_t
+            du_t = du[:, t, :]
+            dv *= dv_du[:, t, :]
+            du_t += dv
+            np.multiply(du_t, p.decay, out=dv)
         if trace.gates is not None and l < L - 1:
-            du = du * trace.gates[l]
+            du *= trace.gates[l]
 
         yield names[l], trace.spikes[l], du
         if l > 0:

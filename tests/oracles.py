@@ -7,8 +7,9 @@ import numpy as np
 
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile, serialize_idx
 from spikecl.errors import ContractViolation
-from spikecl.numerics import softmax_cross_entropy
+from spikecl.numerics import require_finite, softmax_cross_entropy
 from spikecl.rng import RngStream
+from spikecl.snn import LifParams
 
 
 def composite_loss(y: int, yhat_enn, yhat_inn, yhat_sim, spec) -> float:
@@ -28,6 +29,82 @@ def composite_loss(y: int, yhat_enn, yhat_inn, yhat_sim, spec) -> float:
     loss_inn, _ = softmax_cross_entropy(inn, y)
     loss_sim, _ = softmax_cross_entropy(sim, y)
     return spec.lam * loss_enn + spec.mu * (spec.alpha * loss_inn + spec.beta * loss_sim)
+
+
+def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surrogate=None):
+    """One LIF update: leak, integrate, threshold, reset.
+
+    Returns ``(new_state, spikes, pre_reset)``. Spikes are 0/1 floats, or the
+    surrogate's relaxed activation when ``surrogate`` is given.
+    """
+    state = np.asarray(state, dtype=np.float64)
+    input_current = np.asarray(input_current, dtype=np.float64)
+    if state.shape != input_current.shape:
+        raise ContractViolation("state and input current shapes differ")
+    require_finite(input_current, "input current")
+    u = p.decay * state + input_current
+    if surrogate is None:
+        spikes = (u >= p.threshold).astype(np.float64)
+    else:
+        spikes = surrogate.relaxed_activation(u - p.threshold)
+    if p.reset == "subtract":
+        v = u - p.threshold * spikes
+    else:
+        v = u * (1.0 - spikes)
+    return v, spikes, u
+
+
+def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
+    """Surrogate BPTT with one freshly allocated array per expression, as
+    ``train.backward_dlogits`` computed it before it worked in place."""
+    matrices = list(net.weights)
+    names = [f"w{l}" for l in range(len(net.weights))]
+    if net.multi_head:
+        matrices.append(net.heads[trace.task])
+        names.append(f"head{trace.task}")
+    L = len(matrices)
+    B, T, _ = trace.spikes[0].shape
+    d = np.atleast_2d(np.asarray(dlogits, dtype=np.float64))
+    grads, ds_next = {}, None
+    for l in range(L - 1, -1, -1):
+        p = net.lif[l]
+        u = trace.pre_reset[l]
+        s = trace.spikes[l + 1]
+        x = u - p.threshold
+        if surrogate.shape == "fast-sigmoid":
+            sd = 1.0 / (1.0 + surrogate.width * np.abs(x)) ** 2
+        else:
+            sd = (np.abs(x) <= surrogate.width) / (2.0 * surrogate.width)
+        if p.reset == "subtract":
+            dv_du = 1.0 - p.threshold * sd
+        else:
+            dv_du = (1.0 - s) - u * sd
+        ds = np.broadcast_to(d[:, None, :], s.shape) if l == L - 1 else ds_next
+        du = np.empty_like(u)
+        dv = np.zeros((B, u.shape[2]))
+        for t in range(T - 1, -1, -1):
+            du_t = ds[:, t, :] * sd[:, t, :] + dv * dv_du[:, t, :]
+            du[:, t, :] = du_t
+            dv = p.decay * du_t
+        if trace.gates is not None and l < L - 1:
+            du = du * trace.gates[l]
+        prev = trace.spikes[l]
+        grads[names[l]] = prev.reshape(B * T, -1).T @ du.reshape(B * T, -1)
+        if l > 0:
+            ds_next = (du.reshape(B * T, -1) @ matrices[l].T).reshape(B, T, -1)
+    return grads
+
+
+def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions; ties go to the lowest class
+    index (np.argmax returns the first maximum)."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if z.ndim != 2 or z.shape[0] == 0:
+        raise ContractViolation("logits must be a nonempty (N, K) array")
+    if y.shape != (z.shape[0],):
+        raise ContractViolation("labels do not match predictions")
+    return float((z.argmax(axis=1) == y).mean())
 
 
 def encode(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None) -> np.ndarray:

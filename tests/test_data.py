@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikecl.data as data_mod
@@ -13,6 +14,8 @@ from spikecl.data import (
     DEFAULT_SPLIT_PAIRS,
     DriftSpec,
     EncoderSpec,
+    IDX_MAGIC_IMAGES,
+    IDX_MAGIC_LABELS,
     IdxFile,
     build_split_stream,
     build_synthetic_drift,
@@ -22,7 +25,7 @@ from spikecl.data import (
     load_idx_pair,
     serialize_idx,
 )
-from spikecl.errors import ConfigurationError, ContractViolation, FormatError
+from spikecl.errors import ConfigurationError, ContractViolation, FormatError, SpikeclError
 from spikecl.rng import RngStream
 from oracles import corpus_to_idx, encode, export_drift_csv, write_idx
 
@@ -86,6 +89,42 @@ class TestIdx:
         out = tmp_path / "copy"
         write_idx(out, load_idx(path))
         assert out.read_bytes() == raw
+
+
+@st.composite
+def idx_bytes(draw):
+    """IDX-shaped byte strings: a known or random magic, small or huge dims,
+    and a payload that fits them, is cut short or is random."""
+    magic = draw(st.sampled_from([IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS]) | st.integers(0, 2**32 - 1))
+    n_dims = (magic & 0xFF) if magic in (IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS) else draw(st.integers(0, 4))
+    dims = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1), min_size=n_dims, max_size=n_dims))
+    size = math.prod(dims)
+    fitting = st.binary(min_size=size, max_size=size) if size <= 64 else st.nothing()
+    payload = draw(fitting | st.binary(max_size=40))
+    blob = struct.pack(f">I{len(dims)}I", magic, *dims) + payload
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=st.binary(max_size=60) | idx_bytes(), labels=idx_bytes())
+@example(  # an empty pair
+    images=struct.pack(">IIII", IDX_MAGIC_IMAGES, 0, 28, 28), labels=struct.pack(">II", IDX_MAGIC_LABELS, 0)
+)
+@example(  # dims whose product is 2**64: an int64 product wraps to 0
+    images=struct.pack(">IIII", IDX_MAGIC_IMAGES, 2**22, 2**21, 2**21), labels=struct.pack(">II", IDX_MAGIC_LABELS, 0)
+)
+def test_idx_readers_parse_or_raise_spikecl_errors(tmp_path_factory, images, labels):
+    folder = tmp_path_factory.mktemp("idx")
+    img, lab = folder / "img", folder / "lab"
+    img.write_bytes(images)
+    lab.write_bytes(labels)
+    try:
+        idx = load_idx(img)
+        assert idx.data.size == math.prod(idx.dims)
+        x, y = load_idx_pair(img, lab)
+    except SpikeclError:
+        return
+    assert x.shape[0] == y.shape[0] == idx.dims[0]
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spikecl.errors import ContractViolation
 from spikecl.metrics import (
     MetricsRecord,
-    accuracy_from_logits,
     aggregate_summary,
     emit_results,
     incremental_accuracy,
@@ -14,6 +13,8 @@ from spikecl.metrics import (
     report_table,
     write_summary,
 )
+
+from oracles import accuracy_from_logits
 
 
 class TestAccuracy:

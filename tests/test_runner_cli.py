@@ -1,15 +1,20 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikecl.cli import main as cli_main
 from spikecl.continual import StrategyConfig
 from spikecl.data import DriftSpec
-from spikecl.errors import ConfigurationError
+from spikecl.errors import ConfigurationError, SpikeclError
 from spikecl.metrics import parse_results
 from spikecl.rng import RngStream
 from spikecl.runner import (
@@ -19,6 +24,7 @@ from spikecl.runner import (
     build_stream,
     config_from_dict,
     evaluate_task,
+    load_config,
     run_experiment,
     run_seed,
 )
@@ -65,8 +71,6 @@ class TestConfig:
         }
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))
-        from spikecl.runner import load_config
-
         cfg = load_config(path)
         assert cfg.strategy.name == "hwc-hard"
         assert cfg.strategy.hwc_threshold_rel == 0.05
@@ -194,6 +198,73 @@ class TestCli:
         assert {r.seed for r in records} == {9}
 
 
+def _fields(cls, prefix=()):
+    """(path, annotation) of every leaf field of RunConfig, sections included."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _fields(hints[f.name], prefix + (f.name,))
+        else:
+            yield prefix + (f.name,), hints[f.name]
+
+
+_LEAF_FIELDS = sorted(_fields(RunConfig))
+# values of the wrong type for each annotation; a float field takes an int
+_WRONG = {
+    int: ["7", 7.5, True, [7], {}],
+    float: ["0.5", False, [0.5], {}],
+    str: [3, True, ["a"], {}],
+    bool: [1, "true", [True], {}],
+    list: [5, "a", 1.5, {}],
+}
+
+
+def _wrong_values(hint):
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = [a for a in args if a is not type(None)]
+    kind = list if hint is list or typing.get_origin(hint) is list else hint
+    return _WRONG[kind] + ([] if optional else [None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_LEAF_FIELDS), st.data())
+def test_wrongly_typed_field_is_a_configuration_error_naming_it(field, data):
+    path, hint = field
+    value = data.draw(st.sampled_from(_wrong_values(hint)))
+    raw = value
+    for key in reversed(path):
+        raw = {key: raw}
+    with pytest.raises(ConfigurationError, match=re.escape(".".join(("config",) + path) + " must be")):
+        config_from_dict(raw)
+
+
+_SECTION_KEYS = sorted({path[-1] for path, _ in _LEAF_FIELDS if len(path) == 2})
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_YAML_DOCS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]) | st.text(max_size=6),
+    _VALUES | st.dictionaries(st.sampled_from(_SECTION_KEYS), _VALUES, max_size=3),
+    max_size=4,
+).map(lambda doc: yaml.safe_dump(doc).encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80) | _YAML_DOCS | _YAML_DOCS.flatmap(lambda b: st.binary(max_size=4).map(lambda x: b[: len(b) // 2] + x)))
+def test_config_reader_parses_or_raises_spikecl_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.yaml"
+    path.write_bytes(blob)
+    try:
+        config = load_config(path)
+    except SpikeclError:
+        return
+    assert isinstance(config, RunConfig)
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -204,8 +275,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
         "strategy: hwc-hard\n",  # a section that is not a mapping
         "hidden: [64, 64\n",  # unclosed flow sequence: a YAML error
         "strategy: {1: a, nam: b}\n",  # unknown section keys of mixed types
+        'batch_size: "x"\n',  # a string for an int field
+        "hidden: 5\n",  # a scalar for a list field
+        'loss: {lam: "a"}\n',  # a string for a section's float field
     ],
-    ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key"],
+    ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key",
+         "int-field-string", "list-field-scalar", "section-float-string"],
 )
 def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     cfg_path = tmp_path / "bad.yaml"

@@ -10,11 +10,13 @@ from spikecl.snn import (
     SpikingNetwork,
     forward,
     init_network,
-    lif_step,
     load_network,
     record_firing_rates,
     save_network,
 )
+from spikecl.train import SurrogateSpec
+
+from oracles import lif_step
 
 
 class TestLifStep:
@@ -22,7 +24,7 @@ class TestLifStep:
         p = LifParams()
         v = np.zeros(4)
         for _ in range(20):
-            v, s = lif_step(v, np.zeros(4), p)
+            v, s, _ = lif_step(v, np.zeros(4), p)
             assert (v == 0).all() and (s == 0).all()
 
     def test_subthreshold_steady_state_never_spikes(self):
@@ -30,7 +32,7 @@ class TestLifStep:
         p = LifParams(decay=0.9, threshold=1.0)
         v = np.zeros(1)
         for _ in range(200):
-            v, s = lif_step(v, np.array([0.05]), p)
+            v, s, _ = lif_step(v, np.array([0.05]), p)
             assert s[0] == 0.0
         assert v[0] == pytest.approx(0.5, abs=1e-6)
 
@@ -41,7 +43,7 @@ class TestLifStep:
         spikes = []
         values = []
         for _ in range(4):
-            v, s = lif_step(v, np.array([0.5]), p)
+            v, s, _ = lif_step(v, np.array([0.5]), p)
             spikes.append(s[0])
             values.append(v[0])
         assert spikes == [0.0, 0.0, 1.0, 0.0]
@@ -52,7 +54,7 @@ class TestLifStep:
 
     def test_zero_reset(self):
         p = LifParams(decay=1.0, threshold=1.0, reset="zero")
-        v, s = lif_step(np.array([0.6]), np.array([0.6]), p)
+        v, s, _ = lif_step(np.array([0.6]), np.array([0.6]), p)
         assert s[0] == 1.0 and v[0] == 0.0
 
     def test_shape_mismatch(self):
@@ -70,6 +72,34 @@ class TestLifStep:
             LifParams(threshold=-1.0)
         with pytest.raises(ContractViolation):
             LifParams(reset="clamp")
+
+
+@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("mode", ["spike", "relaxed"])
+def test_forward_matches_stepped_lif_oracle_bit_for_bit(reset, gated, mode):
+    """``forward`` builds the recurrence in place; stepping the single-step
+    oracle over T on the same currents gives the same bytes."""
+    rng = RngStream(11)
+    lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
+    net = init_network([12, 9, 7], rng.fork("net"), lif=lif, n_heads=2, head_size=3)
+    sur = SurrogateSpec("fast-sigmoid", 1.5) if mode == "relaxed" else None
+    x = rng.fork("x").bernoulli(0.4, (5, 8, 12))
+    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate((9, 7))] if gated else None
+    trace, _ = forward(net, x, task=1, gates=gates, mode=mode, surrogate=sur)
+    B, T, _ = x.shape
+    prev = x
+    for l, w in enumerate(net.weights + [net.heads[1]]):
+        cur = (prev.reshape(B * T, -1) @ w).reshape(B, T, -1)
+        if gated and l < 2:
+            cur = cur * gates[l]
+        v = np.zeros((B, w.shape[1]))
+        spikes, pre_reset = np.empty_like(cur), np.empty_like(cur)
+        for t in range(T):
+            v, spikes[:, t], pre_reset[:, t] = lif_step(v, cur[:, t], net.lif[l], sur)
+        assert spikes.tobytes() == trace.spikes[l + 1].tobytes()
+        assert pre_reset.tobytes() == trace.pre_reset[l].tobytes()
+        prev = spikes
 
 
 def hand_forward_222(weights, x, decay, threshold, reset):

@@ -17,7 +17,7 @@ from spikecl.train import (
     optimizer_step,
 )
 
-from oracles import composite_loss
+from oracles import bptt_oracle, composite_loss
 
 
 class TestSurrogate:
@@ -149,6 +149,31 @@ class TestBackward:
         trace, _ = forward(net, np.zeros((3, 2)))
         with pytest.raises(ContractViolation):
             backward_dlogits(net, trace, np.zeros((5, 2)), SurrogateSpec())
+
+
+@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("shape", ["fast-sigmoid", "boxcar"])
+@pytest.mark.parametrize("mode", ["spike", "relaxed"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("heads", [False, True], ids=["single-head", "multi-head"])
+def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(reset, shape, mode, gated, heads):
+    rng = RngStream(23)
+    lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
+    if heads:
+        net = init_network([14, 11, 9], rng.fork("net"), lif=lif, n_heads=3, head_size=4)
+    else:
+        net = init_network([14, 11, 9, 4], rng.fork("net"), lif=lif)
+    sur = SurrogateSpec(shape, 0.6)
+    x = rng.fork("x").bernoulli(0.4, (6, 7, 14))
+    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate((11, 9))] if gated else None
+    task = 2 if heads else None
+    trace, logits = forward(net, x, task=task, gates=gates, mode=mode, surrogate=sur)
+    dlogits = rng.fork("d").normal(logits.shape)
+    grads = backward_dlogits(net, trace, dlogits, sur)
+    want = bptt_oracle(net, trace, dlogits, sur)
+    assert set(grads) == set(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 class TestOptimizer:

@@ -75,7 +75,8 @@ def serialize_idx(idx: IdxFile) -> bytes:
 
 
 def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a paired image/label set; pixels scaled to [0, 1] by /255."""
+    """Load a paired image/label set: (n, rows*cols) uint8 pixel codes, kept
+    as codes (``encode_batch`` divides them by 255), and int64 labels."""
     img = load_idx(images_path)
     lab = load_idx(labels_path)
     if img.magic != IDX_MAGIC_IMAGES:
@@ -87,8 +88,7 @@ def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             f"image count {img.dims[0]} != label count {lab.dims[0]}"
         )
     n = img.dims[0]
-    features = img.data.reshape(n, math.prod(img.dims[1:])).astype(np.float64) / 255.0
-    return features, lab.data.astype(np.int64)
+    return img.data.reshape(n, math.prod(img.dims[1:])), lab.data.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,10 @@ def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Task:
+    """One task's train and test sets, one feature row per sample. Image
+    rows are uint8 intensity codes, which ``encode_batch`` divides by 255;
+    drift rows are float64 intensities in [0, 1]."""
+
     name: str
     train_x: np.ndarray
     train_y: np.ndarray
@@ -130,10 +134,10 @@ class TaskStream:
         return len(self.tasks)
 
 
-def _balanced_subset(x: np.ndarray, y: np.ndarray, cap: int | None):
-    """First-k-per-class deterministic subset (order preserved)."""
+def _balanced_subset(y: np.ndarray, cap: int | None) -> np.ndarray:
+    """Indices of the first-k-per-class deterministic subset (order preserved)."""
     if cap is None or len(y) <= cap:
-        return x, y
+        return np.arange(len(y))
     classes = np.unique(y)
     per = cap // len(classes)
     keep = np.zeros(len(y), dtype=bool)
@@ -147,7 +151,7 @@ def _balanced_subset(x: np.ndarray, y: np.ndarray, cap: int | None):
             extra -= 1
             if extra == 0:
                 break
-    return x[keep], y[keep]
+    return np.flatnonzero(keep)
 
 
 def build_split_stream(
@@ -166,20 +170,20 @@ def build_split_stream(
         missing = [c for c in pair if c not in present]
         if missing:
             raise ConfigurationError(f"classes {missing} missing from the dataset")
-        tr = np.isin(train_y, pair)
-        te = np.isin(test_y, pair)
+        tr = np.flatnonzero(np.isin(train_y, pair))
+        te = np.flatnonzero(np.isin(test_y, pair))
         remap = {c: i for i, c in enumerate(pair)}
         tr_y = np.array([remap[c] for c in train_y[tr]], dtype=np.int64)
         te_y = np.array([remap[c] for c in test_y[te]], dtype=np.int64)
-        tx, ty = _balanced_subset(train_x[tr], tr_y, train_cap)
-        vx, vy = _balanced_subset(test_x[te], te_y, test_cap)
+        tr_keep = _balanced_subset(tr_y, train_cap)
+        te_keep = _balanced_subset(te_y, test_cap)
         tasks.append(
             Task(
                 name="digits-" + "-".join(str(c) for c in pair),
-                train_x=tx,
-                train_y=ty,
-                test_x=vx,
-                test_y=vy,
+                train_x=train_x[tr[tr_keep]],
+                train_y=tr_y[tr_keep],
+                test_x=test_x[te[te_keep]],
+                test_y=te_y[te_keep],
                 orig_classes=tuple(pair),
                 n_classes=len(pair),
             )
@@ -295,8 +299,9 @@ def _nearest_segment_d2(
 
 
 def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
-    """(n, 784) grayscale digits: jittered affine transforms of the stroke
-    skeleton, rasterized as soft distance fields.
+    """(n, 784) uint8 grayscale digits: jittered affine transforms of the
+    stroke skeleton, rasterized as soft distance fields and rounded to 8-bit
+    intensity codes, as the IDX container stores them.
 
     Distortions (heavy affine jitter, occasional missing strokes, distractor
     marks, brightness spread, speckle) are deliberately strong enough that
@@ -341,8 +346,7 @@ def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
     img *= (0.6 + 0.4 * rng.uniform((n,)))[:, None]
     img += rng.normal(img.shape) * 0.04
     np.clip(img, 0.0, 1.0, out=img)
-    # quantize like the 8-bit container so on-disk and in-memory paths agree
-    return np.round(img * 255.0) / 255.0
+    return np.round(img * 255.0).astype(np.uint8)
 
 
 _CORPUS_CACHE: dict[tuple, tuple] = {}
@@ -353,14 +357,15 @@ def generate_digit_corpus(
     test_per_class: int = 300,
     seed: int = 90210,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic rendered digit dataset (train_x, train_y, test_x, test_y)."""
+    """Deterministic rendered digit dataset (train_x, train_y, test_x, test_y),
+    with uint8 pixel codes like ``load_idx_pair``'s."""
     key = (train_per_class, test_per_class, seed)
     if key in _CORPUS_CACHE:
         return _CORPUS_CACHE[key]
     root = RngStream(seed)
     sets = []
     for split, per in (("train", train_per_class), ("test", test_per_class)):
-        xs = np.empty((10 * per, _CANVAS * _CANVAS))
+        xs = np.empty((10 * per, _CANVAS * _CANVAS), dtype=np.uint8)
         ys = np.empty(10 * per, dtype=np.int64)
         for digit in range(10):
             stream = root.fork(f"{split}/digit{digit}")
@@ -496,12 +501,20 @@ class EncoderSpec:
 
 
 def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None) -> np.ndarray:
-    """Spike trains (B, T, n) for a batch, one contiguous draw block."""
-    f = np.asarray(features, dtype=np.float64)
+    """Spike trains (B, T, n) for a batch, one contiguous draw block.
+
+    uint8 features are 8-bit intensity codes (image pixels), encoded as
+    code / 255; any other features (drift) must be intensities in [0, 1].
+    """
+    f = np.asarray(features)
     if f.ndim != 2:
         raise ContractViolation("batch features must be 2-D")
-    if not np.all((f >= 0.0) & (f <= 1.0)):
-        raise ContractViolation("features must lie in [0, 1]")
+    if f.dtype == np.uint8:
+        f = f / 255.0
+    else:
+        f = f.astype(np.float64, copy=False)
+        if not np.all((f >= 0.0) & (f <= 1.0)):
+            raise ContractViolation("features must lie in [0, 1]")
     B, n = f.shape
     if spec.kind == "direct-repeat":
         rows = (f >= 0.5).astype(np.float64)

@@ -73,26 +73,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of softmax(logits) against a class index.
-
-    Returns ``(loss, probs)`` with ``loss = -log probs[label] >= 0``,
-    computed as ``logsumexp(z - max) - (z[label] - max)``.
-    """
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if z.size == 0:
-        raise ContractViolation("empty logits")
-    if not (0 <= int(label) < z.size):
-        raise ContractViolation(f"label {label} out of range for {z.size} classes")
-    require_finite(z, "logits")
-    m = z.max()
-    shifted = z - m
-    lse = float(np.log(np.exp(shifted).sum()))
-    loss = lse - float(shifted[int(label)])
-    probs = np.exp(shifted - lse)
-    return loss, probs
-
-
 def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch; returns (mean loss, probs (B, K))."""
     z = np.asarray(logits, dtype=np.float64)

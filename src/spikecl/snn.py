@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_bundle, write_bundle
-from .errors import ContractViolation
+from .errors import ContractViolation, FormatError
 from .rng import RngStream
 
 RESET_MODES = ("subtract", "zero")
@@ -158,7 +158,6 @@ class ForwardTrace:
     task: int | None
     gates: list[np.ndarray] | None
     mode: str
-    batched: bool
 
     @property
     def timesteps(self) -> int:
@@ -251,7 +250,7 @@ def forward(
         spikes.append(s)
         pre_reset.append(u)
     logits = spikes[-1].sum(axis=1)
-    trace = ForwardTrace(spikes, pre_reset, task, gates, mode, batched)
+    trace = ForwardTrace(spikes, pre_reset, task, gates, mode)
     if not batched:
         logits = logits[0]
     return trace, logits
@@ -291,12 +290,42 @@ def save_network(path, net: SpikingNetwork) -> None:
     write_bundle(path, meta, arrays)
 
 
+_CHECKPOINT_KEYS = ("layer_sizes", "lif", "n_heads", "head_size")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_network(path) -> SpikingNetwork:
+    """Read a checkpoint; malformed metadata or arrays raise a ``SpikeclError``."""
     meta, arrays = read_bundle(path)
+    if not isinstance(meta, dict):
+        raise FormatError(f"checkpoint metadata is a {type(meta).__name__}, not an object")
     if meta.get("kind") != "network-checkpoint":
         raise ContractViolation(f"not a network checkpoint: {meta.get('kind')!r}")
-    n_heads = meta["n_heads"]
-    weights = [arrays[f"w{l}"] for l in range(len(meta["layer_sizes"]) - 1)]
+    missing = [k for k in _CHECKPOINT_KEYS if k not in meta]
+    if missing:
+        raise FormatError(f"checkpoint metadata lacks {missing}")
+    sizes, lif, n_heads, head_size = (meta[k] for k in _CHECKPOINT_KEYS)
+    if not (isinstance(sizes, list) and all(_is_int(s) for s in sizes)):
+        raise FormatError("checkpoint layer_sizes must be a list of integers")
+    # each head is an array, so a larger count is malformed and names none
+    if not (_is_int(n_heads) and 0 <= n_heads <= len(arrays)):
+        raise FormatError(f"checkpoint n_heads must be an integer in [0, {len(arrays)}]")
+    if not (head_size is None or _is_int(head_size)):
+        raise FormatError("checkpoint head_size must be an integer or null")
+    lif_ok = isinstance(lif, list) and all(
+        isinstance(p, list) and len(p) == 3 and all(isinstance(v, (int, float)) for v in p[:2])
+        for p in lif
+    )
+    if not lif_ok:
+        raise FormatError("checkpoint lif must be a list of [decay, threshold, reset] triples")
+    names = [f"w{l}" for l in range(len(sizes) - 1)] + [f"head{t}" for t in range(n_heads)]
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise FormatError(f"checkpoint lacks weight arrays {missing}")
+    weights = [arrays[f"w{l}"] for l in range(len(sizes) - 1)]
     heads = [arrays[f"head{t}"] for t in range(n_heads)] if n_heads else None
-    lifs = [LifParams(decay, thr, reset) for decay, thr, reset in meta["lif"]]
-    return SpikingNetwork(meta["layer_sizes"], weights, lifs, heads, meta["head_size"])
+    lifs = [LifParams(decay, thr, reset) for decay, thr, reset in lif]
+    return SpikingNetwork(sizes, weights, lifs, heads, head_size)

@@ -7,9 +7,29 @@ import numpy as np
 
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile, serialize_idx
 from spikecl.errors import ContractViolation
-from spikecl.numerics import require_finite, softmax_cross_entropy
+from spikecl.numerics import require_finite
 from spikecl.rng import RngStream
 from spikecl.snn import LifParams
+
+
+def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of softmax(logits) against a class index.
+
+    Returns ``(loss, probs)`` with ``loss = -log probs[label] >= 0``,
+    computed as ``logsumexp(z - max) - (z[label] - max)``.
+    """
+    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    if z.size == 0:
+        raise ContractViolation("empty logits")
+    if not (0 <= int(label) < z.size):
+        raise ContractViolation(f"label {label} out of range for {z.size} classes")
+    require_finite(z, "logits")
+    m = z.max()
+    shifted = z - m
+    lse = float(np.log(np.exp(shifted).sum()))
+    loss = lse - float(shifted[int(label)])
+    probs = np.exp(shifted - lse)
+    return loss, probs
 
 
 def composite_loss(y: int, yhat_enn, yhat_inn, yhat_sim, spec) -> float:

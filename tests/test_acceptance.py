@@ -42,7 +42,7 @@ from spikecl.data import (
 )
 from spikecl.errors import ConstraintViolation, ProtocolError, TransportError
 from spikecl.metrics import incremental_accuracy, parse_results
-from spikecl.numerics import softmax_cross_entropy, softmax_cross_entropy_batch
+from spikecl.numerics import softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from spikecl.runner import (
     RunConfig,
@@ -57,7 +57,7 @@ from spikecl.runner import (
 from spikecl.snn import forward, init_network
 from spikecl.train import LossSpec, SurrogateSpec, backward
 
-from oracles import composite_loss
+from oracles import composite_loss, softmax_cross_entropy
 
 SEEDS = (1, 2, 3)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spikecl.data as data_mod
 from spikecl.data import (
@@ -53,7 +55,11 @@ class TestIdx:
         img.write_bytes(make_image_bytes(1, 2, 2, [0, 128, 200, 255]))
         lab.write_bytes(make_label_bytes([7]))
         x, y = load_idx_pair(img, lab)
-        assert np.allclose(x[0], np.array([0, 128, 200, 255]) / 255.0)
+        assert x.dtype == np.uint8 and x.tolist() == [[0, 128, 200, 255]]
+        # the encoder turns the codes into the intensities code / 255
+        spec = EncoderSpec(timesteps=8, max_rate=0.7)
+        want = encode_batch(np.array([[0, 128, 200, 255]]) / 255.0, spec, RngStream(1))
+        assert encode_batch(x, spec, RngStream(1)).tobytes() == want.tobytes()
         assert y.tolist() == [7]
 
     def test_count_mismatch(self, tmp_path):
@@ -133,6 +139,22 @@ def corpus():
 
 
 class TestSplitStream:
+
+    def test_tasks_hold_the_uint8_codes_of_their_rows(self):
+        from spikecl.runner import RunConfig, build_stream
+
+        cfg = RunConfig(corpus_train_per_class=12, corpus_test_per_class=6, train_cap=20, test_cap=None)
+        stream = build_stream(cfg)
+        corpus_x, corpus_y, test_x, test_y = generate_digit_corpus(12, 6, seed=cfg.data_seed)
+        for t in stream.tasks:
+            assert t.train_x.dtype == t.test_x.dtype == np.uint8
+            assert t.train_x.nbytes == len(t.train_y) * 784 == 20 * 784
+            assert t.test_x.nbytes == len(t.test_y) * 784 == 12 * 784
+            # the first 10 rows of each class, in corpus order
+            rows = np.flatnonzero(np.isin(corpus_y, t.orig_classes))
+            keep = np.sort(np.concatenate([rows[corpus_y[rows] == c][:10] for c in t.orig_classes]))
+            assert np.array_equal(t.train_x, corpus_x[keep])
+            assert np.array_equal(t.test_x, test_x[np.isin(test_y, t.orig_classes)])
 
     def test_default_pairing_task3_is_4_and_5(self, corpus):
         stream = build_split_stream(*corpus)
@@ -237,14 +259,15 @@ class TestDigitCorpus:
     def test_renderer_matches_segment_loop_oracle(self, digit, seed):
         got = data_mod._render_digits(digit, 64, RngStream(seed).fork(f"d{digit}"))
         want = _render_digits_oracle(digit, 64, RngStream(seed).fork(f"d{digit}"))
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == np.uint8
+        assert (got / 255.0).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 257])
     def test_renderer_matches_oracle_at_edge_sizes(self, n):
         got = data_mod._render_digits(8, n, RngStream(11))
         want = _render_digits_oracle(8, n, RngStream(11))
-        assert got.shape == (n, 784)
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == (n, 784) and got.dtype == np.uint8
+        assert (got / 255.0).tobytes() == want.tobytes()
 
     def test_distance_field_matches_oracle_bit_for_bit(self):
         # the 8-bit quantization hides most last-bit changes, so compare the
@@ -293,18 +316,42 @@ class TestDigitCorpus:
 
     def test_range_and_classes(self):
         train_x, train_y, test_x, test_y = generate_digit_corpus(12, 4, seed=3)
-        assert train_x.min() >= 0.0 and train_x.max() <= 1.0
+        assert train_x.dtype == test_x.dtype == np.uint8
+        intensity = train_x / 255.0
+        assert intensity.min() >= 0.0 and intensity.max() <= 1.0
         assert sorted(np.unique(train_y)) == list(range(10))
         assert len(train_y) == 120 and len(test_y) == 40
 
     def test_idx_packaging_round_trip(self, tmp_path):
         train_x, train_y, _, _ = generate_digit_corpus(5, 2, seed=4)
-        img, lab = corpus_to_idx(train_x, train_y)
+        img, lab = corpus_to_idx(train_x / 255.0, train_y)
         write_idx(tmp_path / "img", img)
         write_idx(tmp_path / "lab", lab)
         x, y = load_idx_pair(tmp_path / "img", tmp_path / "lab")
-        assert np.array_equal(x, train_x)  # corpus is 8-bit quantized already
+        assert x.dtype == np.uint8
+        assert np.array_equal(x, train_x)  # both hold the same 8-bit codes
         assert np.array_equal(y, train_y)
+
+    @pytest.mark.parametrize(
+        "train, test, digest",
+        [
+            (120, 30, "cbaf7d6264541d87482a6f8674dba07aa6ad6b303aca28584a024c1d703652ec"),
+            (240, 30, "8059fe684e0b04a426a9c7f4be048641b4706461ccb46b95bc786b03de2b8a47"),
+        ],
+    )
+    def test_corpus_equals_the_float_corpus_it_replaced(self, train, test, digest):
+        # sha256 of (train_x, train_y, test_x, test_y) as the corpus was
+        # stored before it held uint8 codes: float64 intensities code / 255.
+        # These are the benchmark's split-hwc and split-chip corpora. Pinned
+        # on x86-64 with numpy 2.4 (np.sin/np.cos may differ in the last bit
+        # elsewhere; the oracle tests above do not depend on the machine).
+        corpus = generate_digit_corpus(train, test, seed=90210)
+        h = hashlib.sha256()
+        for x, y in (corpus[:2], corpus[2:]):
+            assert x.dtype == np.uint8
+            h.update((x / 255.0).tobytes())
+            h.update(y.tobytes())
+        assert h.hexdigest() == digest
 
 
 _RENDER_AND_ENCODE = """
@@ -449,6 +496,19 @@ class TestEncode:
         ref = RngStream(2)
         assert enc.tobytes() == ref.bernoulli(np.ascontiguousarray(p), (3, 6, 5)).tobytes()
         assert stream._counter == ref._counter == 3 * 6 * 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        codes=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)),
+        kind=st.sampled_from(["rate-poisson", "direct-repeat"]),
+        max_rate=st.sampled_from([1.0, 0.5, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_codes_encode_as_their_intensities(self, codes, kind, max_rate, seed):
+        spec = EncoderSpec(kind=kind, timesteps=5, max_rate=max_rate)
+        got = encode_batch(codes, spec, RngStream(seed))
+        want = encode_batch(codes / 255.0, spec, RngStream(seed))
+        assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ContractViolation):

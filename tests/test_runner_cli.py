@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecl.cli import main as cli_main
+from spikecl.container import write_bundle
 from spikecl.continual import StrategyConfig
 from spikecl.data import DriftSpec
 from spikecl.errors import ConfigurationError, SpikeclError
@@ -295,6 +296,24 @@ def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConfigurationError: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{"kind": "network-checkpoint"}, ["network-checkpoint"]],
+    ids=["no-network-keys", "json-list"],
+)
+def test_malformed_checkpoint_metadata_exits_2_with_one_error_line(tmp_path, meta):
+    path = tmp_path / "bad.ckpt"
+    write_bundle(path, meta, {})
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikecl.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spikecl-error: FormatError: ")
 
 
 class TestConfigExtras:

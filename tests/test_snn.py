@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ContractViolation
+from spikecl.chip import validate_constraints
+from spikecl.container import read_bundle, write_bundle
+from spikecl.errors import ContractViolation, SpikeclError
 from spikecl.rng import RngStream
 from spikecl.snn import (
     LifParams,
@@ -262,6 +264,40 @@ class TestCheckpoint:
         save_network(p1, net)
         save_network(p2, net)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(["kind", "layer_sizes", "lif", "n_heads", "head_size"]),
+    value=_JSON_VALUES,
+    drop_key=st.booleans(),
+    drop_array=st.sampled_from([None, "w0", "head1"]),
+    whole=st.none() | _JSON_VALUES,
+)
+def test_load_network_loads_or_raises_spikecl_errors(tmp_path_factory, key, value, drop_key, drop_array, whole):
+    # a checkpoint with one metadata value replaced or removed, one weight
+    # array removed, or metadata that is any JSON value, must load or raise
+    # a SpikeclError, and a loaded one must go through the chip check
+    path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+    save_network(path, init_network([4, 3], RngStream(1), n_heads=2, head_size=2))
+    meta, arrays = read_bundle(path)
+    if drop_key:
+        del meta[key]
+    else:
+        meta[key] = value
+    arrays.pop(drop_array, None)
+    write_bundle(path, meta if whole is None else whole, arrays)
+    try:
+        validate_constraints(load_network(path))
+    except SpikeclError:
+        pass
 
 
 def test_network_shape_validation():

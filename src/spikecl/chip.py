@@ -244,7 +244,7 @@ def validate_constraints(
     return violations
 
 
-def _exact_float_weights(image: ConfigImage) -> list[np.ndarray]:
+def exact_float_weights(image: ConfigImage) -> list[np.ndarray]:
     """The image's integer weights as float64 copies for ``_integer_layer_counts``.
 
     Raises ``ContractViolation`` for non-integer weights, and for weights
@@ -272,7 +272,7 @@ def _integer_layer_counts(
 
     ``input_spikes`` is (B, T, n_in) or (T, n_in) with 0/1 entries. This is
     the single integer core backing both the protocol machine and batched
-    twin evaluation. ``weights`` is ``_exact_float_weights(image)``, made
+    twin evaluation. ``weights`` is ``exact_float_weights(image)``, made
     here when not given; the chip keeps its copy from the upload.
 
     The accumulate ``spikes @ Q`` runs as a float64 BLAS matmul on the
@@ -288,7 +288,7 @@ def _integer_layer_counts(
     if not np.all((x == 0) | (x == 1)):
         raise ContractViolation("chip input spikes must be binary")
     if weights is None:
-        weights = _exact_float_weights(image)
+        weights = exact_float_weights(image)
     spikes = x.astype(np.float64)
     B, T, _ = spikes.shape
     shift = image.leak_shift
@@ -311,9 +311,14 @@ def _integer_layer_counts(
     return counts
 
 
-def chip_twin_counts(image: ConfigImage, input_spikes: np.ndarray) -> np.ndarray:
-    """Final-layer spike counts of the externally evaluated quantized twin."""
-    return _integer_layer_counts(image, input_spikes)[-1]
+def chip_twin_counts(
+    image: ConfigImage, input_spikes: np.ndarray, weights: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Final-layer spike counts of the externally evaluated quantized twin.
+
+    ``weights`` is ``exact_float_weights(image)``, made here when not given.
+    """
+    return _integer_layer_counts(image, input_spikes, weights)[-1]
 
 
 @dataclass
@@ -342,7 +347,7 @@ def upload_config(chip: ChipModel, data: bytes | ConfigImage) -> ChipModel:
     violations = validate_constraints(image, chip.constraints)
     if violations:
         raise ConstraintViolation("; ".join(violations))
-    weights = _exact_float_weights(image)
+    weights = exact_float_weights(image)
     chip.image = image
     chip.weights = weights
     chip.readout = [np.zeros(q.shape[1], dtype=np.int64) for q in image.quantized]

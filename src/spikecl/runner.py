@@ -35,6 +35,7 @@ from .chip import (
     ConfigImage,
     QuantSpec,
     chip_twin_counts,
+    exact_float_weights,
     quantize_network,
     twin_loss,
     upload_weights,
@@ -118,6 +119,18 @@ class RunConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigurationError("dropout must be in [0, 1)")
+        if any(cap is not None and cap < 1 for cap in (self.train_cap, self.test_cap)):
+            raise ConfigurationError("train_cap and test_cap must be >= 1 or null")
+        if min(self.corpus_train_per_class, self.corpus_test_per_class) < 1:
+            raise ConfigurationError("corpus sizes per class must be >= 1")
+        if any(n < 1 for n in self.hidden):
+            raise ConfigurationError(f"hidden layer sizes must be >= 1, got {self.hidden}")
+        for pair in self.split_pairs or ():
+            if not (
+                isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
+                and all(type(d) is int and 0 <= d <= 9 for d in pair)
+            ):
+                raise ConfigurationError(f"split pair {pair!r} is not two distinct digits")
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
@@ -430,24 +443,34 @@ def evaluate_task(
 
     Task identity selects the head and gates in task-incremental runs and is
     withheld (single shared head) in domain-incremental runs.
+
+    Each ``chunk`` of test samples is encoded from its own named fork, then
+    simulated in ``config.batch_size`` slices, so no trace larger than a
+    training batch's is ever live. The chip's pass is exact integer
+    arithmetic, so slicing changes none of its counts. A float slice of 16
+    samples at T = 10 is 160 rows, whole BLAS kernel blocks, so each sample
+    gets the bits of one pass over the chunk (see ``snn.forward``).
     """
     task = stream.tasks[eval_idx]
     head = _head_for(net, eval_idx)
     gates = strategy.eval_gates(eval_idx + 1, trained_idx + 1, net)
-    image = quantize_network(net, config.quant, task=head) if config.chip else None
-    correct, total = 0, 0
+    if config.chip:
+        image = quantize_network(net, config.quant, task=head)
+        weights = exact_float_weights(image)
+    correct = 0
     for ci, start in enumerate(range(0, len(task.test_y), chunk)):
         x = task.test_x[start : start + chunk]
         y = task.test_y[start : start + chunk]
         enc = run_rng.fork(f"eval/after{trained_idx}/task{eval_idx}/chunk{ci}")
         x_enc = encode_batch(x, config.encoder, enc)
-        if config.chip:
-            logits = chip_twin_counts(image, x_enc).astype(np.float64)
-        else:
-            _, logits = forward(net, x_enc, task=head, gates=gates)
-        correct += int((np.atleast_2d(logits).argmax(axis=1) == y).sum())
-        total += len(y)
-    return correct / total
+        for b in range(0, len(y), config.batch_size):
+            rows = slice(b, b + config.batch_size)
+            if config.chip:
+                logits = chip_twin_counts(image, x_enc[rows], weights)
+            else:  # keep only the logits, so no trace outlives its slice
+                logits = forward(net, x_enc[rows], task=head, gates=gates)[1]
+            correct += int((logits.argmax(axis=1) == y[rows]).sum())
+    return correct / len(task.test_y)
 
 
 # ---------------------------------------------------------------------------

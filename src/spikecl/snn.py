@@ -150,7 +150,9 @@ class ForwardTrace:
 
     Per layer (index 0 is the input layer): spikes (B, T, n). For non-input
     layers additionally the pre-reset potentials ``u``; the post-reset
-    membrane potential follows from ``u`` and the spikes.
+    membrane potential follows from ``u`` and the spikes. Each ``u`` is a
+    (B, T, n) view of the time-major (T, B, n) storage the recurrence ran
+    on; ``u.transpose(1, 0, 2)`` gives that storage back without a copy.
     """
 
     spikes: list[np.ndarray]
@@ -167,17 +169,18 @@ class ForwardTrace:
 def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
     """Run the membrane recurrence over time for one layer, in place.
 
-    ``currents`` is (B, T, n) and is overwritten with the pre-reset
-    potentials u_t = decay*v_{t-1} + I_t. Returns (spikes, currents). In
-    relaxed mode the hard threshold is replaced by the surrogate's smooth
-    activation (and reset uses that real-valued output). Every step runs the
-    same IEEE operations as the textbook update, so the bits match it.
+    ``currents`` is time-major (T, B, n), so each step reads and writes
+    contiguous (B, n) slices; it is overwritten with the pre-reset
+    potentials u_t = decay*v_{t-1} + I_t. Returns (spikes, currents), the
+    spikes copied into (B, T, n) order. In relaxed mode the hard threshold
+    is replaced by the surrogate's smooth activation (and reset uses that
+    real-valued output). Every step runs the same IEEE operations as the
+    textbook update, so the bits match it.
     """
-    B, T, n = currents.shape
+    T, B, n = currents.shape
     s_all = np.empty_like(currents)
     v = np.zeros((B, n))
-    for t in range(T):
-        u, s = currents[:, t, :], s_all[:, t, :]
+    for u, s in zip(currents, s_all):
         v *= p.decay
         u += v
         if mode == "spike":
@@ -190,7 +193,7 @@ def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
         else:
             np.subtract(1.0, s, out=v)
             v *= u
-    return s_all, currents
+    return np.ascontiguousarray(s_all.transpose(1, 0, 2)), currents
 
 
 def forward(
@@ -207,6 +210,16 @@ def forward(
     batch. ``gates`` optionally silences hidden units (one 0/1 vector per
     hidden layer, multiplied into that layer's input current). Multi-head
     networks require ``task``. Read-only on the network.
+
+    The recurrence runs on time-major (T, B, n) storage, so every step
+    works on contiguous (B, n) slices. Every product still multiplies rows
+    in (b, t) order and is copied into that storage transposed: a BLAS
+    kernel computes each output row from its own input row, but it may sum
+    the rows of its last, partial block in another order (on x86-64 OpenBLAS
+    a 2-wide head at an odd batch does), so a row's bits can depend on its
+    position. In that order a batch simulated in slices gives each sample
+    the bits of one pass over the whole batch when a slice's B*T rows fill
+    whole kernel blocks, as the 160 rows of 16 samples at T = 10 do.
     """
     x = np.asarray(input_spikes, dtype=np.float64)
     batched = x.ndim == 3
@@ -242,13 +255,13 @@ def forward(
     spikes = [x]
     pre_reset: list[np.ndarray] = []
     for l, w in enumerate(matrices):
-        prev = spikes[-1]
-        cur = (prev.reshape(B * T, -1) @ w).reshape(B, T, -1)
+        cur = np.empty((T, B, w.shape[1]))
+        cur.transpose(1, 0, 2)[...] = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
         if gates is not None and l < n_hidden:
             cur *= gates[l]
         s, u = _layer_dynamics(cur, net.lif[l], mode, surrogate)
         spikes.append(s)
-        pre_reset.append(u)
+        pre_reset.append(u.transpose(1, 0, 2))
     logits = spikes[-1].sum(axis=1)
     trace = ForwardTrace(spikes, pre_reset, task, gates, mode)
     if not batched:

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import (
-    cross_entropy_grad,
-    require_finite,
-    softmax,
-    softmax_cross_entropy_batch,
-)
+from .numerics import require_finite, softmax
 from .snn import ForwardTrace, SpikingNetwork
 
 SURROGATE_SHAPES = ("fast-sigmoid", "boxcar")
@@ -133,6 +128,10 @@ def backward_layers(
     sample b is ``prev[b].T @ du[b]``; the batch gradient sums that over b.
     ``du`` also feeds the next layer down, so consumers must not write to
     it. In multi-head mode only the head active in ``trace`` appears.
+
+    The recurrence steps over contiguous (B, n) slices of time-major
+    (T, B, n) storage, like the forward's (see ``snn.forward``); ``du`` is
+    then copied into (b, t) order, in which every product is formed.
     """
     matrices = list(net.weights)
     names = [f"w{l}" for l in range(len(net.weights))]
@@ -147,36 +146,37 @@ def backward_layers(
     if d.shape != (B, net.n_outputs()):
         raise ContractViolation(f"dlogits shape {d.shape} does not match trace")
 
-    ds_next: np.ndarray | None = None  # dL/ds of the layer below, all timesteps
+    ds_next: np.ndarray | None = None  # dL/ds of the layer below, (T, B, n) view
     for l in range(L - 1, -1, -1):
         p = net.lif[l]
-        u = trace.pre_reset[l]
-        s = trace.spikes[l + 1]
-        ds = np.broadcast_to(d[:, None, :], s.shape) if l == L - 1 else ds_next
+        u = trace.pre_reset[l].transpose(1, 0, 2)
+        ds = np.broadcast_to(d, u.shape) if l == L - 1 else ds_next
         # du_t = ds_t*sd_t + dv*dv_du_t with dv = decay*du_{t+1}: form the
         # first product for every step at once, then add the recurrence.
         sd = np.subtract(u, p.threshold)
         surrogate.pseudo_derivative(sd, out=sd)
-        du = np.multiply(ds, sd)
+        du = np.multiply(ds, sd, out=np.empty(u.shape))
         if p.reset == "subtract":  # dv_du = 1 - threshold*sd, over sd
             sd *= p.threshold
             dv_du = np.subtract(1.0, sd, out=sd)
         else:  # dv_du = (1 - s) - u*sd
             sd *= u
-            dv_du = np.subtract(1.0, s)
+            s = trace.spikes[l + 1].transpose(1, 0, 2)
+            dv_du = np.subtract(1.0, s, out=np.empty(u.shape))
             dv_du -= sd
         dv = np.zeros((B, u.shape[2]))
         for t in range(T - 1, -1, -1):
-            du_t = du[:, t, :]
-            dv *= dv_du[:, t, :]
+            du_t = du[t]
+            dv *= dv_du[t]
             du_t += dv
             np.multiply(du_t, p.decay, out=dv)
         if trace.gates is not None and l < L - 1:
             du *= trace.gates[l]
+        du = np.ascontiguousarray(du.transpose(1, 0, 2))
 
         yield names[l], trace.spikes[l], du
         if l > 0:
-            ds_next = (du.reshape(B * T, -1) @ matrices[l].T).reshape(B, T, -1)
+            ds_next = (du.reshape(B * T, -1) @ matrices[l].T).reshape(B, T, -1).transpose(1, 0, 2)
 
 
 def backward_dlogits(
@@ -195,22 +195,6 @@ def backward_dlogits(
         rows = prev.shape[0] * prev.shape[1]
         grads[name] = prev.reshape(rows, -1).T @ du.reshape(rows, -1)
     return grads
-
-
-def backward(
-    net: SpikingNetwork,
-    trace: ForwardTrace,
-    logits: np.ndarray,
-    labels,
-    surrogate: SurrogateSpec,
-) -> dict[str, np.ndarray]:
-    """Gradients of mean softmax cross-entropy w.r.t. every weight matrix."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-        labels = np.asarray([labels])
-    _, probs = softmax_cross_entropy_batch(z, labels)
-    return backward_dlogits(net, trace, cross_entropy_grad(probs, labels), surrogate)
 
 
 # Rows per in-place optimizer block: a (128, 256) float64 block and its

@@ -7,9 +7,23 @@ import numpy as np
 
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile, serialize_idx
 from spikecl.errors import ContractViolation
-from spikecl.numerics import require_finite
+from spikecl.numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from spikecl.snn import LifParams
+from spikecl.train import backward_dlogits
+
+
+# The shipped networks as (layer sizes, head size or None, batch): split
+# digits (784-256-256, one 2-way head per task) at the training batch, at
+# an odd batch (a pooled joint batch splits into per-task batches of any
+# size) and at a larger one, and drift (64-256-256-8, single head) at a
+# 200-sample test day.
+SHIPPED_SHAPES = {
+    "784-256-256-2-B16": ([784, 256, 256], 2, 16),
+    "784-256-256-2-B7": ([784, 256, 256], 2, 7),
+    "784-256-256-2-B60": ([784, 256, 256], 2, 60),
+    "64-256-256-8-B200": ([64, 256, 256, 8], None, 200),
+}
 
 
 def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
@@ -72,6 +86,16 @@ def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surroga
     else:
         v = u * (1.0 - spikes)
     return v, spikes, u
+
+
+def backward(net, trace, logits, labels, surrogate) -> dict[str, np.ndarray]:
+    """Gradients of mean softmax cross-entropy w.r.t. every weight matrix."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim == 1:
+        z = z[None, :]
+        labels = np.asarray([labels])
+    _, probs = softmax_cross_entropy_batch(z, labels)
+    return backward_dlogits(net, trace, cross_entropy_grad(probs, labels), surrogate)
 
 
 def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:

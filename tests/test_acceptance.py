@@ -55,9 +55,9 @@ from spikecl.runner import (
     train_task,
 )
 from spikecl.snn import forward, init_network
-from spikecl.train import LossSpec, SurrogateSpec, backward
+from spikecl.train import LossSpec, SurrogateSpec
 
-from oracles import composite_loss, softmax_cross_entropy
+from oracles import backward, composite_loss, softmax_cross_entropy
 
 SEEDS = (1, 2, 3)
 

@@ -24,7 +24,9 @@ from spikecl.container import read_bundle
 from spikecl.errors import ConfigurationError, ContractViolation
 from spikecl.rng import RngStream
 from spikecl.snn import LifParams, forward, init_network
-from spikecl.train import OptimizerState, SurrogateSpec, backward, optimizer_step
+from spikecl.train import OptimizerState, SurrogateSpec, optimizer_step
+
+from oracles import backward
 
 
 class TestHebbianAccumulation:

@@ -284,6 +284,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
          "int-field-string", "list-field-scalar", "section-float-string"],
 )
 def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
+    _assert_run_is_a_configuration_error(tmp_path, text)
+
+
+def _assert_run_is_a_configuration_error(tmp_path, text):
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text(text)
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -296,6 +300,30 @@ def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConfigurationError: ")
     assert not (tmp_path / "out").exists()
+
+
+# A split run small enough that a config which slips through finishes fast.
+_SMALL_SPLIT = {"corpus_train_per_class": 12, "corpus_test_per_class": 6,
+                "hidden": [16], "epochs_per_task": 1, "seeds": [1]}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"test_cap": 0},
+        {"train_cap": 0},
+        {"corpus_train_per_class": -5},
+        {"corpus_test_per_class": 0},
+        {"hidden": [16, 0]},
+        {"split_pairs": [[0, 0]]},
+        {"split_pairs": [[0]]},
+        {"split_pairs": [[0, 1], [2, 10]]},
+    ],
+    ids=["test-cap-0", "train-cap-0", "corpus-train-negative", "corpus-test-0",
+         "hidden-0", "pair-repeats-a-digit", "pair-of-one", "pair-not-a-digit"],
+)
+def test_out_of_range_size_exits_2_with_one_error_line(tmp_path, override):
+    _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_SPLIT, **override}))
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from spikecl.snn import (
 )
 from spikecl.train import SurrogateSpec
 
-from oracles import lif_step
+from oracles import SHIPPED_SHAPES, lif_step
 
 
 class TestLifStep:
@@ -82,18 +82,37 @@ class TestLifStep:
 def test_forward_matches_stepped_lif_oracle_bit_for_bit(reset, gated, mode):
     """``forward`` builds the recurrence in place; stepping the single-step
     oracle over T on the same currents gives the same bytes."""
+    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, 0.4, reset, gated, mode)
+
+
+@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("mode", ["spike", "relaxed"])
+@pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
+def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, reset, gated, mode):
+    sizes, head_size, batch = SHIPPED_SHAPES[shape]
+    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, 0.2, reset, gated, mode)
+
+
+def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, reset, gated, mode):
+    """The oracle multiplies in (b, t) row order and steps ``lif_step``
+    over t; ``forward``'s spikes, pre-reset potentials and logits must have
+    its bytes."""
     rng = RngStream(11)
     lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
-    net = init_network([12, 9, 7], rng.fork("net"), lif=lif, n_heads=2, head_size=3)
+    n_heads = None if head_size is None else 2
+    net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
+    task = None if head_size is None else 1
     sur = SurrogateSpec("fast-sigmoid", 1.5) if mode == "relaxed" else None
-    x = rng.fork("x").bernoulli(0.4, (5, 8, 12))
-    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate((9, 7))] if gated else None
-    trace, _ = forward(net, x, task=1, gates=gates, mode=mode, surrogate=sur)
-    B, T, _ = x.shape
+    x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
+    hidden = sizes[1:] if head_size is not None else sizes[1:-1]
+    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None
+    trace, logits = forward(net, x, task=task, gates=gates, mode=mode, surrogate=sur)
+    matrices = net.weights + ([] if task is None else [net.heads[task]])
     prev = x
-    for l, w in enumerate(net.weights + [net.heads[1]]):
+    for l, w in enumerate(matrices):
         cur = (prev.reshape(B * T, -1) @ w).reshape(B, T, -1)
-        if gated and l < 2:
+        if gated and l < len(hidden):
             cur = cur * gates[l]
         v = np.zeros((B, w.shape[1]))
         spikes, pre_reset = np.empty_like(cur), np.empty_like(cur)
@@ -102,6 +121,28 @@ def test_forward_matches_stepped_lif_oracle_bit_for_bit(reset, gated, mode):
         assert spikes.tobytes() == trace.spikes[l + 1].tobytes()
         assert pre_reset.tobytes() == trace.pre_reset[l].tobytes()
         prev = spikes
+    assert logits.tobytes() == prev.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["spike", "relaxed"])
+@pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
+def test_forward_in_slices_has_the_bytes_of_one_pass(shape, mode):
+    """A 16-sample slice is 160 rows, whole BLAS kernel blocks, so
+    simulating a batch in 16-sample slices (as evaluation does) gives every
+    sample the bytes of one pass over the whole batch."""
+    sizes, head_size, B = SHIPPED_SHAPES[shape]
+    rng = RngStream(5)
+    n_heads = None if head_size is None else 2
+    net = init_network(sizes, rng.fork("net"), n_heads=n_heads, head_size=head_size)
+    task = None if head_size is None else 0
+    sur = SurrogateSpec() if mode == "relaxed" else None
+    x = rng.fork("x").bernoulli(0.2, (B, 10, sizes[0]))
+    whole, logits = forward(net, x, task=task, mode=mode, surrogate=sur)
+    for b in range(0, B, 16):
+        part, part_logits = forward(net, x[b : b + 16], task=task, mode=mode, surrogate=sur)
+        assert part_logits.tobytes() == logits[b : b + 16].tobytes()
+        for got, want in zip(part.spikes + part.pre_reset, whole.spikes + whole.pre_reset):
+            assert got.tobytes() == want[b : b + 16].tobytes()
 
 
 def hand_forward_222(weights, x, decay, threshold, reset):

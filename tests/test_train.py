@@ -11,13 +11,12 @@ from spikecl.train import (
     LossSpec,
     OptimizerState,
     SurrogateSpec,
-    backward,
     backward_dlogits,
     distillation_loss,
     optimizer_step,
 )
 
-from oracles import bptt_oracle, composite_loss
+from oracles import SHIPPED_SHAPES, backward, bptt_oracle, composite_loss
 
 
 class TestSurrogate:
@@ -157,16 +156,32 @@ class TestBackward:
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("heads", [False, True], ids=["single-head", "multi-head"])
 def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(reset, shape, mode, gated, heads):
+    sizes, head_size = ([14, 11, 9], 4) if heads else ([14, 11, 9, 4], None)
+    _check_bptt_against_oracle(sizes, head_size, 6, 7, 0.4, 0.6, reset, shape, mode, gated)
+
+
+@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("shape", ["fast-sigmoid", "boxcar"])
+@pytest.mark.parametrize("mode", ["spike", "relaxed"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
+def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, reset, shape, mode, gated):
+    sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
+    _check_bptt_against_oracle(sizes, head_size, batch, 10, 0.2, 2.0, reset, shape, mode, gated)
+
+
+def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, reset, shape, mode, gated):
+    """``backward_dlogits`` works in place on time-major storage; the
+    oracle allocates per expression on (B, T, n) arrays. Same bytes."""
     rng = RngStream(23)
     lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
-    if heads:
-        net = init_network([14, 11, 9], rng.fork("net"), lif=lif, n_heads=3, head_size=4)
-    else:
-        net = init_network([14, 11, 9, 4], rng.fork("net"), lif=lif)
-    sur = SurrogateSpec(shape, 0.6)
-    x = rng.fork("x").bernoulli(0.4, (6, 7, 14))
-    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate((11, 9))] if gated else None
-    task = 2 if heads else None
+    n_heads = None if head_size is None else 3
+    net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
+    sur = SurrogateSpec(shape, width)
+    x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
+    hidden = sizes[1:] if head_size is not None else sizes[1:-1]
+    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None
+    task = None if head_size is None else 2
     trace, logits = forward(net, x, task=task, gates=gates, mode=mode, surrogate=sur)
     dlogits = rng.fork("d").normal(logits.shape)
     grads = backward_dlogits(net, trace, dlogits, sur)

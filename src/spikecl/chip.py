@@ -84,9 +84,6 @@ class ConfigImage:
     reset: str
     version: int = 1
 
-    def network_shape(self) -> list[int]:
-        return list(self.layer_sizes)
-
 
 def serialize_image(image: ConfigImage) -> bytes:
     meta = {
@@ -202,15 +199,9 @@ def validate_constraints(
     c = constraints or ChipConstraints()
     violations = []
     if isinstance(subject, SpikingNetwork):
-        sizes = list(subject.layer_sizes)
-        if subject.multi_head:
-            sizes = sizes + [subject.head_size]
-        mats = [w.shape for w in subject.weights]
-        if subject.multi_head:
-            mats = mats + [subject.heads[0].shape]
+        sizes, mats, _ = flatten_for_chip(subject, 0 if subject.multi_head else None)
     else:
-        sizes = subject.network_shape()
-        mats = [q.shape for q in subject.quantized]
+        sizes, mats = subject.layer_sizes, subject.quantized
         if subject.bits not in QUANT_BITS:
             violations.append(f"bit width {subject.bits!r} is not one of {QUANT_BITS}")
         else:
@@ -226,15 +217,13 @@ def validate_constraints(
         violations.append(f"output classes {sizes[-1]} exceed cap {c.max_classes}")
     if len(mats) > c.max_layers:
         violations.append(f"{len(mats)} computing layers exceed cap {c.max_layers}")
-    for l, shape in enumerate(mats):
+    for l, w in enumerate(mats):
         if sizes[l + 1] > c.max_neurons_per_layer:
             violations.append(
                 f"layer {l} has {sizes[l + 1]} neurons, cap {c.max_neurons_per_layer}"
             )
-        if shape[0] * shape[1] > c.max_synapses_per_layer:
-            violations.append(
-                f"layer {l} has {shape[0] * shape[1]} synapses, cap {c.max_synapses_per_layer}"
-            )
+        if w.size > c.max_synapses_per_layer:
+            violations.append(f"layer {l} has {w.size} synapses, cap {c.max_synapses_per_layer}")
     # networks built here are bias-free by construction; foreign images may
     # carry a bias section, which the chip has no storage for
     if extra_arrays:
@@ -270,8 +259,8 @@ def _integer_layer_counts(
 ) -> list[np.ndarray]:
     """Integer LIF pass over all layers; per-layer spike counts (B, n).
 
-    ``input_spikes`` is (B, T, n_in) or (T, n_in) with 0/1 entries. This is
-    the single integer core backing both the protocol machine and batched
+    ``input_spikes`` is a (B, T, n_in) batch of 0/1 entries. This single
+    integer core backs the protocol machine (a batch of one) and batched
     twin evaluation. ``weights`` is ``exact_float_weights(image)``, made
     here when not given; the chip keeps its copy from the upload.
 
@@ -283,8 +272,8 @@ def _integer_layer_counts(
     reset recurrence stays in int64.
     """
     x = np.asarray(input_spikes)
-    if x.ndim == 2:
-        x = x[None]
+    if x.ndim != 3:
+        raise ContractViolation(f"chip input must be a (B, T, n) batch, got {x.shape}")
     if not np.all((x == 0) | (x == 1)):
         raise ContractViolation("chip input spikes must be binary")
     if weights is None:
@@ -314,7 +303,7 @@ def _integer_layer_counts(
 def chip_twin_counts(
     image: ConfigImage, input_spikes: np.ndarray, weights: list[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Final-layer spike counts of the externally evaluated quantized twin.
+    """Final-layer counts (B, K) of the quantized twin on a (B, T, n_in) batch.
 
     ``weights`` is ``exact_float_weights(image)``, made here when not given.
     """
@@ -356,7 +345,7 @@ def upload_config(chip: ChipModel, data: bytes | ConfigImage) -> ChipModel:
 
 
 def chip_forward(chip: ChipModel, input_spikes: np.ndarray) -> None:
-    """Process one input: fills the readout registers and asserts the interrupt."""
+    """Process one (T, n_in) input: fill the readout registers, assert the interrupt."""
     if not chip.configured:
         raise ProtocolError("forward before any config upload")
     if chip.interrupt:
@@ -364,7 +353,7 @@ def chip_forward(chip: ChipModel, input_spikes: np.ndarray) -> None:
     x = np.asarray(input_spikes)
     if x.ndim != 2:
         raise ProtocolError("chip takes one input at a time (T, n_in)")
-    counts = _integer_layer_counts(chip.image, x, chip.weights)
+    counts = _integer_layer_counts(chip.image, x[None], chip.weights)
     chip.readout = [c[0] for c in counts]
     chip.interrupt = True
 
@@ -504,7 +493,7 @@ def twin_loss(
         return spec.mu * (spec.alpha * ce_inn), {}
     sim_net = dequantize_to_network(quantize_network(net, quant_spec, task))
     trace_s, logits_s = forward(sim_net, x_enc)
-    ce_s, probs_s = softmax_cross_entropy_batch(np.atleast_2d(logits_s), labels)
+    ce_s, probs_s = softmax_cross_entropy_batch(logits_s, labels)
     loss = spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
     dlog_s = spec.mu * spec.beta * cross_entropy_grad(probs_s, labels)
     twin_grads = backward_dlogits(sim_net, trace_s, dlog_s, surrogate)

@@ -21,7 +21,7 @@ def _cmd_run(args) -> int:
     if args.profile:
         config = apply_profile(config, args.profile)
     if args.seed:
-        config.seeds = [int(s) for s in args.seed]
+        config.seeds = args.seed
     if args.chip:
         config.chip = True
         if config.loss.mu == 0.0:
@@ -45,7 +45,7 @@ def _cmd_report(args) -> int:
         if os.path.isdir(path):
             path = os.path.join(path, "results.csv")
         records.extend(parse_results(path))
-    table = report_table(records, checkpoints=tuple(args.stage))
+    table = report_table(records, checkpoints=tuple(args.stage or [1, 3, 5]))
     print(table)
     if args.out:
         with open(args.out, "w") as f:
@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("--config", help="YAML config path (defaults apply if omitted)")
-    p_run.add_argument("--seed", action="append", help="run seed (repeatable, overrides config)")
+    p_run.add_argument("--seed", type=int, action="append",
+                       help="run seed (repeatable, overrides config)")
     p_run.add_argument("--chip", action="store_true", help="enable the mentor-learner chip loop")
     p_run.add_argument("--profile", choices=("ci", "full"), help="dataset size profile")
     p_run.add_argument("--output", help="output directory override")
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--stage", type=int, action="append", default=None,
                        help="incremental stages to tabulate (default 1 3 5)")
     p_rep.add_argument("--out", help="also write the table to this file")
-    p_rep.set_defaults(func=_cmd_report, stage_default=(1, 3, 5))
+    p_rep.set_defaults(func=_cmd_report)
 
     p_val = sub.add_parser("validate", help="check a checkpoint against chip constraints")
     p_val.add_argument("checkpoint", help="network checkpoint path")
@@ -101,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "stage", "absent") is None:
-        args.stage = [1, 3, 5]
     try:
         return args.func(args)
     except SpikeclError as exc:

@@ -71,15 +71,14 @@ class HebbianAccumulator:
 def accumulate_hebbian(acc: HebbianAccumulator, pre_rates: np.ndarray, post_rates: np.ndarray) -> HebbianAccumulator:
     """Add sample contributions f_pre (x) f_post to the accumulator.
 
-    Accepts one sample (vectors) or a batch (B, m) / (B, n); the batched
-    path sums samples in index order, bit-identical to adding them one by
+    Takes a batch of rates, (B, m) before and (B, n) after the synapses;
+    samples are summed in index order, bit-identical to adding them one by
     one. ``finalize_hebbian`` divides by the sample count afterwards.
     """
     pre = np.asarray(pre_rates, dtype=np.float64)
     post = np.asarray(post_rates, dtype=np.float64)
-    if pre.ndim == 1:
-        pre = pre[None, :]
-        post = post[None, :]
+    if pre.ndim != 2 or post.ndim != 2:
+        raise ContractViolation("rates must be (B, n) batches")
     for r in (pre, post):
         if not np.all((r >= 0.0) & (r <= 1.0)):
             raise ContractViolation("firing rates must lie in [0, 1]")
@@ -401,7 +400,7 @@ class HwcStrategy(Strategy):
 
     def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
         if ctx.is_final_epoch:
-            rates = record_firing_rates(trace).rates
+            rates = record_firing_rates(trace)
             for name, acc in self._acc.items():
                 l = int(name[1:])
                 accumulate_hebbian(acc, rates[l], rates[l + 1])
@@ -519,10 +518,8 @@ class LwfStrategy(Strategy):
                 trace_h, new_logits = trace, logits
             else:
                 trace_h, new_logits = forward(net, x_enc, task=h)
-            old2 = np.atleast_2d(old_logits)
-            new2 = np.atleast_2d(new_logits)
-            total += strength * distillation_loss(old2, new2, temp)
-            dlog = strength * distillation_grad(old2, new2, temp)
+            total += strength * distillation_loss(old_logits, new_logits, temp)
+            dlog = strength * distillation_grad(old_logits, new_logits, temp)
             for name, g in backward_dlogits(net, trace_h, dlog, self.surrogate).items():
                 grads[name] = grads.get(name, 0.0) + g
         return total, grads
@@ -538,16 +535,9 @@ class XdgStrategy(Strategy):
         self._cache: dict[int, list[np.ndarray]] = {}
         self._last_trained = 1
 
-    def _hidden_sizes(self, net: SpikingNetwork) -> list[int]:
-        if net.multi_head:
-            return list(net.layer_sizes[1:])
-        return list(net.layer_sizes[1:-1])
-
     def gates_for(self, task: int, net: SpikingNetwork) -> list[np.ndarray]:
         if task not in self._cache:
-            self._cache[task] = xdg_gates(
-                self._hidden_sizes(net), task, self.cfg.xdg_fraction, self.seed
-            )
+            self._cache[task] = xdg_gates(net.hidden_sizes(), task, self.cfg.xdg_fraction, self.seed)
         return self._cache[task]
 
     def before_task(self, ctx, net):

@@ -406,8 +406,10 @@ class DriftSpec:
     planes: int | None = None  # random 2-D subspaces under drift; default features // 2
 
     def __post_init__(self):
-        if self.days < 1:
-            raise ContractViolation("days must be >= 1")
+        if min(self.days, self.classes, self.features, self.train_per_day, self.test_per_day) < 1:
+            raise ConfigurationError("drift days, classes, features and per-day sizes must be >= 1")
+        if self.planes is not None and not 0 <= self.planes <= self.features // 2:
+            raise ConfigurationError(f"drift planes {self.planes} outside [0, features // 2]")
 
 
 def _day_rotation(features: int, planes: int, theta: float, rng: RngStream) -> np.ndarray:

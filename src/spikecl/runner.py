@@ -256,10 +256,6 @@ def _head_for(net: SpikingNetwork, task_idx: int) -> int | None:
     return task_idx if net.multi_head else None
 
 
-def _hidden_sizes(net: SpikingNetwork) -> list[int]:
-    return list(net.layer_sizes[1:]) if net.multi_head else list(net.layer_sizes[1:-1])
-
-
 @dataclass
 class MentorState:
     """The learner of one task: the external full-precision network, its
@@ -283,7 +279,7 @@ def _learner(config: RunConfig, net: SpikingNetwork, task: int | None = None) ->
 
 def _add_grads(grads: dict, extra: dict | None) -> None:
     for name, g in (extra or {}).items():
-        grads[name] = grads.get(name, 0.0) + g
+        grads[name] = grads[name] + g if name in grads else g
 
 
 def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
@@ -302,45 +298,42 @@ def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
         gates = strategy.train_gates(ctx, net)
         if config.dropout > 0.0:
             drop_rng = run_rng.fork(f"dropout/{tag}/batch{bi}")
-            masks = [drop_rng.bernoulli(1.0 - config.dropout, (n,)) for n in _hidden_sizes(net)]
+            masks = [drop_rng.bernoulli(1.0 - config.dropout, (n,)) for n in net.hidden_sizes()]
             gates = masks if gates is None else [g * m for g, m in zip(gates, masks)]
         batch = (x_enc, ys[idx], gates)
         yield batch if tids is None else batch + (tids[idx],)
 
 
 def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, chip=None) -> float:
-    """One optimizer step on one batch; returns the batch loss.
+    """One optimizer step on one (B, T, n) batch; returns the batch loss.
 
     ``batch`` is ``(x_enc, labels, gates)``, which trains head
     ``state.task``, or ``(x_enc, labels, gates, tasks)``, a pooled
-    multi-head batch with one task id per sample: one forward and backward
-    per head, each weighted by its share of the batch. The cross-entropy
-    gradient is scaled by ``loss.lam``. With a ``chip``, the chip's term
-    (``chip.twin_loss``) is added, then the strategy's ``batch_loss``
-    (which sees no trace or logits for a pooled batch), and
-    ``grad_transform`` shapes the step.
+    multi-head batch with one task id per sample. One loop runs a forward
+    and backward per head, weighted by its share of the batch (1 when
+    unpooled). The cross-entropy gradient is scaled by ``loss.lam``. With
+    a ``chip``, the chip's term (``chip.twin_loss``) is added, then the
+    strategy's ``batch_loss`` (which sees no trace or logits for a pooled
+    batch), and ``grad_transform`` shapes the step.
     """
     x_enc, labels, gates, *pooled = batch
     net, spec = state.net, state.loss_spec
     labels = np.asarray(labels, dtype=np.int64)
-    if not pooled:
-        trace, logits = forward(net, x_enc, task=state.task, gates=gates)
-        ce, probs = softmax_cross_entropy_batch(np.atleast_2d(logits), labels)
-        dlog = spec.lam * cross_entropy_grad(probs, labels)
-        grads = backward_dlogits(net, trace, dlog, state.surrogate)
-        loss = spec.lam * ce
+    if pooled:
+        heads = [(int(t), pooled[0] == t) for t in np.unique(pooled[0])]
     else:
-        tasks = pooled[0]
+        heads = [(state.task, slice(None))]
+    grads, loss = {}, 0.0
+    for task, rows in heads:
+        y = labels[rows]
+        share = len(y) / len(labels)
+        trace, logits = forward(net, x_enc[rows], task=task, gates=gates)
+        ce, probs = softmax_cross_entropy_batch(logits, y)
+        dlog = spec.lam * cross_entropy_grad(probs, y) * share
+        _add_grads(grads, backward_dlogits(net, trace, dlog, state.surrogate))
+        loss += spec.lam * ce * share
+    if pooled:  # no one head's trace covers the batch
         trace = logits = None
-        grads, loss = {}, 0.0
-        for t in np.unique(tasks):
-            sub = tasks == t
-            share = sub.sum() / len(labels)
-            trace_t, logits_t = forward(net, x_enc[sub], task=int(t), gates=gates)
-            ce, probs = softmax_cross_entropy_batch(np.atleast_2d(logits_t), labels[sub])
-            dlog = spec.lam * cross_entropy_grad(probs, labels[sub]) * share
-            _add_grads(grads, backward_dlogits(net, trace_t, dlog, state.surrogate))
-            loss += spec.lam * ce * share
     if chip is not None:
         chip_loss, chip_grads = twin_loss(
             chip, net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
@@ -494,13 +487,8 @@ def _make_sample_provider(task, config, run_rng, task_idx):
     return provider
 
 
-def run_seed(config: RunConfig, seed: int) -> list[MetricsRecord]:
-    """Train the configured strategy through the whole stream for one seed."""
-    records, _ = _run_seed_full(config, seed)
-    return records
-
-
-def _run_seed_full(config: RunConfig, seed: int):
+def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], SpikingNetwork]:
+    """Train through the whole stream for one seed; returns (records, net)."""
     stream = build_stream(config)
     run_rng = RngStream(seed)
     net = build_network(config, stream, run_rng.fork("init"))
@@ -561,7 +549,7 @@ def run_experiment(config: RunConfig, verbose: bool = True) -> dict:
     for seed in config.seeds:
         if verbose:
             print(f"[spikecl] seed {seed}: {config.strategy.name} on {config.scenario}")
-        records, net = _run_seed_full(config, seed)
+        records, net = run_seed(config, seed)
         all_records.extend(records)
         save_network(os.path.join(config.output_dir, f"checkpoint_seed{seed}.bin"), net)
         if verbose:

@@ -15,7 +15,7 @@ the chip's readout registers latch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,6 +82,10 @@ class SpikingNetwork:
 
     def n_outputs(self) -> int:
         return self.head_size if self.multi_head else self.layer_sizes[-1]
+
+    def hidden_sizes(self) -> list[int]:
+        """Widths of the hidden layers, one per unit-gate vector."""
+        return list(self.layer_sizes[1:] if self.multi_head else self.layer_sizes[1:-1])
 
     def param_names(self) -> list[str]:
         names = [f"w{l}" for l in range(len(self.weights))]
@@ -204,12 +208,12 @@ def forward(
     mode: str = "spike",
     surrogate=None,
 ) -> tuple[ForwardTrace, np.ndarray]:
-    """Simulate the network over T steps; logits are output spike counts.
+    """Simulate a batch over T steps; logits are output spike counts.
 
-    ``input_spikes`` is (T, n_in) for one sample or (B, T, n_in) for a
-    batch. ``gates`` optionally silences hidden units (one 0/1 vector per
-    hidden layer, multiplied into that layer's input current). Multi-head
-    networks require ``task``. Read-only on the network.
+    ``input_spikes`` is a (B, T, n_in) batch; logits are (B, K). ``gates``
+    optionally silences hidden units (one 0/1 vector per hidden layer,
+    multiplied into that layer's input current). Multi-head networks
+    require ``task``. Read-only on the network.
 
     The recurrence runs on time-major (T, B, n) storage, so every step
     works on contiguous (B, n) slices. Every product still multiplies rows
@@ -222,11 +226,8 @@ def forward(
     whole kernel blocks, as the 160 rows of 16 samples at T = 10 do.
     """
     x = np.asarray(input_spikes, dtype=np.float64)
-    batched = x.ndim == 3
-    if not batched:
-        if x.ndim != 2:
-            raise ContractViolation(f"input must be (T, n) or (B, T, n), got {x.shape}")
-        x = x[None, :, :]
+    if x.ndim != 3:
+        raise ContractViolation(f"input must be a (B, T, n) batch, got {x.shape}")
     if x.shape[2] != net.layer_sizes[0]:
         raise ContractViolation(
             f"input width {x.shape[2]} != input layer size {net.layer_sizes[0]}"
@@ -262,29 +263,19 @@ def forward(
         s, u = _layer_dynamics(cur, net.lif[l], mode, surrogate)
         spikes.append(s)
         pre_reset.append(u.transpose(1, 0, 2))
-    logits = spikes[-1].sum(axis=1)
     trace = ForwardTrace(spikes, pre_reset, task, gates, mode)
-    if not batched:
-        logits = logits[0]
-    return trace, logits
+    return trace, spikes[-1].sum(axis=1)
 
 
-@dataclass
-class FiringRates:
-    """Per-layer firing rates f_i = spike count / T, one row per sample."""
-
-    rates: list[np.ndarray] = field(default_factory=list)
-
-
-def record_firing_rates(trace: ForwardTrace) -> FiringRates:
-    """Mean spike rate per neuron over the window, for every layer.
+def record_firing_rates(trace: ForwardTrace) -> list[np.ndarray]:
+    """Per-layer firing rates f_i = spike count / T, (B, n) per layer.
 
     Layer 0 is the input layer, so adjacent entries line up with the weight
     matrix between them.
     """
     if not trace.spikes or trace.timesteps == 0:
         raise ContractViolation("empty trace")
-    return FiringRates([s.mean(axis=1) for s in trace.spikes])
+    return [s.mean(axis=1) for s in trace.spikes]
 
 
 def save_network(path, net: SpikingNetwork) -> None:

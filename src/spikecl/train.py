@@ -91,13 +91,13 @@ class LossSpec:
 def distillation_loss(old_logits, new_logits, temperature: float) -> float:
     """Cross-entropy between temperature-softened old and new distributions.
 
-    Takes one sample's logits (K,) or a batch (B, K); a batch gives the mean
-    of its per-sample losses.
+    Takes equal-shape (B, K) batches of logits and gives the mean of the
+    per-sample losses; one sample is a batch of one.
     """
-    old = np.atleast_2d(np.asarray(old_logits, dtype=np.float64))
-    new = np.atleast_2d(np.asarray(new_logits, dtype=np.float64))
+    old = np.asarray(old_logits, dtype=np.float64)
+    new = np.asarray(new_logits, dtype=np.float64)
     if old.shape != new.shape or old.ndim != 2:
-        raise ContractViolation("logits must be equal-shape (K,) vectors or (B, K) batches")
+        raise ContractViolation("logits must be equal-shape (B, K) batches")
     if not (temperature > 0.0):
         raise ContractViolation("temperature must be > 0")
     p_old = softmax(old / temperature)
@@ -120,7 +120,7 @@ def backward_layers(
     dlogits: np.ndarray,
     surrogate: SurrogateSpec,
 ):
-    """BPTT given the loss gradient at the spike-count logits, layer by layer.
+    """BPTT given the loss gradient (B, K) at the spike-count logits, layer by layer.
 
     Yields ``(name, prev, du)`` from the output layer down: the parameter
     name, that layer's input spikes ``prev`` (B, T, m) and the loss gradient
@@ -141,8 +141,6 @@ def backward_layers(
     L = len(matrices)
     B, T, _ = trace.spikes[0].shape
     d = np.asarray(dlogits, dtype=np.float64)
-    if d.ndim == 1:
-        d = d[None, :]
     if d.shape != (B, net.n_outputs()):
         raise ContractViolation(f"dlogits shape {d.shape} does not match trace")
 

@@ -90,11 +90,7 @@ def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surroga
 
 def backward(net, trace, logits, labels, surrogate) -> dict[str, np.ndarray]:
     """Gradients of mean softmax cross-entropy w.r.t. every weight matrix."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-        labels = np.asarray([labels])
-    _, probs = softmax_cross_entropy_batch(z, labels)
+    _, probs = softmax_cross_entropy_batch(logits, labels)
     return backward_dlogits(net, trace, cross_entropy_grad(probs, labels), surrogate)
 
 

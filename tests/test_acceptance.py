@@ -67,7 +67,7 @@ def announce(criterion: str, ok: bool, detail: str) -> None:
 
 
 def final_incremental(cfg: RunConfig, seed: int, stage: int) -> float:
-    records = run_seed(cfg, seed)
+    records, _ = run_seed(cfg, seed)
     return next(r.acc_incremental for r in records if r.after_task == stage)
 
 

@@ -273,10 +273,7 @@ def hand_integer_222(q0, q1, thr0, thr1, shift, x):
 def int64_layer_counts_oracle(image, input_spikes):
     """Reference integer core with a plain int64 accumulate; the float64
     BLAS core must match it bit for bit."""
-    x = np.asarray(input_spikes)
-    if x.ndim == 2:
-        x = x[None]
-    spikes = x.astype(np.int64)
+    spikes = np.asarray(input_spikes).astype(np.int64)
     B, T, _ = spikes.shape
     counts = []
     for q, thr in zip(image.quantized, image.thresholds):
@@ -318,9 +315,14 @@ class TestIntegerCore:
     def test_blas_core_matches_int64_oracle(self, bits, reset, batched):
         rng = RngStream(1000 + bits)
         image = random_image(rng, [784, 40, 24, 10], bits, reset)
-        shape = (6, 12, 784) if batched else (12, 784)
+        shape = (6, 12, 784) if batched else (1, 12, 784)
         x = (rng.fork("x").uniform(shape) < 0.5).astype(np.float64)
-        got = chip_module._integer_layer_counts(image, x)
+        if batched:
+            got = chip_module._integer_layer_counts(image, x)
+        else:  # one (T, n) input through the protocol machine
+            chip = upload_config(ChipModel(), image)
+            chip_forward(chip, x[0])
+            got = [read_layer_spikes(chip, l)[None] for l in range(3)]
         ref = int64_layer_counts_oracle(image, x)
         assert sum(int(c.sum()) for c in ref) > 0
         for a, b in zip(got, ref):
@@ -340,9 +342,9 @@ class TestIntegerCore:
             scales=[1.0, 1.0], thresholds=[784 * qmax - 1, 1], leak_shift=3, bits=bits,
             reset="subtract",
         )
-        got = chip_module._integer_layer_counts(image, np.ones((1, 784)))
+        got = chip_module._integer_layer_counts(image, np.ones((1, 1, 784)))
         assert got[0].tolist() == [[1, 1, 0]]
-        for a, b in zip(got, int64_layer_counts_oracle(image, np.ones((1, 784)))):
+        for a, b in zip(got, int64_layer_counts_oracle(image, np.ones((1, 1, 784)))):
             assert np.array_equal(a, b)
 
     def test_accumulate_bound_violation_raises(self):
@@ -351,18 +353,18 @@ class TestIntegerCore:
             scales=[1.0], thresholds=[1], leak_shift=3, bits=16, reset="subtract",
         )
         with pytest.raises(ContractViolation, match="2\\*\\*53"):
-            chip_twin_counts(image, np.ones((3, 2)))
+            chip_twin_counts(image, np.ones((1, 3, 2)))
         image.quantized[0][0, 0] = 2**52 - 1  # 2 * (2**52 - 1) < 2**53
         assert np.array_equal(
-            chip_twin_counts(image, np.ones((3, 2))),
-            int64_layer_counts_oracle(image, np.ones((3, 2)))[-1],
+            chip_twin_counts(image, np.ones((1, 3, 2))),
+            int64_layer_counts_oracle(image, np.ones((1, 3, 2)))[-1],
         )
 
     def test_non_integer_weights_raise(self):
         image = quantize_network(small_net(), QuantSpec())
         image.quantized[0] = image.quantized[0].astype(np.float64)
         with pytest.raises(ContractViolation):
-            chip_twin_counts(image, np.ones((3, 2)))
+            chip_twin_counts(image, np.ones((1, 3, 2)))
 
     def test_hand_simulation(self):
         q0 = np.array([[40, -10], [25, 90]], dtype=np.int64)
@@ -397,7 +399,12 @@ class TestIntegerCore:
     def test_non_binary_input_rejected(self):
         image = quantize_network(small_net(), QuantSpec())
         with pytest.raises(ContractViolation):
-            chip_twin_counts(image, np.full((3, 2), 0.5))
+            chip_twin_counts(image, np.full((1, 3, 2), 0.5))
+
+    def test_core_rejects_a_sample_without_a_batch_axis(self):
+        image = quantize_network(small_net(), QuantSpec())
+        with pytest.raises(ContractViolation, match="batch"):
+            chip_module._integer_layer_counts(image, np.ones((3, 2)))
 
     def test_dequantized_twin_topology(self):
         net = small_net()
@@ -536,7 +543,7 @@ class TestMentorLearner:
         probe = (rng.fork("probe").uniform((6, 4)) < 0.5).astype(np.float64)
         chip_forward(chip, probe)
         regs = [read_layer_spikes(chip, l) for l in range(2)]
-        twin = chip_twin_counts(state.twin_image, probe)
+        twin = chip_twin_counts(state.twin_image, probe[None])
         assert np.array_equal(regs[-1], twin[0])
 
     def test_alpha_term_uses_chip_readout(self, monkeypatch):

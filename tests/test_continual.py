@@ -33,20 +33,20 @@ class TestHebbianAccumulation:
     def test_maximum_coincidence(self):
         acc = HebbianAccumulator((2, 2))
         for _ in range(5):
-            accumulate_hebbian(acc, np.ones(2), np.ones(2))
+            accumulate_hebbian(acc, np.ones((1, 2)), np.ones((1, 2)))
         assert np.array_equal(finalize_hebbian(acc), np.ones((2, 2)))
 
     def test_silent_neuron_gives_zero(self):
         acc = HebbianAccumulator((2, 3))
         for _ in range(4):
-            accumulate_hebbian(acc, np.zeros(2), np.array([1.0, 0.5, 0.2]))
+            accumulate_hebbian(acc, np.zeros((1, 2)), np.array([[1.0, 0.5, 0.2]]))
         assert np.array_equal(finalize_hebbian(acc), np.zeros((2, 3)))
 
     def test_two_sample_arithmetic(self):
         # (0.5, 0.4) and (1.0, 0.2): H = (0.2 + 0.2) / 2 = 0.2
         acc = HebbianAccumulator((1, 1))
-        accumulate_hebbian(acc, np.array([0.5]), np.array([0.4]))
-        accumulate_hebbian(acc, np.array([1.0]), np.array([0.2]))
+        accumulate_hebbian(acc, np.array([[0.5]]), np.array([[0.4]]))
+        accumulate_hebbian(acc, np.array([[1.0]]), np.array([[0.2]]))
         assert finalize_hebbian(acc)[0, 0] == pytest.approx(0.2, abs=1e-15)
 
     def test_batched_equals_per_sample_exactly(self):
@@ -57,7 +57,7 @@ class TestHebbianAccumulation:
         accumulate_hebbian(a, pre, post)
         b = HebbianAccumulator((3, 4))
         for i in range(7):
-            accumulate_hebbian(b, pre[i], post[i])
+            accumulate_hebbian(b, pre[i : i + 1], post[i : i + 1])
         assert np.array_equal(a.sums, b.sums)
         assert a.count == b.count
 
@@ -76,7 +76,12 @@ class TestHebbianAccumulation:
     def test_rejects_out_of_range_rates(self):
         acc = HebbianAccumulator((1, 1))
         with pytest.raises(ContractViolation):
-            accumulate_hebbian(acc, np.array([1.2]), np.array([0.5]))
+            accumulate_hebbian(acc, np.array([[1.2]]), np.array([[0.5]]))
+
+    def test_rejects_rates_without_a_batch_axis(self):
+        acc = HebbianAccumulator((2, 2))
+        with pytest.raises(ContractViolation):
+            accumulate_hebbian(acc, np.ones(2), np.ones(2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32), n=st.integers(1, 20))
@@ -217,8 +222,8 @@ class TestEwc:
     def test_single_sample_is_squared_gradient(self):
         net, sur, xs, ys = self._setup()
         fisher = ewc_fisher(net, [(xs[0], ys[0])], sur)
-        trace, logits = forward(net, xs[0])
-        g = backward(net, trace, logits, ys[0], sur)
+        trace, logits = forward(net, xs[:1])
+        g = backward(net, trace, logits, ys[:1], sur)
         for name in fisher:
             assert np.array_equal(fisher[name], g[name] * g[name])
 
@@ -227,8 +232,8 @@ class TestEwc:
         fisher = ewc_fisher(net, list(zip(xs, ys)), sur)
         ref = {}
         for x, y in zip(xs, ys):
-            trace, logits = forward(net, x)
-            g = backward(net, trace, logits, y, sur)
+            trace, logits = forward(net, x[None])
+            g = backward(net, trace, logits, [y], sur)
             for name, arr in g.items():
                 ref[name] = ref.get(name, 0.0) + arr * arr
         for name in fisher:
@@ -253,8 +258,8 @@ def _ewc_fisher_oracle(net, examples, surrogate, task=None, gates=None):
     sums = {}
     n = 0
     for spikes, label in examples:
-        trace, logits = forward(net, spikes, task=task, gates=gates)
-        grads = backward(net, trace, logits, int(label), surrogate)
+        trace, logits = forward(net, spikes[None], task=task, gates=gates)
+        grads = backward(net, trace, logits, [int(label)], surrogate)
         for name, g in grads.items():
             if name not in sums:
                 sums[name] = np.zeros_like(g)

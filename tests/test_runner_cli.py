@@ -91,7 +91,7 @@ class TestConfig:
 
 class TestRunSeed:
     def test_record_counts_sequential(self):
-        recs = run_seed(tiny_config(), 1)
+        recs, _ = run_seed(tiny_config(), 1)
         # after task k there are k eval rows; 3 tasks -> 1+2+3 = 6 rows
         assert len(recs) == 6
         assert {(r.after_task, r.eval_task) for r in recs} == {
@@ -99,7 +99,7 @@ class TestRunSeed:
         }
 
     def test_incremental_accuracy_is_exact_mean(self):
-        recs = run_seed(tiny_config(), 1)
+        recs, _ = run_seed(tiny_config(), 1)
         by_after = {}
         for r in recs:
             by_after.setdefault(r.after_task, []).append(r.accuracy)
@@ -109,7 +109,7 @@ class TestRunSeed:
             )
 
     def test_joint_single_evaluation_pass(self):
-        recs = run_seed(tiny_config(strategy=StrategyConfig("joint")), 1)
+        recs, _ = run_seed(tiny_config(strategy=StrategyConfig("joint")), 1)
         assert len(recs) == 3
         assert all(r.after_task == 3 for r in recs)
 
@@ -127,8 +127,8 @@ class TestRunSeed:
             assert np.array_equal(w, b)
 
     def test_determinism_of_records(self):
-        a = run_seed(tiny_config(), 1)
-        b = run_seed(tiny_config(), 1)
+        a, _ = run_seed(tiny_config(), 1)
+        b, _ = run_seed(tiny_config(), 1)
         for ra, rb in zip(a, b):
             assert ra.accuracy == rb.accuracy
             assert ra.acc_incremental == rb.acc_incremental
@@ -326,6 +326,34 @@ def test_out_of_range_size_exits_2_with_one_error_line(tmp_path, override):
     _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_SPLIT, **override}))
 
 
+_SMALL_DRIFT = {"scenario": "synthetic-drift", "hidden": [16], "epochs_per_task": 1,
+                "seeds": [1], "drift": {"days": 2, "train_per_day": 16, "test_per_day": 8}}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"planes": 40}, {"planes": -3}, {"features": 0}, {"classes": 0},
+     {"train_per_day": 0}, {"test_per_day": 0}],
+    ids=["planes-above-half-features", "planes-negative", "features-0", "classes-0",
+         "train-per-day-0", "test-per-day-0"],
+)
+def test_out_of_range_drift_size_exits_2_with_one_error_line(tmp_path, override):
+    drift = {**_SMALL_DRIFT["drift"], **override}
+    _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_DRIFT, "drift": drift}))
+
+
+def test_non_integer_seed_exits_2_without_a_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikecl.cli", "run", "--seed", "abc",
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "meta",
     [{"kind": "network-checkpoint"}, ["network-checkpoint"]],
@@ -346,7 +374,7 @@ def test_malformed_checkpoint_metadata_exits_2_with_one_error_line(tmp_path, met
 
 class TestConfigExtras:
     def test_dropout_run_completes(self):
-        recs = run_seed(tiny_config(dropout=0.2), 1)
+        recs, _ = run_seed(tiny_config(dropout=0.2), 1)
         assert len(recs) == 6
 
     def test_dropout_validation(self):

@@ -176,7 +176,7 @@ class TestForward:
 
     def test_all_zero_input(self):
         net = self._net()
-        x = np.zeros((5, 2))
+        x = np.zeros((1, 5, 2))
         trace, logits = forward(net, x)
         assert (logits == 0).all()
         for s in trace.spikes[1:]:
@@ -185,7 +185,7 @@ class TestForward:
     def test_zero_weights_zero_logits(self):
         lif = LifParams()
         net = SpikingNetwork([2, 2, 2], [np.zeros((2, 2)), np.zeros((2, 2))], [lif, lif])
-        x = np.ones((5, 2))
+        x = np.ones((1, 5, 2))
         _, logits = forward(net, x)
         assert (logits == 0).all()
 
@@ -193,7 +193,7 @@ class TestForward:
     def test_matches_hand_simulation(self, reset):
         net = self._net(reset)
         x = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        trace, logits = forward(net, x)
+        trace, logits = forward(net, x[None])
         ref = hand_forward_222([w.tolist() for w in net.weights], x, 0.9, 1.0, reset)
         assert np.allclose(trace.spikes[1][0], ref[0])
         assert np.allclose(trace.spikes[2][0], ref[1])
@@ -201,29 +201,33 @@ class TestForward:
 
     def test_deterministic(self):
         net = self._net()
-        x = np.array([[1.0, 0.0], [1.0, 1.0]])
+        x = np.array([[[1.0, 0.0], [1.0, 1.0]]])
         t1, l1 = forward(net, x)
         t2, l2 = forward(net, x)
         assert np.array_equal(l1, l2)
         assert np.array_equal(t1.spikes[2], t2.spikes[2])
 
+    def test_rejects_a_sample_without_a_batch_axis(self):
+        with pytest.raises(ContractViolation, match="batch"):
+            forward(self._net(), np.ones((3, 2)))
+
     def test_rejects_non_binary_input(self):
         with pytest.raises(ContractViolation):
-            forward(self._net(), np.full((3, 2), 0.5))
+            forward(self._net(), np.full((1, 3, 2), 0.5))
 
     def test_multi_head_requires_task(self):
         rng = RngStream(0)
         net = init_network([2, 3], rng, n_heads=2, head_size=2)
-        x = np.zeros((3, 2))
+        x = np.zeros((1, 3, 2))
         with pytest.raises(ContractViolation):
             forward(net, x)
         _, logits = forward(net, x, task=1)
-        assert logits.shape == (2,)
+        assert logits.shape == (1, 2)
 
     def test_read_only_on_network(self):
         net = self._net()
         before = [w.copy() for w in net.weights]
-        forward(net, np.ones((4, 2)))
+        forward(net, np.ones((1, 4, 2)))
         for w, b in zip(net.weights, before):
             assert np.array_equal(w, b)
 
@@ -232,11 +236,11 @@ class TestForward:
     def test_spike_binarity_and_rate_bounds(self, seed):
         rng = RngStream(seed)
         net = init_network([3, 4, 2], rng, gain=2.5)
-        x = (rng.fork("x").uniform((6, 3)) < 0.4).astype(np.float64)
+        x = (rng.fork("x").uniform((1, 6, 3)) < 0.4).astype(np.float64)
         trace, _ = forward(net, x)
         for s in trace.spikes:
             assert np.isin(s, (0.0, 1.0)).all()
-        rates = record_firing_rates(trace).rates
+        rates = record_firing_rates(trace)
         for f in rates:
             assert (f >= 0.0).all() and (f <= 1.0).all()
 
@@ -248,7 +252,7 @@ class TestForward:
         lif = LifParams(decay=0.9, threshold=1.0, reset="zero")
         net = init_network([3, 5, 2], rng, lif=lif, gain=2.0)
         M = [np.abs(w).sum(axis=0).max() for w in net.weights]
-        x = (rng.fork("x").uniform((8, 3)) < 0.5).astype(np.float64)
+        x = (rng.fork("x").uniform((1, 8, 3)) < 0.5).astype(np.float64)
         trace, _ = forward(net, x)
         for l, (u, s) in enumerate(zip(trace.pre_reset, trace.spikes[1:])):
             v = u * (1.0 - s)  # post-reset membrane potential
@@ -259,27 +263,27 @@ class TestFiringRates:
     def test_always_spiking(self):
         trace, _ = forward(
             SpikingNetwork([1, 1], [np.array([[5.0]])], [LifParams()]),
-            np.ones((10, 1)),
+            np.ones((1, 10, 1)),
         )
-        rates = record_firing_rates(trace).rates
-        assert rates[1][0] == 1.0
+        rates = record_firing_rates(trace)
+        assert rates[1][0, 0] == 1.0
 
     def test_never_spiking(self):
         trace, _ = forward(
             SpikingNetwork([1, 1], [np.array([[0.01]])], [LifParams()]),
-            np.ones((10, 1)),
+            np.ones((1, 10, 1)),
         )
-        assert record_firing_rates(trace).rates[1][0] == 0.0
+        assert record_firing_rates(trace)[1][0, 0] == 0.0
 
     def test_arithmetic(self):
         # 2 spikes in T=10 -> rate 0.2 (input layer rates count here)
-        x = np.zeros((10, 1))
-        x[3, 0] = 1.0
-        x[7, 0] = 1.0
+        x = np.zeros((1, 10, 1))
+        x[0, 3, 0] = 1.0
+        x[0, 7, 0] = 1.0
         trace, _ = forward(
             SpikingNetwork([1, 1], [np.array([[0.0]])], [LifParams()]), x
         )
-        assert record_firing_rates(trace).rates[0][0] == pytest.approx(0.2)
+        assert record_firing_rates(trace)[0][0, 0] == pytest.approx(0.2)
 
 
 class TestCheckpoint:

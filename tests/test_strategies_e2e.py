@@ -43,7 +43,7 @@ def mini_drift_cfg(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_every_strategy_completes_split(strategy):
-    recs = run_seed(mini_split_cfg(strategy), 1)
+    recs, _ = run_seed(mini_split_cfg(strategy), 1)
     assert all(0.0 <= r.accuracy <= 1.0 for r in recs)
     stages = {r.after_task for r in recs}
     assert stages == {5} if strategy == "joint" else {1, 2, 3, 4, 5}
@@ -51,7 +51,7 @@ def test_every_strategy_completes_split(strategy):
 
 @pytest.mark.parametrize("strategy", ["none", "hwc-soft", "hwc-hard", "ewc", "si", "lwf", "xdg"])
 def test_every_strategy_completes_drift(strategy):
-    recs = run_seed(mini_drift_cfg(strategy), 2)
+    recs, _ = run_seed(mini_drift_cfg(strategy), 2)
     assert {r.after_task for r in recs} == {1, 2, 3}
 
 
@@ -114,6 +114,6 @@ def test_chip_run_end_to_end_records():
         chip=True,
         drift=DriftSpec(days=2, train_per_day=32, test_per_day=16),
     )
-    recs = run_seed(cfg, 3)
+    recs, _ = run_seed(cfg, 3)
     assert {r.after_task for r in recs} == {1, 2}
     assert all(0.0 <= r.accuracy <= 1.0 for r in recs)

@@ -12,6 +12,7 @@ from spikecl.train import (
     OptimizerState,
     SurrogateSpec,
     backward_dlogits,
+    backward_layers,
     distillation_loss,
     optimizer_step,
 )
@@ -108,9 +109,9 @@ class TestBackward:
         lif = LifParams()
         # weights drive output neuron 0 to fire every step, neuron 1 never
         net = SpikingNetwork([1, 2], [np.array([[50.0, -50.0]])], [lif])
-        x = np.ones((40, 1))
+        x = np.ones((1, 40, 1))
         trace, logits = forward(net, x)
-        grads = backward(net, trace, logits, 0, SurrogateSpec())
+        grads = backward(net, trace, logits, [0], SurrogateSpec())
         # probs ~ one-hot at the label: learning signal vanishes
         assert np.abs(grads["w0"]).max() < 1e-10
 
@@ -122,8 +123,8 @@ class TestBackward:
         net = SpikingNetwork([3, 2], [w.copy()], [lif])
         sur = SurrogateSpec()
         x = np.array([[1.0, 0.0, 1.0]])  # (T=1, n=3)
-        trace, logits = forward(net, x, mode="relaxed", surrogate=sur)
-        grads = backward(net, trace, logits, 1, sur)
+        trace, logits = forward(net, x[None], mode="relaxed", surrogate=sur)
+        grads = backward(net, trace, logits, [1], sur)
         u = x[0] @ w
         s = sur.relaxed_activation(u - 1.0)
         probs = softmax(s)
@@ -145,9 +146,15 @@ class TestBackward:
     def test_dlogits_shape_check(self):
         rng = RngStream(3)
         net = init_network([2, 2], rng)
-        trace, _ = forward(net, np.zeros((3, 2)))
+        trace, _ = forward(net, np.zeros((1, 3, 2)))
         with pytest.raises(ContractViolation):
             backward_dlogits(net, trace, np.zeros((5, 2)), SurrogateSpec())
+
+    def test_rejects_dlogits_without_a_batch_axis(self):
+        net = init_network([2, 2], RngStream(3))
+        trace, _ = forward(net, np.zeros((1, 3, 2)))
+        with pytest.raises(ContractViolation):
+            next(backward_layers(net, trace, np.zeros(2), SurrogateSpec()))
 
 
 @pytest.mark.parametrize("reset", ["subtract", "zero"])
@@ -326,34 +333,38 @@ class TestInPlaceOptimizer:
 
 class TestDistillation:
     def test_self_distillation_equals_softened_entropy(self):
-        z = np.array([1.0, 2.0, 0.5])
+        z = np.array([[1.0, 2.0, 0.5]])
         temp = 2.0
         p = softmax(z / temp)
         entropy = float(-(p * np.log(p)).sum())
         assert distillation_loss(z, z, temp) == pytest.approx(entropy, rel=1e-12)
 
     def test_large_temperature_limit(self):
-        old = np.array([3.0, -1.0, 0.5])
-        new = np.array([-2.0, 4.0, 1.0])
+        old = np.array([[3.0, -1.0, 0.5]])
+        new = np.array([[-2.0, 4.0, 1.0]])
         assert distillation_loss(old, new, 1e6) == pytest.approx(math.log(3), abs=1e-5)
 
     def test_reference_value(self):
         # computed at 60-digit precision
-        val = distillation_loss([1.0, 2.0, 0.5], [0.5, 1.5, 1.0], 2.0)
+        val = distillation_loss([[1.0, 2.0, 0.5]], [[0.5, 1.5, 1.0]], 2.0)
         assert val == pytest.approx(1.0720210095245482, abs=1e-14)
 
     def test_batch_is_mean_of_samples(self):
         rng = RngStream(90)
         old = rng.fork("old").normal((7, 5)) * 3.0
         new = rng.fork("new").normal((7, 5)) * 3.0
-        per = [distillation_loss(o, n, 1.5) for o, n in zip(old, new)]
+        per = [distillation_loss(o[None], n[None], 1.5) for o, n in zip(old, new)]
         assert distillation_loss(old, new, 1.5) == pytest.approx(float(np.mean(per)), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
-            distillation_loss([1.0], [1.0, 2.0], 1.0)
+            distillation_loss([[1.0]], [[1.0, 2.0]], 1.0)
         with pytest.raises(ContractViolation):
-            distillation_loss([1.0], [1.0], 0.0)
+            distillation_loss([[1.0]], [[1.0]], 0.0)
+
+    def test_rejects_logits_without_a_batch_axis(self):
+        with pytest.raises(ContractViolation):
+            distillation_loss([1.0, 2.0, 0.5], [0.5, 1.5, 1.0], 2.0)
 
 
 def test_memorization_loss_decreases():

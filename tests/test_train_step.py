@@ -16,7 +16,7 @@ from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
 from spikecl.data import DriftSpec
 from spikecl.numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
-from spikecl.runner import MentorState, RunConfig, _run_seed_full, train_step
+from spikecl.runner import MentorState, RunConfig, run_seed, train_step
 from spikecl.snn import forward, init_network
 from spikecl.train import LossSpec, OptimizerState, SurrogateSpec, backward_dlogits, optimizer_step
 
@@ -131,7 +131,7 @@ def test_chip_with_mu_zero_trains_the_same_weights_as_no_chip():
             loss=LossSpec(lam=lam, mu=0.0),
             drift=DriftSpec(days=2, train_per_day=40, test_per_day=16),
         )
-        return _run_seed_full(cfg, 4)[1]
+        return run_seed(cfg, 4)[1]
 
     ref, got = trained(False), trained(True)
     for name in ref.param_names():

@@ -26,7 +26,7 @@ from .errors import ConfigurationError, ContractViolation
 from .numerics import matmul, softmax_cross_entropy_batch
 from .rng import RngStream
 from .snn import SpikingNetwork, forward, record_firing_rates
-from .train import SurrogateSpec, backward_dlogits, backward_layers, distillation_grad, distillation_loss
+from .train import SurrogateSpec, add_grads, backward_dlogits, backward_layers, distillation_grad, distillation_loss
 
 # Nothing calls ``backward``. bench/tracer.py still times
 # ``spikecl.continual.backward`` and warns when a patch point is missing, so
@@ -214,52 +214,40 @@ def ewc_fisher(
     return {name: s / n for name, s in sums.items()}
 
 
-# Elements per row block in ``regularizer_penalty``. A block of the weight,
-# the gradient and both scratch arrays (64 KiB each) stays in cache while
-# every task's anchor and importance stream past it.
+# Elements per row block in ``regularizer_penalty``: a block of each operand
+# stays in cache.
 _PENALTY_BLOCK = 8192
 
 
 def regularizer_penalty(
-    importances,
-    anchors,
+    importance: dict[str, np.ndarray],
+    anchor: dict[str, np.ndarray],
     net: SpikingNetwork,
     strength: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """(strength/2) * sum importance * (theta - anchor)^2, with gradients.
 
-    ``importances`` and ``anchors`` are dicts keyed like the network's
-    parameters, or equal-length sequences of such dicts, one pair per task, whose
-    penalties add up. Each parameter's gradient is the sum, in task order,
-    of the terms (strength * importance) * (theta - anchor). It is built in
-    place, a block of rows at a time, with two scratch arrays per parameter
-    whatever the task count. The loss is half the inner product of each
-    term with its theta - anchor.
+    ``importance`` and ``anchor`` are keyed like the network's parameters.
+    Each gradient (strength * importance) * (theta - anchor) is built in
+    place a block of rows at a time.
     """
-    if isinstance(importances, dict):
-        importances, anchors = [importances], [anchors]
-    if not importances or not importances[0]:
+    if not importance:
         raise ContractViolation("importance store is empty")
     loss = 0.0
     grads: dict[str, np.ndarray] = {}
-    for name in importances[0]:
+    for name, imp in importance.items():
         w = net.get_param(name)
         grad = grads[name] = np.empty_like(w)
         rows = max(1, _PENALTY_BLOCK // w.shape[1])
         diff = np.empty_like(w[:rows])
-        term = np.empty_like(diff)
         for r in range(0, len(w), rows):
             block = slice(r, r + rows)
-            wb, gb = w[block], grad[block]
-            db, tb = diff[: len(wb)], term[: len(wb)]
-            for k, (imp, anchor) in enumerate(zip(importances, anchors)):
-                np.subtract(wb, anchor[name][block], out=db)
-                out = tb if k else gb
-                np.multiply(imp[name][block], strength, out=out)
-                out *= db
-                loss += 0.5 * float(np.vdot(out, db))
-                if k:
-                    gb += tb
+            gb = grad[block]
+            db = diff[: len(gb)]
+            np.subtract(w[block], anchor[name][block], out=db)
+            np.multiply(imp[block], strength, out=gb)
+            gb *= db
+            loss += 0.5 * float(np.vdot(gb, db))
     return loss, grads
 
 
@@ -417,32 +405,50 @@ class HwcStrategy(Strategy):
 
 
 class EwcStrategy(Strategy):
+    """EWC of every finished task in two arrays per consolidated parameter.
+
+    Kirkpatrick et al.'s per-task sum of (lambda/2) F_k (theta - a_k)^2 is
+    kept as (lambda/2) (S (theta - abar)^2 + R), with S = sum F_k, abar the
+    F-weighted mean anchor and R = sum F_k (a_k - abar)^2: an exact
+    re-association (bit-equal after one task), not gamma-decayed online EWC.
+    """
+
     def __init__(self, cfg, scenario, seed, surrogate):
         super().__init__(cfg, scenario, seed, surrogate)
-        self.tasks: list[tuple[dict, dict]] = []  # (fisher, anchor) per task
+        self.fisher_sum: dict[str, np.ndarray] = {}  # S
+        self.anchor: dict[str, np.ndarray] = {}  # abar
+        self.residual = 0.0  # R
 
     def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
-        if not self.tasks:
+        if not self.fisher_sum:
             return 0.0, None
-        fishers, anchors = zip(*self.tasks)
-        loss, grads = regularizer_penalty(fishers, anchors, net, self.cfg.ewc_strength)
-        for g in grads.values():
-            g += 0.0  # -0 to +0, so g is 0.0 + term_1 + ... + term_k bit for bit
-        return loss, grads
+        loss, grads = regularizer_penalty(self.fisher_sum, self.anchor, net, self.cfg.ewc_strength)
+        return loss + 0.5 * self.cfg.ewc_strength * self.residual, grads
+
+    def consolidate(self, fisher: dict[str, np.ndarray], net: SpikingNetwork) -> None:
+        """West's weighted merge of a task's Fisher (whose arrays it takes)
+        and the net's parameters theta: S' = S + F, w = F / S' (0 where
+        S' = 0), R += S w (theta - abar)^2, abar += w (theta - abar)."""
+        for name in self.consolidated_names(net):
+            f, theta = fisher[name], net.get_param(name)
+            if name not in self.fisher_sum:
+                self.fisher_sum[name], self.anchor[name] = f, theta.copy()
+                continue
+            s, a = self.fisher_sum[name], self.anchor[name]
+            total = s + f
+            np.divide(f, total, out=f, where=total > 0)  # F is 0 wherever S' is
+            diff = theta - a
+            step = f * diff
+            self.residual += float(np.vdot(s * step, diff))
+            a += step
+            self.fisher_sum[name] = total
 
     def after_task(self, ctx, net, sample_provider=None):
         if sample_provider is None:
             raise ContractViolation("EWC needs task samples to estimate importances")
-        keep = set(self.consolidated_names(net))
-        fisher = ewc_fisher(
-            net,
-            sample_provider(self.cfg.ewc_fisher_samples),
-            self.surrogate,
-            task=ctx.task - 1 if net.multi_head else None,
-        )
-        fisher = {k: v for k, v in fisher.items() if k in keep}
-        anchor = {k: net.get_param(k).copy() for k in fisher}
-        self.tasks.append((fisher, anchor))
+        samples = sample_provider(self.cfg.ewc_fisher_samples)
+        task = ctx.task - 1 if net.multi_head else None
+        self.consolidate(ewc_fisher(net, samples, self.surrogate, task=task), net)
 
 
 class SiStrategy(Strategy):
@@ -508,11 +514,7 @@ class LwfStrategy(Strategy):
         temp = self.cfg.lwf_temperature
         total = 0.0
         grads: dict[str, np.ndarray] = {}
-        if net.multi_head:
-            targets = list(self.seen_tasks)
-        else:
-            targets = [None]
-        for h in targets:
+        for h in self.seen_tasks if net.multi_head else [None]:
             _, old_logits = forward(self.snapshot, x_enc, task=h)
             if h is None or h == ctx.task - 1:
                 trace_h, new_logits = trace, logits
@@ -520,8 +522,7 @@ class LwfStrategy(Strategy):
                 trace_h, new_logits = forward(net, x_enc, task=h)
             total += strength * distillation_loss(old_logits, new_logits, temp)
             dlog = strength * distillation_grad(old_logits, new_logits, temp)
-            for name, g in backward_dlogits(net, trace_h, dlog, self.surrogate).items():
-                grads[name] = grads.get(name, 0.0) + g
+            add_grads(grads, backward_dlogits(net, trace_h, dlog, self.surrogate))
         return total, grads
 
     def after_task(self, ctx, net, sample_provider=None):
@@ -533,15 +534,11 @@ class XdgStrategy(Strategy):
     def __init__(self, cfg, scenario, seed, surrogate):
         super().__init__(cfg, scenario, seed, surrogate)
         self._cache: dict[int, list[np.ndarray]] = {}
-        self._last_trained = 1
 
     def gates_for(self, task: int, net: SpikingNetwork) -> list[np.ndarray]:
         if task not in self._cache:
             self._cache[task] = xdg_gates(net.hidden_sizes(), task, self.cfg.xdg_fraction, self.seed)
         return self._cache[task]
-
-    def before_task(self, ctx, net):
-        self._last_trained = ctx.task
 
     def train_gates(self, ctx, net):
         return self.gates_for(ctx.task, net)

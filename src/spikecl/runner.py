@@ -63,7 +63,7 @@ from .metrics import (
 from .numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from .rng import RngStream
 from .snn import LifParams, SpikingNetwork, forward, init_network, save_network
-from .train import LossSpec, OptimizerState, SurrogateSpec, backward_dlogits, optimizer_step
+from .train import LossSpec, OptimizerState, SurrogateSpec, add_grads, backward_dlogits, optimizer_step
 
 SCENARIO_NAMES = ("split-mnist", "synthetic-drift")
 PROFILES = ("ci", "full")
@@ -277,11 +277,6 @@ def _learner(config: RunConfig, net: SpikingNetwork, task: int | None = None) ->
     return MentorState(net, optimizer, config.surrogate, config.loss, config.quant, task)
 
 
-def _add_grads(grads: dict, extra: dict | None) -> None:
-    for name, g in (extra or {}).items():
-        grads[name] = grads[name] + g if name in grads else g
-
-
 def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
     """One epoch's shuffled batches ``(x_enc, labels, gates)``, with the
     per-sample task ids appended when ``tids`` is given.
@@ -330,7 +325,7 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, 
         trace, logits = forward(net, x_enc[rows], task=task, gates=gates)
         ce, probs = softmax_cross_entropy_batch(logits, y)
         dlog = spec.lam * cross_entropy_grad(probs, y) * share
-        _add_grads(grads, backward_dlogits(net, trace, dlog, state.surrogate))
+        add_grads(grads, backward_dlogits(net, trace, dlog, state.surrogate))
         loss += spec.lam * ce * share
     if pooled:  # no one head's trace covers the batch
         trace = logits = None
@@ -339,9 +334,9 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, 
             chip, net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
         )
         loss += chip_loss
-        _add_grads(grads, chip_grads)
+        add_grads(grads, chip_grads)
     extra_loss, extra_grads = strategy.batch_loss(ctx, net, x_enc, labels, trace, logits)
-    _add_grads(grads, extra_grads)
+    add_grads(grads, extra_grads)
     grads = strategy.grad_transform(ctx, net, grads)
     optimizer_step(state.optimizer, net, grads)
     return loss + extra_loss

@@ -163,7 +163,6 @@ class ForwardTrace:
     pre_reset: list[np.ndarray]
     task: int | None
     gates: list[np.ndarray] | None
-    mode: str
 
     @property
     def timesteps(self) -> int:
@@ -263,7 +262,7 @@ def forward(
         s, u = _layer_dynamics(cur, net.lif[l], mode, surrogate)
         spikes.append(s)
         pre_reset.append(u.transpose(1, 0, 2))
-    trace = ForwardTrace(spikes, pre_reset, task, gates, mode)
+    trace = ForwardTrace(spikes, pre_reset, task, gates)
     return trace, spikes[-1].sum(axis=1)
 
 

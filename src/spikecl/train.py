@@ -195,6 +195,12 @@ def backward_dlogits(
     return grads
 
 
+def add_grads(grads: dict[str, np.ndarray], extra: dict[str, np.ndarray] | None) -> None:
+    """Add ``extra`` into ``grads``, storing a first gradient uncopied."""
+    for name, g in (extra or {}).items():
+        grads[name] = grads[name] + g if name in grads else g
+
+
 # Rows per in-place optimizer block: a (128, 256) float64 block and its
 # slots stay in L2 while every operation of the update runs over them.
 _STEP_ROWS = 128

@@ -135,6 +135,22 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
     return grads
 
 
+def ewc_penalty_oracle(tasks, net, strength) -> tuple[float, dict[str, np.ndarray]]:
+    """Kirkpatrick et al.'s EWC penalty as one quadratic per finished task.
+
+    ``tasks`` is a sequence of (fisher, anchor) dicts. In task order, each
+    adds strength * F * (theta - a) to the gradient, which starts from 0.0,
+    and (strength/2) * sum F * (theta - a)^2 to the loss.
+    """
+    loss, grads = 0.0, {}
+    for fisher, anchor in tasks:
+        for name, f in fisher.items():
+            diff = net.get_param(name) - anchor[name]
+            grads[name] = grads.get(name, 0.0) + strength * f * diff
+            loss += 0.5 * strength * float((f * diff * diff).sum())
+    return loss, grads
+
+
 def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class
     index (np.argmax returns the first maximum)."""

@@ -26,7 +26,7 @@ from spikecl.rng import RngStream
 from spikecl.snn import LifParams, forward, init_network
 from spikecl.train import OptimizerState, SurrogateSpec, optimizer_step
 
-from oracles import backward
+from oracles import backward, ewc_penalty_oracle
 
 
 class TestHebbianAccumulation:
@@ -322,15 +322,6 @@ class TestBatchedFisher:
             ewc_fisher(net, iter(()), SurrogateSpec())
 
 
-def _penalty_grad_oracle(tasks, net, strength):
-    """Per-task strength * importance * diff, summed from 0.0 in task order."""
-    grads = {}
-    for imp, anchor in tasks:
-        for name, f in imp.items():
-            grads[name] = grads.get(name, 0.0) + strength * f * (net.get_param(name) - anchor[name])
-    return grads
-
-
 class TestRegularizerPenalty:
     def test_zero_at_anchor(self):
         rng = RngStream(2)
@@ -397,18 +388,63 @@ class TestRegularizerPenalty:
         )
         assert loss == pytest.approx(want_loss, rel=1e-12)
 
+    @staticmethod
+    def _ewc(net, tasks, strength):
+        """An EWC strategy that consolidated each (importance, anchor) pair
+        in order, as if the net had ended each task at its anchor."""
+        strat = apply_strategy(StrategyConfig("ewc", ewc_strength=strength), "task-incremental", 0, SurrogateSpec())
+        for imp, anchor in tasks:
+            ended = net.copy()
+            for name, a in anchor.items():
+                ended.set_param(name, a.copy())
+            strat.consolidate({k: f.copy() for k, f in imp.items()}, ended)
+        return strat
+
+    @staticmethod
+    def _assert_matches_oracle(strat, net, tasks, strength):
+        """One task gives the textbook expression bit for bit; more agree with
+        the per-task sum to rounding, since the merged sum is re-associated."""
+        ctx = TaskContext(task=2, total_tasks=9)
+        loss, grads = strat.batch_loss(ctx, net, None, None, None, None)
+        want_loss, want = ewc_penalty_oracle(tasks, net, strength)
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert np.all(np.isfinite(g))
+            if len(tasks) == 1:
+                imp, anchor = tasks[0]
+                textbook = strength * imp[name] * (net.get_param(name) - anchor[name])
+                assert g.tobytes() == textbook.tobytes()  # -0 entries included
+            else:
+                assert np.max(np.abs(g - want[name])) <= 1e-13 * np.max(np.abs(want[name]))
+        if len(tasks) == 1:
+            assert loss == regularizer_penalty(tasks[0][0], tasks[0][1], net, strength)[0]
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_ewc_hook_sums_tasks_exactly(self, count):
         net, tasks = self._tasks(count)
-        strat = apply_strategy(StrategyConfig("ewc", ewc_strength=3.0), "task-incremental", 0, SurrogateSpec())
-        strat.tasks.extend(tasks)
-        loss, grads = strat.batch_loss(TaskContext(task=2, total_tasks=9), net, None, None, None, None)
-        want = _penalty_grad_oracle(tasks, net, 3.0)
-        assert grads.keys() == want.keys()
-        for name in want:
-            assert grads[name].tobytes() == want[name].tobytes()
-        want_loss = sum(regularizer_penalty(imp, anchor, net, 3.0)[0] for imp, anchor in tasks)
-        assert loss == pytest.approx(want_loss, rel=1e-12)
+        self._assert_matches_oracle(self._ewc(net, tasks, 3.0), net, tasks, 3.0)
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_ewc_merge_matches_per_task_oracle_with_zero_importance(self, count):
+        # rows 0 and -1 of w0 have zero importance in every task (S = 0
+        # there); rows 1 and 2 of w0 and rows 0 to 2 of w1 in some tasks only
+        net, tasks = self._tasks(count)
+        for k, (imp, _) in enumerate(tasks):
+            imp["w0"][[1 + k % 2]] = 0.0
+            imp["w1"][[k % 3]] = 0.0
+        strat = self._ewc(net, tasks, 3.0)
+        for name in ("w0", "w1"):
+            s = tasks[0][0][name].copy()
+            for imp, _ in tasks[1:]:
+                s += imp[name]
+            assert strat.fisher_sum[name].tobytes() == s.tobytes()
+            assert np.all(np.isfinite(strat.anchor[name]))
+        # where no task weighs a parameter, the anchor stays the first one
+        assert strat.anchor["w0"][[0, -1]].tobytes() == tasks[0][1]["w0"][[0, -1]].tobytes()
+        assert np.isfinite(strat.residual) and strat.residual >= 0.0
+        assert (strat.residual == 0.0) == (count == 1)
+        self._assert_matches_oracle(strat, net, tasks, 3.0)
 
 
 class TestSi:
@@ -518,7 +554,9 @@ class TestApplyStrategy:
     def test_ewc_loss_hook_adds_penalty(self):
         strat = apply_strategy(StrategyConfig("ewc", ewc_strength=2.0), "task-incremental", 0, SurrogateSpec())
         net = init_network([2, 2], RngStream(1))
-        strat.tasks.append(({"w0": np.ones((2, 2))}, {"w0": net.weights[0] - 1.0}))
+        ended = net.copy()
+        ended.weights[0] -= 1.0
+        strat.consolidate({"w0": np.ones((2, 2))}, ended)
         loss, grads = strat.batch_loss(self._ctx(), net, None, None, None, None)
         assert loss == pytest.approx(0.5 * 2.0 * 4.0)  # (c/2) * sum(1 * 1^2)
         assert np.allclose(grads["w0"], 2.0)
@@ -539,20 +577,44 @@ class TestSnapshotsSurviveInPlaceSteps:
         opt = OptimizerState(lr=0.05)
         optimizer_step(opt, net, {"w0": RngStream(seed).normal((3, 2))})
 
-    def test_ewc_anchor_does_not_move(self):
-        net, sur = self._net(), SurrogateSpec()
-        strat = apply_strategy(StrategyConfig("ewc", ewc_fisher_samples=4), "task-incremental", 0, sur)
+    def _ewc_after_tasks(self, net, count):
+        """An EWC strategy after ``count`` tasks, with an optimizer step on
+        ``net`` between tasks."""
+        strat = apply_strategy(StrategyConfig("ewc", ewc_fisher_samples=4), "task-incremental", 0, SurrogateSpec())
         spikes = RngStream(61).bernoulli(0.5, (4, 5, 3))
 
         def provider(n):
             return ((spikes[i], i % 2) for i in range(n))
 
-        strat.after_task(TaskContext(task=1, total_tasks=2), net, provider)
-        anchor = {k: a.copy() for k, a in strat.tasks[0][1].items()}
+        for k in range(count):
+            if k:
+                self._step(net, 62 + k)
+            strat.after_task(TaskContext(task=k + 1, total_tasks=count + 1), net, provider)
+        return strat
+
+    def test_ewc_anchor_does_not_move(self):
+        net = self._net()
+        strat = self._ewc_after_tasks(net, 1)
+        anchor = {k: a.copy() for k, a in strat.anchor.items()}
         self._step(net, 62)
         assert not np.array_equal(net.weights[0], anchor["w0"])
-        for k, a in strat.tasks[0][1].items():
+        for k, a in strat.anchor.items():
+            assert not np.shares_memory(a, net.get_param(k))
             assert a.tobytes() == anchor[k].tobytes()
+
+    def test_ewc_keeps_the_same_bytes_after_one_and_four_tasks(self):
+        def retained(v):
+            if isinstance(v, np.ndarray):
+                return v.nbytes
+            if isinstance(v, dict):
+                return sum(retained(x) for x in v.values())
+            if isinstance(v, (list, tuple)):
+                return sum(retained(x) for x in v)
+            return 0
+
+        one = retained(vars(self._ewc_after_tasks(self._net(), 1)))
+        four = retained(vars(self._ewc_after_tasks(self._net(), 4)))
+        assert one > 0 and four == one
 
     def test_si_snapshots_do_not_move(self):
         net = self._net()

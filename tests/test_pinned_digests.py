@@ -4,7 +4,9 @@ Each case runs a tiny config through ``run_experiment`` and hashes its
 results.csv without the wall_ms column. The digests were recorded before
 the LIF recurrence moved to time-major storage and evaluation moved to
 ``batch_size`` slices, so a change that alters any accuracy of these runs
-fails here. Each run is a child process with one BLAS thread, since the
+fails here. The two EWC digests were recorded again when EWC's per-task
+penalties were merged into one Fisher sum and weighted anchor, an exact
+re-association that rounds differently from the third task on. Each run is a child process with one BLAS thread, since the
 float matmuls sum in an order that depends on the thread count. Pinned on
 x86-64 with numpy 2.4: the corpus renderer's np.sin/np.cos and the BLAS
 kernels may differ in the last bit elsewhere.
@@ -69,9 +71,9 @@ CASES = {
 
 DIGESTS = {
     "split-hwc-hard": "1a13308fbf6867b0b27476caa989945699fc5d3b6f9efb7580a0108cdb629c22",
-    "split-ewc": "bd2d47f14f5051349dcbe7f295a58b469dfd979d08bc980799cf6688f974b2ff",
+    "split-ewc": "5ae835ebb8f80a714cf8b449ed03416ec3881e78b8bd2af2ede28aff60bcf81f",
     "split-chip-alpha0": "9a53083a172eb67e1ead053a4ba3aa2e98940135874a9f935b2592034be7276f",
-    "drift-ewc": "978e6f85b85416e1bc8e96d1ee22b57cd1afe802e783b29f59e00d6ecaa7f03a",
+    "drift-ewc": "20a360a6ae90d8c1407148ba58c876cfc4a3ab6a9df541c823c5e1d3d71f0019",
     "drift-si-chip": "d12018c72ed3333987061061ade64303878110a6a95545e2b5086038113561c7",
 }
 

@@ -18,7 +18,7 @@ from spikecl.numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from spikecl.runner import MentorState, RunConfig, run_seed, train_step
 from spikecl.snn import forward, init_network
-from spikecl.train import LossSpec, OptimizerState, SurrogateSpec, backward_dlogits, optimizer_step
+from spikecl.train import LossSpec, OptimizerState, SurrogateSpec, add_grads, backward_dlogits, optimizer_step
 
 from oracles import composite_loss
 
@@ -51,8 +51,7 @@ def _pooled_step_oracle(net, opt, x_enc, labels, tasks, surrogate):
         trace, logits = forward(net, x_enc[sub], task=int(t))
         ce, probs = softmax_cross_entropy_batch(np.atleast_2d(logits), labels[sub])
         dlog = cross_entropy_grad(probs, labels[sub]) * (sub.sum() / len(labels))
-        for name, g in backward_dlogits(net, trace, dlog, surrogate).items():
-            grads[name] = grads.get(name, 0.0) + g
+        add_grads(grads, backward_dlogits(net, trace, dlog, surrogate))
         loss += ce * sub.sum() / len(labels)
     optimizer_step(opt, net, grads)
     return loss

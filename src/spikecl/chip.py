@@ -7,13 +7,14 @@ one input, wait for the interrupt, read spike-count registers layer by
 layer (reading the last layer clears the interrupt) -- and any call out of
 order raises a protocol error without touching chip state.
 
-In the chip loop, training couples three predictions of the same topology:
-the full-precision external network, the chip's register readout, and a
-float "twin" of the quantized chip evaluated externally. ``twin_loss`` adds
-the chip's and the twin's cross-entropy to the external network's loss;
-only the twin path carries gradients, and the chip readout enters as a
-constant. ``upload_weights`` re-quantizes and uploads the trained weights
-(``spikecl.runner`` calls it before a task and after each epoch).
+In the chip loop, training couples two predictions of the same topology:
+the full-precision external network and the chip's integer pass, which the
+external processor runs as the chip's "twin" (its counts equal the
+registers bit for bit). ``twin_loss`` adds the twin's cross-entropy to the
+external network's loss and back-propagates through the twin's spikes,
+straight through the quantization. ``upload_weights`` re-quantizes and
+uploads the trained weights (``spikecl.runner`` calls it before a task and
+after each epoch).
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ from .errors import (
     ProtocolError,
 )
 from .numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
-from .snn import LifParams, SpikingNetwork, forward
+from .snn import ForwardTrace, LifParams, SpikingNetwork
 from .train import LossSpec, SurrogateSpec, backward_dlogits
 
-# Nothing here calls ``optimizer_step``; ``spikecl.runner.train_step`` makes
-# the only step. The name stays because bench/tracer.py times
-# ``spikecl.chip.optimizer_step``, and drops that patch point with a warning
-# when the name is missing.
+# Nothing here calls ``forward`` or ``optimizer_step``: the twin's training
+# pass is the integer core, and ``spikecl.runner.train_step`` makes the only
+# step. The names stay because bench/tracer.py times ``spikecl.chip.forward``
+# and ``spikecl.chip.optimizer_step``, and drops a patch point with a warning
+# when its name is missing.
+from .snn import forward  # noqa: F401
 from .train import optimizer_step  # noqa: F401
 
 QUANT_BITS = (4, 8, 16)
@@ -173,19 +176,6 @@ def quantize_network(
     return ConfigImage(sizes, quantized, scales, thresholds, spec.leak_shift, spec.bits, reset)
 
 
-def dequantize_to_network(image: ConfigImage) -> SpikingNetwork:
-    """Float twin of a config image: dequantized weights, shift-equivalent
-    leak, and rescaled thresholds. This is the surrogate-differentiable
-    stand-in for the chip."""
-    decay = 1.0 - 2.0 ** -image.leak_shift
-    weights = [q.astype(np.float64) * s for q, s in zip(image.quantized, image.scales)]
-    lifs = [
-        LifParams(decay=decay, threshold=float(t) * s, reset=image.reset)
-        for t, s in zip(image.thresholds, image.scales)
-    ]
-    return SpikingNetwork(list(image.layer_sizes), weights, lifs, None, None)
-
-
 def validate_constraints(
     subject: SpikingNetwork | ConfigImage,
     constraints: ChipConstraints | None = None,
@@ -254,15 +244,21 @@ def exact_float_weights(image: ConfigImage) -> list[np.ndarray]:
     return weights
 
 
-def _integer_layer_counts(
+def _integer_layers(
     image: ConfigImage, input_spikes: np.ndarray, weights: list[np.ndarray] | None = None
-) -> list[np.ndarray]:
-    """Integer LIF pass over all layers; per-layer spike counts (B, n).
+):
+    """Integer LIF pass over all layers, one computing layer at a time.
 
     ``input_spikes`` is a (B, T, n_in) batch of 0/1 entries. This single
-    integer core backs the protocol machine (a batch of one) and batched
-    twin evaluation. ``weights`` is ``exact_float_weights(image)``, made
-    here when not given; the chip keeps its copy from the upload.
+    integer core backs the protocol machine (a batch of one), batched twin
+    evaluation and the twin's training pass. ``weights`` is
+    ``exact_float_weights(image)``, made here when not given; the chip keeps
+    its copy from the upload.
+
+    Yields ``(spikes, u)`` per layer: the (B, T, n) float64 0/1 spikes and
+    the int64 pre-reset potentials u_t = v_{t-1} - (v_{t-1} >> shift) + I_t,
+    stored in the buffer that held the currents. The generator overwrites
+    neither after yielding them.
 
     The accumulate ``spikes @ Q`` runs as a float64 BLAS matmul on the
     integer operands. Spikes are 0/1, so every partial sum, in any order,
@@ -278,10 +274,9 @@ def _integer_layer_counts(
         raise ContractViolation("chip input spikes must be binary")
     if weights is None:
         weights = exact_float_weights(image)
-    spikes = x.astype(np.float64)
+    spikes = np.asarray(x, dtype=np.float64)
     B, T, _ = spikes.shape
     shift = image.leak_shift
-    counts = []
     for w, thr in zip(weights, image.thresholds):
         cur = spikes.reshape(B * T, -1) @ w
         cur = cur.astype(np.int64).reshape(B, T, -1)
@@ -289,6 +284,7 @@ def _integer_layer_counts(
         out = np.empty(cur.shape, dtype=np.float64)
         for t in range(T):
             v = v - (v >> shift) + cur[:, t, :]
+            cur[:, t, :] = v
             s = v >= thr
             if image.reset == "subtract":
                 v = v - thr * s
@@ -296,8 +292,15 @@ def _integer_layer_counts(
                 v = v * ~s
             out[:, t, :] = s
         spikes = out
-        counts.append(out.sum(axis=1).astype(np.int64))
-    return counts
+        yield out, cur
+
+
+def _integer_layer_counts(
+    image: ConfigImage, input_spikes: np.ndarray, weights: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Per-layer spike counts (B, n) of the integer pass (``_integer_layers``)."""
+    layers = _integer_layers(image, input_spikes, weights)
+    return [s.sum(axis=1).astype(np.int64) for s, _ in layers]
 
 
 def chip_twin_counts(
@@ -454,19 +457,7 @@ def upload_weights(
     return image
 
 
-def _chip_readout_batch(chip: ChipModel, x_enc: np.ndarray) -> np.ndarray:
-    """Run the full handshake per sample; returns final-layer counts (B, K)."""
-    outs = []
-    for i in range(x_enc.shape[0]):
-        chip_forward(chip, x_enc[i])
-        for l in range(len(chip.readout)):  # layer-by-layer readout
-            counts = read_layer_spikes(chip, l)
-        outs.append(counts)
-    return np.stack(outs).astype(np.float64)
-
-
 def twin_loss(
-    chip: ChipModel,
     net: SpikingNetwork,
     x_enc: np.ndarray,
     labels: np.ndarray,
@@ -478,28 +469,40 @@ def twin_loss(
     """The chip's term mu*(alpha*H(y, chip) + beta*H(y, twin)) of one batch
     and its gradients, keyed by the external network's parameter names.
 
-    The chip readout comes from the per-sample handshake with the uploaded
-    image, only when alpha != 0 (at alpha = 0 its term is zero), and enters
-    as a constant. The twin is re-quantized from the current weights on
-    every call (it lives on the external processor, so tracking is free),
-    only when beta != 0 (at beta = 0 its term and gradients are zero); its
-    gradients cross the rounding straight through to the external weights.
+    The twin is the chip's integer pass on the current weights, quantized
+    on every call; its counts are what the chip's registers latch, so both
+    terms are one cross-entropy and the chip itself is not driven. Only the
+    beta term carries gradients: BPTT on the pass's spikes and potentials
+    times each layer's scale, straight through the rounding and the leak's
+    floor (decay 1 - 2**-shift). At alpha = beta = 0 nothing is quantized;
+    at beta = 0 no backward runs.
     """
     spec = loss_spec
-    ce_inn = 0.0
-    if spec.alpha != 0.0:
-        ce_inn, _ = softmax_cross_entropy_batch(_chip_readout_batch(chip, x_enc), labels)
+    if spec.alpha == 0.0 and spec.beta == 0.0:
+        return 0.0, {}
+    image = quantize_network(net, quant_spec, task)
+    weights = exact_float_weights(image)
+    image.quantized = []  # the float64 codes stand in for them from here on
+    x = np.asarray(x_enc, dtype=np.float64)
+    spikes, pre_reset = [x], []
+    for (s, u), scale in zip(_integer_layers(image, x, weights), image.scales):
+        spikes.append(s)
+        pre_reset.append(u * scale)
+    ce, probs = softmax_cross_entropy_batch(spikes[-1].sum(axis=1), labels)
+    loss = spec.mu * (spec.alpha + spec.beta) * ce
     if spec.beta == 0.0:
-        return spec.mu * (spec.alpha * ce_inn), {}
-    sim_net = dequantize_to_network(quantize_network(net, quant_spec, task))
-    trace_s, logits_s = forward(sim_net, x_enc)
-    ce_s, probs_s = softmax_cross_entropy_batch(logits_s, labels)
-    loss = spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
-    dlog_s = spec.mu * spec.beta * cross_entropy_grad(probs_s, labels)
-    twin_grads = backward_dlogits(sim_net, trace_s, dlog_s, surrogate)
-    grads: dict[str, np.ndarray] = {}
-    last = len(sim_net.weights) - 1
-    for l in range(len(sim_net.weights)):
-        ext_name = f"head{task}" if net.multi_head and l == last else f"w{l}"
-        grads[ext_name] = twin_grads[f"w{l}"]
+        return loss, {}
+    for w, scale in zip(weights, image.scales):
+        w *= scale  # in place: the same bits as q.astype(float64) * scale
+    decay = 1.0 - 2.0 ** -image.leak_shift
+    lifs = [
+        LifParams(decay=decay, threshold=float(t) * scale, reset=image.reset)
+        for t, scale in zip(image.thresholds, image.scales)
+    ]
+    twin = SpikingNetwork(list(image.layer_sizes), weights, lifs)
+    trace = ForwardTrace(spikes, pre_reset, None, None)
+    dlog = spec.mu * spec.beta * cross_entropy_grad(probs, labels)
+    grads = backward_dlogits(twin, trace, dlog, surrogate)
+    if net.multi_head:
+        grads[f"head{task}"] = grads.pop(f"w{len(weights) - 1}")
     return loss, grads

@@ -39,11 +39,10 @@ STRATEGIES = ("none", "joint", "hwc-soft", "hwc-hard", "ewc", "si", "lwf", "xdg"
 
 @dataclass
 class TaskContext:
-    """Position inside an incremental run: current task, scenario, epoch."""
+    """Position inside an incremental run: current task and epoch."""
 
     task: int
     total_tasks: int
-    scenario: str = "task-incremental"
     epoch: int = 0
     total_epochs: int = 1
 

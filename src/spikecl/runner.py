@@ -331,7 +331,7 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, 
         trace = logits = None
     if chip is not None:
         chip_loss, chip_grads = twin_loss(
-            chip, net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
+            net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
         )
         loss += chip_loss
         add_grads(grads, chip_grads)
@@ -388,8 +388,7 @@ def train_task(config, net, stream, task_idx, strategy, run_rng, chip=None) -> M
     task = stream.tasks[task_idx]
     state = _learner(config, net, _head_for(net, task_idx))
     ctx = TaskContext(
-        task=task_idx + 1, total_tasks=len(stream.tasks), scenario=stream.scenario,
-        total_epochs=config.epochs_per_task,
+        task=task_idx + 1, total_tasks=len(stream.tasks), total_epochs=config.epochs_per_task,
     )
     _fit(config, state, strategy, run_rng, f"task{task_idx}", ctx,
          task.train_x, task.train_y, chip=chip)
@@ -407,8 +406,7 @@ def _joint_phase(config, net, stream, strategy, run_rng):
         )
     total = len(stream.tasks)
     ctx = TaskContext(
-        task=total, total_tasks=total, scenario=stream.scenario,
-        total_epochs=config.epochs_per_task,
+        task=total, total_tasks=total, total_epochs=config.epochs_per_task,
     )
     _fit(config, _learner(config, net), strategy, run_rng, "joint", ctx, xs, ys, tids)
 
@@ -513,8 +511,7 @@ def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], Spiking
     for task_idx in range(n_tasks):
         t0 = time.perf_counter()
         ctx = TaskContext(
-            task=task_idx + 1, total_tasks=n_tasks, scenario=stream.scenario,
-            epoch=0, total_epochs=config.epochs_per_task,
+            task=task_idx + 1, total_tasks=n_tasks, epoch=0, total_epochs=config.epochs_per_task,
         )
         strategy.before_task(ctx, net)
         train_task(config, net, stream, task_idx, strategy, run_rng, chip)

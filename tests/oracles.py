@@ -5,11 +5,12 @@ import os
 
 import numpy as np
 
+from spikecl.chip import chip_twin_counts, quantize_network
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile, serialize_idx
 from spikecl.errors import ContractViolation
 from spikecl.numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
-from spikecl.snn import LifParams
+from spikecl.snn import LifParams, SpikingNetwork, forward
 from spikecl.train import backward_dlogits
 
 
@@ -133,6 +134,42 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
         if l > 0:
             ds_next = (du.reshape(B * T, -1) @ matrices[l].T).reshape(B, T, -1)
     return grads
+
+
+def dequantize_to_network(image) -> SpikingNetwork:
+    """Float twin of a config image: dequantized weights, the leak
+    1 - 2**-shift in place of the chip's floored shift, and rescaled
+    thresholds."""
+    decay = 1.0 - 2.0 ** -image.leak_shift
+    weights = [q.astype(np.float64) * s for q, s in zip(image.quantized, image.scales)]
+    lifs = [
+        LifParams(decay=decay, threshold=float(t) * s, reset=image.reset)
+        for t, s in zip(image.thresholds, image.scales)
+    ]
+    return SpikingNetwork(list(image.layer_sizes), weights, lifs, None, None)
+
+
+def float_twin_loss(net, x_enc, labels, loss_spec, quant_spec, surrogate, task=None):
+    """``chip.twin_loss`` as it was computed through a float twin: the chip
+    term from the integer counts (the registers), the twin term and its
+    gradients from a float forward and BPTT of the dequantized image.
+    Returns ``(loss, grads, trace)`` with the float twin's trace."""
+    spec = loss_spec
+    image = quantize_network(net, quant_spec, task)
+    chip_counts = chip_twin_counts(image, x_enc).astype(np.float64)
+    ce_inn, _ = softmax_cross_entropy_batch(chip_counts, labels)
+    sim_net = dequantize_to_network(image)
+    trace, logits = forward(sim_net, x_enc)
+    ce_s, probs = softmax_cross_entropy_batch(logits, labels)
+    loss = spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
+    dlog = spec.mu * spec.beta * cross_entropy_grad(probs, labels)
+    twin_grads = backward_dlogits(sim_net, trace, dlog, surrogate)
+    grads = {}
+    last = len(sim_net.weights) - 1
+    for l in range(len(sim_net.weights)):
+        name = f"head{task}" if net.multi_head and l == last else f"w{l}"
+        grads[name] = twin_grads[f"w{l}"]
+    return loss, grads, trace
 
 
 def ewc_penalty_oracle(tasks, net, strength) -> tuple[float, dict[str, np.ndarray]]:

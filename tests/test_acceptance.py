@@ -137,8 +137,8 @@ def test_criterion_3_chip_degradation_bound():
     net = build_network(cfg, stream, rng.fork("init"))
     strategy = apply_strategy(cfg.strategy, stream.scenario, 1, cfg.surrogate)
     chip = ChipModel()
-    ctx = TaskContext(task=1, total_tasks=len(stream.tasks), scenario=stream.scenario,
-                      epoch=0, total_epochs=cfg.epochs_per_task)
+    ctx = TaskContext(task=1, total_tasks=len(stream.tasks), epoch=0,
+                      total_epochs=cfg.epochs_per_task)
     strategy.before_task(ctx, net)
     state = train_task(cfg, net, stream, 0, strategy, rng, chip)
 
@@ -191,8 +191,7 @@ def _train_stream(cfg, stream, strategy_name, threshold_abs=None):
     scfg = StrategyConfig(strategy_name, hwc_threshold_abs=threshold_abs)
     strategy = apply_strategy(scfg, stream.scenario, 5, cfg.surrogate)
     for idx in range(len(stream.tasks)):
-        ctx = TaskContext(task=idx + 1, total_tasks=len(stream.tasks),
-                          scenario=stream.scenario, epoch=0,
+        ctx = TaskContext(task=idx + 1, total_tasks=len(stream.tasks), epoch=0,
                           total_epochs=cfg.epochs_per_task)
         strategy.before_task(ctx, net)
         train_task(cfg, net, stream, idx, strategy, rng)
@@ -209,14 +208,12 @@ def test_criterion_4_hard_mask_freezing():
     rng = RngStream(5)
     net = build_network(cfg, stream, rng.fork("init"))
     strategy = apply_strategy(cfg.strategy, stream.scenario, 5, cfg.surrogate)
-    ctx1 = TaskContext(task=1, total_tasks=2, scenario=stream.scenario,
-                       epoch=0, total_epochs=cfg.epochs_per_task)
+    ctx1 = TaskContext(task=1, total_tasks=2, epoch=0, total_epochs=cfg.epochs_per_task)
     strategy.before_task(ctx1, net)
     train_task(cfg, net, stream, 0, strategy, rng)
     strategy.after_task(ctx1, net, _make_sample_provider(stream.tasks[0], cfg, rng, 0))
 
-    ctx2 = TaskContext(task=2, total_tasks=2, scenario=stream.scenario,
-                       epoch=0, total_epochs=cfg.epochs_per_task)
+    ctx2 = TaskContext(task=2, total_tasks=2, epoch=0, total_epochs=cfg.epochs_per_task)
     strategy.before_task(ctx2, net)
     mask = strategy.mask
     frozen = {k: (v == 0.0) for k, v in mask.values.items()}

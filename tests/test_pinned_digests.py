@@ -6,7 +6,10 @@ the LIF recurrence moved to time-major storage and evaluation moved to
 ``batch_size`` slices, so a change that alters any accuracy of these runs
 fails here. The two EWC digests were recorded again when EWC's per-task
 penalties were merged into one Fisher sum and weighted anchor, an exact
-re-association that rounds differently from the third task on. Each run is a child process with one BLAS thread, since the
+re-association that rounds differently from the third task on. The two
+chip digests were recorded again when the chip's loss term moved from a
+float twin of the quantized network to the chip's own integer pass, whose
+leak floors. Each run is a child process with one BLAS thread, since the
 float matmuls sum in an order that depends on the thread count. Pinned on
 x86-64 with numpy 2.4: the corpus renderer's np.sin/np.cos and the BLAS
 kernels may differ in the last bit elsewhere.
@@ -72,9 +75,9 @@ CASES = {
 DIGESTS = {
     "split-hwc-hard": "1a13308fbf6867b0b27476caa989945699fc5d3b6f9efb7580a0108cdb629c22",
     "split-ewc": "5ae835ebb8f80a714cf8b449ed03416ec3881e78b8bd2af2ede28aff60bcf81f",
-    "split-chip-alpha0": "9a53083a172eb67e1ead053a4ba3aa2e98940135874a9f935b2592034be7276f",
+    "split-chip-alpha0": "c04526664e6e81492de08cf2cbac7fd23b08ea1323641c3dd7febb9743473e6a",
     "drift-ewc": "20a360a6ae90d8c1407148ba58c876cfc4a3ab6a9df541c823c5e1d3d71f0019",
-    "drift-si-chip": "d12018c72ed3333987061061ade64303878110a6a95545e2b5086038113561c7",
+    "drift-si-chip": "a203fdc4f97f4cb557a2d370c2f537b308ed69f2ea069aaff416f02300a602d2",
 }
 
 TESTS = os.path.dirname(os.path.abspath(__file__))

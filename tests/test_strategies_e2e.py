@@ -61,8 +61,7 @@ def train_one_task(strategy_name):
     rng = RngStream(9)
     net = build_network(cfg, stream, rng.fork("init"))
     strategy = apply_strategy(cfg.strategy, stream.scenario, 9, cfg.surrogate)
-    ctx = TaskContext(task=1, total_tasks=5, scenario=stream.scenario,
-                      epoch=0, total_epochs=1)
+    ctx = TaskContext(task=1, total_tasks=5, epoch=0, total_epochs=1)
     strategy.before_task(ctx, net)
     train_task(cfg, net, stream, 0, strategy, rng)
     strategy.after_task(ctx, net, _make_sample_provider(stream.tasks[0], cfg, rng, 0))
@@ -93,8 +92,7 @@ def test_soft_mask_scales_but_does_not_freeze():
     net = build_network(cfg, stream, rng.fork("init"))
     strategy = apply_strategy(cfg.strategy, stream.scenario, 12, cfg.surrogate)
     for idx in range(2):
-        ctx = TaskContext(task=idx + 1, total_tasks=5, scenario=stream.scenario,
-                          epoch=0, total_epochs=1)
+        ctx = TaskContext(task=idx + 1, total_tasks=5, epoch=0, total_epochs=1)
         strategy.before_task(ctx, net)
         if idx == 1:
             assert strategy.mask is not None and strategy.mask.mode == "soft"

@@ -8,8 +8,6 @@ from spikecl.chip import (
     ChipModel,
     QuantSpec,
     chip_twin_counts,
-    dequantize_to_network,
-    quantize_network,
     upload_weights,
 )
 from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
@@ -88,9 +86,9 @@ def test_chip_batch_loss_is_mean_of_composite_loss():
 
     _, enn = forward(net, x)
     inn = chip_twin_counts(image, x).astype(np.float64)  # equals the registers
-    _, sim = forward(dequantize_to_network(quantize_network(net, state.quant_spec)), x)
-    assert (inn != sim).any() and (enn != sim).any()  # the three terms differ
-    want = np.mean([composite_loss(int(y[i]), enn[i], inn[i], sim[i], loss) for i in range(9)])
+    assert (enn != inn).any()  # the external and the chip term differ
+    # the twin is the chip's integer pass: its term has the chip's counts
+    want = np.mean([composite_loss(int(y[i]), enn[i], inn[i], inn[i], loss) for i in range(9)])
 
     got = train_step(state, (x, y, None), _strategy("none"), TaskContext(task=1, total_tasks=1), chip)
     assert got == pytest.approx(want, rel=1e-12)
@@ -109,12 +107,12 @@ def test_twin_loss_at_beta_zero_skips_the_twin(monkeypatch):
     y = rng.fork("y").integers(9, 3)
     ce_chip, _ = softmax_cross_entropy_batch(chip_twin_counts(image, x).astype(np.float64), y)
 
-    def twin_forward(*args, **kwargs):
-        raise AssertionError("the twin forward ran at beta = 0")
+    def twin_backward(*args, **kwargs):
+        raise AssertionError("the twin backward ran at beta = 0")
 
-    monkeypatch.setattr(chip_mod, "forward", twin_forward)
-    loss, grads = chip_mod.twin_loss(chip, net, x, y, spec, quant, SurrogateSpec())
-    assert loss == spec.mu * (spec.alpha * ce_chip)
+    monkeypatch.setattr(chip_mod, "backward_dlogits", twin_backward)
+    loss, grads = chip_mod.twin_loss(net, x, y, spec, quant, SurrogateSpec())
+    assert loss == spec.mu * (spec.alpha + spec.beta) * ce_chip
     assert grads == {}
 
 

@@ -19,6 +19,7 @@ after each epoch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     FormatError,
     ProtocolError,
 )
-from .numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
+from .numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from .snn import ForwardTrace, LifParams, SpikingNetwork
 from .train import LossSpec, SurrogateSpec, backward_dlogits
 
@@ -147,33 +148,49 @@ def flatten_for_chip(net: SpikingNetwork, task: int | None = None) -> tuple[list
     return sizes, mats, lifs
 
 
+def quantize_codes(
+    net: SpikingNetwork,
+    spec: QuantSpec,
+    task: int | None = None,
+) -> ConfigImage:
+    """Symmetric per-layer quantization q = clamp(round(w / scale)), each
+    layer's codes built in one float64 buffer: the one quantizer.
+
+    The default scale max|w| / qmax maps the largest weight onto the signed
+    range; an all-zero layer degenerates to scale 1; ``spec.scale_override``
+    gives one scale per computing layer instead. Thresholds are scaled by
+    the same factor so spike behavior is unchanged in exact arithmetic
+    (then rounded to at least one integer unit).
+    """
+    sizes, mats, lifs = flatten_for_chip(net, task)
+    codes, scales, thresholds = [], [], []
+    for w, p in zip(mats, lifs):
+        peak = max(float(w.max()), -float(w.min()))  # nan or inf if any weight is
+        if not math.isfinite(peak):
+            raise ContractViolation("weights contains non-finite values")
+        if spec.scale_override is not None:
+            scale = spec.scale_override[len(scales)]
+        else:
+            scale = peak / spec.qmax if peak > 0.0 else 1.0
+        q = np.divide(w, scale)
+        np.rint(q, out=q)
+        np.clip(q, -spec.qmax, spec.qmax, out=q)
+        codes.append(q)
+        scales.append(scale)
+        thresholds.append(max(1, int(np.rint(p.threshold / scale))))
+    reset = lifs[0].reset
+    return ConfigImage(sizes, codes, scales, thresholds, spec.leak_shift, spec.bits, reset)
+
+
 def quantize_network(
     net: SpikingNetwork,
     spec: QuantSpec,
     task: int | None = None,
 ) -> ConfigImage:
-    """Symmetric per-layer quantization q = clamp(round(w / scale)).
-
-    The default scale max|w| / qmax maps the largest weight onto the signed
-    range; an all-zero layer degenerates to scale 1. Thresholds are scaled
-    by the same factor so spike behavior is unchanged in exact arithmetic
-    (then rounded to at least one integer unit).
-    """
-    sizes, mats, lifs = flatten_for_chip(net, task)
-    quantized, scales, thresholds = [], [], []
-    for w, p in zip(mats, lifs):
-        require_finite(w, "weights")
-        if spec.scale_override is not None:
-            scale = spec.scale_override[len(scales)]
-        else:
-            peak = float(np.abs(w).max())
-            scale = peak / spec.qmax if peak > 0.0 else 1.0
-        q = np.clip(np.rint(w / scale), -spec.qmax, spec.qmax).astype(np.int64)
-        quantized.append(q)
-        scales.append(scale)
-        thresholds.append(max(1, int(np.rint(p.threshold / scale))))
-    reset = lifs[0].reset
-    return ConfigImage(sizes, quantized, scales, thresholds, spec.leak_shift, spec.bits, reset)
+    """The config image of ``quantize_codes``, with int64 codes."""
+    image = quantize_codes(net, spec, task)
+    image.quantized = [q.astype(np.int64) for q in image.quantized]
+    return image
 
 
 def validate_constraints(
@@ -223,24 +240,37 @@ def validate_constraints(
     return violations
 
 
-def exact_float_weights(image: ConfigImage) -> list[np.ndarray]:
-    """The image's integer weights as float64 copies for ``_integer_layer_counts``.
+def _exact_float(l: int, q: np.ndarray) -> np.ndarray:
+    """Layer ``l``'s integer codes as the float array the core accumulates
+    with: float32 when n_in * max|q| < 2**24, float64 below 2**53.
 
-    Raises ``ContractViolation`` for non-integer weights, and for weights
-    so large that a float64 accumulate of 0/1 spikes against them could
-    round.
+    The accumulate multiplies 0/1 spikes by these codes, so every partial
+    sum, in any order and with or without FMA, is an integer of magnitude
+    at most n_in * max|q|; below the format's 2**(mantissa bits + 1) each
+    is exact. Float64 codes that stay float64 are not copied. Raises
+    ``ContractViolation`` at 2**53 and above.
     """
+    peak = max(int(q.max()), -int(q.min())) if q.size else 0
+    bound = q.shape[0] * peak
+    if bound < 2**24:
+        return q.astype(np.float32)
+    if bound >= 2**53:
+        raise ContractViolation(
+            f"layer {l}: {q.shape[0]} inputs x max|q| {peak} reaches 2**53; "
+            "the accumulate would not be exact"
+        )
+    return q.astype(np.float64, copy=False)
+
+
+def exact_float_weights(image: ConfigImage) -> list[np.ndarray]:
+    """The image's integer weights as the exact float copies that
+    ``_integer_layers`` multiplies by (``_exact_float``); non-integer
+    weights raise ``ContractViolation``."""
     weights = []
     for l, q in enumerate(image.quantized):
         if q.dtype.kind not in "iu":
             raise ContractViolation(f"layer {l} weights have non-integer dtype {q.dtype}")
-        peak = max(int(q.max()), -int(q.min())) if q.size else 0
-        if q.shape[0] * peak >= 2**53:
-            raise ContractViolation(
-                f"layer {l}: {q.shape[0]} inputs x max|q| {peak} reaches 2**53; "
-                "the accumulate would not be exact"
-            )
-        weights.append(q.astype(np.float64))
+        weights.append(_exact_float(l, q))
     return weights
 
 
@@ -251,21 +281,23 @@ def _integer_layers(
 
     ``input_spikes`` is a (B, T, n_in) batch of 0/1 entries. This single
     integer core backs the protocol machine (a batch of one), batched twin
-    evaluation and the twin's training pass. ``weights`` is
-    ``exact_float_weights(image)``, made here when not given; the chip keeps
-    its copy from the upload.
+    evaluation and the twin's training pass. ``weights`` holds the exact
+    float codes (``exact_float_weights(image)``, made here when not given;
+    the chip keeps its copy from the upload). Only the thresholds, leak
+    shift and reset of ``image`` are read when they are given.
 
     Yields ``(spikes, u)`` per layer: the (B, T, n) float64 0/1 spikes and
-    the int64 pre-reset potentials u_t = v_{t-1} - (v_{t-1} >> shift) + I_t,
-    stored in the buffer that held the currents. The generator overwrites
-    neither after yielding them.
+    the int64 pre-reset potentials u_t = v_{t-1} - (v_{t-1} >> shift) + I_t.
+    ``u`` is a (B, T, n) view of the time-major (T, B, n) buffer that held
+    the currents (``u.transpose(1, 0, 2)`` is C-contiguous), the layout of
+    ``snn.ForwardTrace``. The generator overwrites neither after yielding
+    them.
 
-    The accumulate ``spikes @ Q`` runs as a float64 BLAS matmul on the
-    integer operands. Spikes are 0/1, so every partial sum, in any order,
-    is an integer of magnitude at most n_in * max|Q|; below 2**53 each is
-    exactly representable and the product equals the int64 one bit for bit,
-    whatever the BLAS blocking or thread count. The leak, threshold and
-    reset recurrence stays in int64.
+    The accumulate ``spikes @ Q`` runs as a BLAS matmul of time-major rows
+    in the dtype of each layer's weights (float32 or float64); it is exact
+    (see ``_exact_float``), so it equals the int64 product bit for bit,
+    whatever the row order, blocking or thread count. The leak, threshold
+    and reset recurrence runs in int64, in place on contiguous (B, n) slices.
     """
     x = np.asarray(input_spikes)
     if x.ndim != 3:
@@ -274,25 +306,25 @@ def _integer_layers(
         raise ContractViolation("chip input spikes must be binary")
     if weights is None:
         weights = exact_float_weights(image)
-    spikes = np.asarray(x, dtype=np.float64)
-    B, T, _ = spikes.shape
+    B, T, _ = x.shape
     shift = image.leak_shift
+    fired = x.transpose(1, 0, 2)  # the time-major spikes feeding the next layer
     for w, thr in zip(weights, image.thresholds):
-        cur = spikes.reshape(B * T, -1) @ w
-        cur = cur.astype(np.int64).reshape(B, T, -1)
-        v = np.zeros((B, w.shape[1]), dtype=np.int64)
-        out = np.empty(cur.shape, dtype=np.float64)
-        for t in range(T):
-            v = v - (v >> shift) + cur[:, t, :]
-            cur[:, t, :] = v
-            s = v >= thr
-            if image.reset == "subtract":
-                v = v - thr * s
-            else:
-                v = v * ~s
-            out[:, t, :] = s
-        spikes = out
-        yield out, cur
+        rows = np.ascontiguousarray(fired, dtype=w.dtype).reshape(T * B, -1)
+        cur = (rows @ w).astype(np.int64).reshape(T, B, -1)
+        v = np.zeros(cur.shape[1:], dtype=np.int64)
+        drop = np.empty_like(v)
+        fired = np.empty(cur.shape, dtype=bool)
+        for u, s in zip(cur, fired):
+            np.right_shift(v, shift, out=drop)
+            v -= drop
+            u += v
+            np.greater_equal(u, thr, out=s)
+            # the reset drops thr (subtract) or all of u (zero) where it fired
+            np.multiply(s, thr if image.reset == "subtract" else u, out=drop)
+            np.subtract(u, drop, out=v)
+        spikes = np.ascontiguousarray(fired.transpose(1, 0, 2), dtype=np.float64)
+        yield spikes, cur.transpose(1, 0, 2)
 
 
 def _integer_layer_counts(
@@ -323,7 +355,7 @@ class ChipModel:
 
     constraints: ChipConstraints = field(default_factory=ChipConstraints)
     image: ConfigImage | None = None
-    weights: list[np.ndarray] = field(default_factory=list)  # float64 copies of image.quantized
+    weights: list[np.ndarray] = field(default_factory=list)  # exact_float_weights(image)
     readout: list[np.ndarray] = field(default_factory=list)
     interrupt: bool = False
 
@@ -476,33 +508,45 @@ def twin_loss(
     times each layer's scale, straight through the rounding and the leak's
     floor (decay 1 - 2**-shift). At alpha = beta = 0 nothing is quantized;
     at beta = 0 no backward runs.
+
+    The pass runs on ``quantize_codes``' float64 codes, as the same exact
+    float weights the chip gets from an upload (``_exact_float``); no int64
+    image is made. The trace's potentials are (B, T, n) views of time-major
+    storage, as ``snn.ForwardTrace`` documents. BPTT reads the weights of
+    layers 1 and up only, to carry the gradient down a layer, so only those
+    codes are scaled, in place, and the first layer's place holds NaNs.
     """
     spec = loss_spec
     if spec.alpha == 0.0 and spec.beta == 0.0:
         return 0.0, {}
-    image = quantize_network(net, quant_spec, task)
-    weights = exact_float_weights(image)
-    image.quantized = []  # the float64 codes stand in for them from here on
+    image = quantize_codes(net, quant_spec, task)
+    weights = [_exact_float(l, q) for l, q in enumerate(image.quantized)]
+    # the pass reads ``weights``; BPTT reads only the later layers' codes
+    first, later = image.quantized[0].shape, image.quantized[1:]
+    image.quantized = []
     x = np.asarray(x_enc, dtype=np.float64)
     spikes, pre_reset = [x], []
     for (s, u), scale in zip(_integer_layers(image, x, weights), image.scales):
         spikes.append(s)
-        pre_reset.append(u * scale)
+        pre_reset.append(np.multiply(u.transpose(1, 0, 2), scale).transpose(1, 0, 2))
+    del weights
     ce, probs = softmax_cross_entropy_batch(spikes[-1].sum(axis=1), labels)
     loss = spec.mu * (spec.alpha + spec.beta) * ce
     if spec.beta == 0.0:
         return loss, {}
-    for w, scale in zip(weights, image.scales):
-        w *= scale  # in place: the same bits as q.astype(float64) * scale
+    matrices = [np.broadcast_to(np.nan, first)]
+    for q, scale in zip(later, image.scales[1:]):
+        q *= scale  # the same bits as q.astype(float64) * scale
+        matrices.append(q)
     decay = 1.0 - 2.0 ** -image.leak_shift
     lifs = [
         LifParams(decay=decay, threshold=float(t) * scale, reset=image.reset)
         for t, scale in zip(image.thresholds, image.scales)
     ]
-    twin = SpikingNetwork(list(image.layer_sizes), weights, lifs)
+    twin = SpikingNetwork(list(image.layer_sizes), matrices, lifs)
     trace = ForwardTrace(spikes, pre_reset, None, None)
     dlog = spec.mu * spec.beta * cross_entropy_grad(probs, labels)
     grads = backward_dlogits(twin, trace, dlog, surrogate)
     if net.multi_head:
-        grads[f"head{task}"] = grads.pop(f"w{len(weights) - 1}")
+        grads[f"head{task}"] = grads.pop(f"w{len(matrices) - 1}")
     return loss, grads

@@ -21,7 +21,6 @@ from itertools import islice
 
 import numpy as np
 
-from .container import write_bundle
 from .errors import ConfigurationError, ContractViolation
 from .numerics import matmul, softmax_cross_entropy_batch
 from .rng import RngStream
@@ -148,23 +147,18 @@ def potential(store: HebbianStore, mode: str, threshold: float | None = None) ->
 
 
 def gate_update(grads: dict[str, np.ndarray], mask: PotentialMask) -> dict[str, np.ndarray]:
-    """Elementwise product of raw gradients with the potential mask."""
-    out = {}
+    """Multiply each raw gradient by its potential mask, in place.
+
+    Writes into the arrays of ``grads``, which ``runner.train_step`` owns
+    (``g *= p`` has the bits of ``g * p``), and returns ``grads``.
+    """
     for name, g in grads.items():
         p = mask.values.get(name)
-        if p is None:
-            out[name] = g
-        else:
+        if p is not None:
             if p.shape != g.shape:
                 raise ContractViolation(f"mask shape mismatch for {name}")
-            out[name] = g * p
-    return out
-
-
-def write_mask_dump(path, mask: PotentialMask) -> None:
-    """Persist a potential mask for post-hoc analysis (bundle container)."""
-    meta = {"kind": "potential-mask", "version": 1, "mode": mask.mode, "threshold": mask.threshold}
-    write_bundle(path, meta, mask.values)
+            g *= p
+    return grads
 
 
 # ---------------------------------------------------------------------------

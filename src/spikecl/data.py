@@ -67,13 +67,6 @@ def load_idx(path) -> IdxFile:
     return IdxFile(magic, dims, data)
 
 
-def serialize_idx(idx: IdxFile) -> bytes:
-    """Inverse of load_idx; byte-exact for well-formed files."""
-    out = struct.pack(">I", idx.magic)
-    out += struct.pack(f">{len(idx.dims)}I", *idx.dims)
-    return out + idx.data.astype(np.uint8).tobytes()
-
-
 def load_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Load a paired image/label set: (n, rows*cols) uint8 pixel codes, kept
     as codes (``encode_batch`` divides them by 255), and int64 labels."""

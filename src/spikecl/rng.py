@@ -84,10 +84,6 @@ class RngStream:
         self._base = mix64(int(seed))
         self._counter = 0
 
-    @property
-    def seed_base(self) -> int:
-        return self._base
-
     def fork(self, tag: str | int) -> "RngStream":
         """Derive an independent child stream keyed by (this stream, tag).
 

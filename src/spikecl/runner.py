@@ -21,6 +21,7 @@ depend on it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 import types
@@ -131,6 +132,17 @@ class RunConfig:
                 and all(type(d) is int and 0 <= d <= 9 for d in pair)
             ):
                 raise ConfigurationError(f"split pair {pair!r} is not two distinct digits")
+        scales = self.quant.scale_override
+        if scales is not None:
+            if len(scales) != len(self.hidden) + 1:
+                raise ConfigurationError(
+                    f"quant.scale_override needs one scale per computing layer "
+                    f"({len(self.hidden) + 1}), got {len(scales)}"
+                )
+            if not all(math.isfinite(s) and s > 0.0 for s in scales):
+                raise ConfigurationError(
+                    f"quant.scale_override entries must be finite and > 0, got {scales}"
+                )
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
@@ -430,9 +442,11 @@ def evaluate_task(
     Task identity selects the head and gates in task-incremental runs and is
     withheld (single shared head) in domain-incremental runs.
 
-    Each ``chunk`` of test samples is encoded from its own named fork, then
-    simulated in ``config.batch_size`` slices, so no trace larger than a
-    training batch's is ever live. The chip's pass is exact integer
+    Each ``chunk`` of test samples has its own named fork, from which its
+    ``config.batch_size`` slices are encoded in order and simulated one at
+    a time, so no encoding or trace larger than a training batch's is ever
+    live. The fork is counter-based, so the slices draw the bytes one
+    encoding of the whole chunk would. The chip's pass is exact integer
     arithmetic, so slicing changes none of its counts. A float slice of 16
     samples at T = 10 is 160 rows, whole BLAS kernel blocks, so each sample
     gets the bits of one pass over the chunk (see ``snn.forward``).
@@ -445,17 +459,16 @@ def evaluate_task(
         weights = exact_float_weights(image)
     correct = 0
     for ci, start in enumerate(range(0, len(task.test_y), chunk)):
-        x = task.test_x[start : start + chunk]
-        y = task.test_y[start : start + chunk]
         enc = run_rng.fork(f"eval/after{trained_idx}/task{eval_idx}/chunk{ci}")
-        x_enc = encode_batch(x, config.encoder, enc)
-        for b in range(0, len(y), config.batch_size):
-            rows = slice(b, b + config.batch_size)
+        stop = min(start + chunk, len(task.test_y))
+        for b in range(start, stop, config.batch_size):
+            rows = slice(b, min(b + config.batch_size, stop))
+            x_enc = encode_batch(task.test_x[rows], config.encoder, enc)
             if config.chip:
-                logits = chip_twin_counts(image, x_enc[rows], weights)
+                logits = chip_twin_counts(image, x_enc, weights)
             else:  # keep only the logits, so no trace outlives its slice
-                logits = forward(net, x_enc[rows], task=head, gates=gates)[1]
-            correct += int((logits.argmax(axis=1) == y[rows]).sum())
+                logits = forward(net, x_enc, task=head, gates=gates)[1]
+            correct += int((logits.argmax(axis=1) == task.test_y[rows]).sum())
     return correct / len(task.test_y)
 
 

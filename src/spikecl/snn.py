@@ -87,12 +87,6 @@ class SpikingNetwork:
         """Widths of the hidden layers, one per unit-gate vector."""
         return list(self.layer_sizes[1:] if self.multi_head else self.layer_sizes[1:-1])
 
-    def param_names(self) -> list[str]:
-        names = [f"w{l}" for l in range(len(self.weights))]
-        if self.heads is not None:
-            names += [f"head{t}" for t in range(len(self.heads))]
-        return names
-
     def get_param(self, name: str) -> np.ndarray:
         if name.startswith("head"):
             return self.heads[int(name[4:])]
@@ -156,7 +150,8 @@ class ForwardTrace:
     layers additionally the pre-reset potentials ``u``; the post-reset
     membrane potential follows from ``u`` and the spikes. Each ``u`` is a
     (B, T, n) view of the time-major (T, B, n) storage the recurrence ran
-    on; ``u.transpose(1, 0, 2)`` gives that storage back without a copy.
+    on, in ``forward`` and in the chip's integer pass (``chip.twin_loss``)
+    alike; ``u.transpose(1, 0, 2)`` gives that storage back without a copy.
     """
 
     spikes: list[np.ndarray]

@@ -2,11 +2,13 @@
 tests use."""
 
 import os
+import struct
 
 import numpy as np
 
 from spikecl.chip import chip_twin_counts, quantize_network
-from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile, serialize_idx
+from spikecl.container import write_bundle
+from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile
 from spikecl.errors import ContractViolation
 from spikecl.numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
@@ -215,6 +217,13 @@ def encode(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None
     return rng.bernoulli(f * spec.max_rate, (spec.timesteps, f.size))
 
 
+def serialize_idx(idx: IdxFile) -> bytes:
+    """Inverse of load_idx; byte-exact for well-formed files."""
+    out = struct.pack(">I", idx.magic)
+    out += struct.pack(f">{len(idx.dims)}I", *idx.dims)
+    return out + idx.data.astype(np.uint8).tobytes()
+
+
 def write_idx(path, idx: IdxFile) -> None:
     with open(path, "wb") as f:
         f.write(serialize_idx(idx))
@@ -240,3 +249,22 @@ def export_drift_csv(stream, out_dir) -> list[str]:
                 f.write(",".join(repr(v) for v in x) + f",{int(y)}\n")
         paths.append(path)
     return paths
+
+
+def write_mask_dump(path, mask) -> None:
+    """Persist a potential mask for post-hoc analysis (bundle container)."""
+    meta = {"kind": "potential-mask", "version": 1, "mode": mask.mode, "threshold": mask.threshold}
+    write_bundle(path, meta, mask.values)
+
+
+def param_names(net: SpikingNetwork) -> list[str]:
+    """The network's parameter names: ``w{l}`` per matrix, then ``head{t}``."""
+    names = [f"w{l}" for l in range(len(net.weights))]
+    if net.heads is not None:
+        names += [f"head{t}" for t in range(len(net.heads))]
+    return names
+
+
+def seed_base(stream: RngStream) -> int:
+    """The stream's base word, mix64(seed) or a fork's derived base."""
+    return stream._base

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from spikecl.chip import (
     chip_twin_counts,
     decode_frames,
     encode_frames,
+    exact_float_weights,
     parse_image,
+    quantize_codes,
     quantize_network,
     read_layer_spikes,
     serialize_image,
@@ -74,6 +78,14 @@ class TestQuantize:
     def test_bits_validation(self):
         with pytest.raises(ContractViolation):
             QuantSpec(bits=7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scales", [None, [0.1, 0.1]], ids=["max-scale", "override"])
+    def test_non_finite_weight_raises(self, bad, scales):
+        net = init_network([4, 6, 3], RngStream(8))
+        net.weights[1][2, 1] = bad
+        with pytest.raises(ContractViolation, match="non-finite"):
+            quantize_codes(net, QuantSpec(scale_override=scales))
 
     def test_threshold_scaling(self):
         net = small_net()
@@ -276,8 +288,8 @@ def hand_integer_222(q0, q1, thr0, thr1, shift, x):
 
 def int64_layer_pass_oracle(image, input_spikes):
     """Reference integer core with a plain int64 accumulate; per layer the
-    (B, T, n) spikes and pre-reset potentials. The float64 BLAS core must
-    match it bit for bit."""
+    (B, T, n) spikes and pre-reset potentials. The BLAS core must match it
+    bit for bit."""
     spikes = np.asarray(input_spikes).astype(np.int64)
     B, T, _ = spikes.shape
     layers = []
@@ -350,6 +362,7 @@ class TestIntegerCore:
         assert len(got) == len(ref) == 3
         for (s, u), (s_ref, u_ref) in zip(got, ref):
             assert s.dtype == np.float64 and u.dtype == np.int64
+            assert u.transpose(1, 0, 2).flags.c_contiguous  # a view of time-major storage
             assert np.array_equal(s, s_ref)
             assert np.array_equal(u, u_ref)
 
@@ -366,10 +379,35 @@ class TestIntegerCore:
             scales=[1.0, 1.0], thresholds=[784 * qmax - 1, 1], leak_shift=3, bits=bits,
             reset="subtract",
         )
+        # 784 * qmax is below 2**24 at 4 and 8 bits, above it at 16
+        assert exact_float_weights(image)[0].dtype == (np.float64 if bits == 16 else np.float32)
         got = chip_module._integer_layer_counts(image, np.ones((1, 1, 784)))
         assert got[0].tolist() == [[1, 1, 0]]
         for a, b in zip(got, int64_layer_counts_oracle(image, np.ones((1, 1, 784)))):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "n_in, peak, dtype", [(723, 23205, np.float32), (1024, 16384, np.float64)],
+        ids=["2**24-1-float32", "2**24-float64"],
+    )
+    def test_accumulate_width_switches_at_2_to_the_24(self, n_in, peak, dtype):
+        # as above: currents S, S - 1 and S - 2 against threshold S - 1 at
+        # S = n_in * peak, on either side of the float32 bound
+        assert n_in * peak == (2**24 - 1 if dtype == np.float32 else 2**24)
+        q0 = np.full((n_in, 3), peak, dtype=np.int64)
+        q0[0, 1:] -= [1, 2]
+        image = ConfigImage(
+            layer_sizes=[n_in, 3, 1], quantized=[q0, np.ones((3, 1), dtype=np.int64)],
+            scales=[1.0, 1.0], thresholds=[n_in * peak - 1, 1], leak_shift=3, bits=16,
+            reset="subtract",
+        )
+        assert [w.dtype for w in exact_float_weights(image)] == [dtype, np.float32]
+        x = np.ones((2, 3, n_in))
+        x[1, 1:, ::2] = 0.0
+        got = list(chip_module._integer_layers(image, x))
+        assert got[0][0][0, 0].tolist() == [1.0, 1.0, 0.0]
+        for (s, u), (s_ref, u_ref) in zip(got, int64_layer_pass_oracle(image, x)):
+            assert np.array_equal(s, s_ref) and np.array_equal(u, u_ref)
 
     def test_accumulate_bound_violation_raises(self):
         image = ConfigImage(
@@ -529,11 +567,64 @@ class TestTwinLoss:
         def no_quantize(*args, **kwargs):
             raise AssertionError("quantized at alpha = beta = 0")
 
-        monkeypatch.setattr(chip_module, "quantize_network", no_quantize)
+        monkeypatch.setattr(chip_module, "quantize_codes", no_quantize)
         spec = LossSpec(lam=1.0, mu=1.0, alpha=0.0, beta=0.0)
         x = np.ones((2, 3, 2))
         assert twin_loss(small_net(), x, np.array([0, 1]), spec, QuantSpec(),
                          SurrogateSpec()) == (0.0, {})
+
+    @pytest.mark.parametrize("bits", QUANT_BITS)
+    def test_twin_runs_on_the_float_codes_of_the_one_quantizer(self, bits, monkeypatch):
+        # no int64 image and no upload copy: the pass gets quantize_codes'
+        # codes, as exact floats, and the trace holds time-major potentials
+        rng = RngStream(60 + bits)
+        net = init_network([20, 16], rng.fork("net"), n_heads=2, head_size=3, gain=3.0)
+        quant = QuantSpec(bits=bits, leak_shift=1)
+        x = (rng.fork("x").uniform((7, 6, 20)) < 0.5).astype(np.float64)
+        y = rng.fork("y").integers(7, 3)
+        want = twin_loss(net, x, y, self.SPEC, quant, SurrogateSpec(), 1)
+        codes = quantize_codes(net, quant, 1).quantized
+        image = quantize_network(net, quant, 1)
+        assert all(c.dtype == np.float64 and np.array_equal(c, q)
+                   for c, q in zip(codes, image.quantized))
+        traces = []
+
+        def spy(twin, trace, dlog, surrogate):
+            traces.append(trace)
+            return backward(twin, trace, dlog, surrogate)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the twin made an int64 image or an upload copy")
+
+        backward = chip_module.backward_dlogits
+        monkeypatch.setattr(chip_module, "backward_dlogits", spy)
+        monkeypatch.setattr(chip_module, "quantize_network", forbidden)
+        monkeypatch.setattr(chip_module, "exact_float_weights", forbidden)
+        loss, grads = twin_loss(net, x, y, self.SPEC, quant, SurrogateSpec(), 1)
+        assert loss == want[0]
+        assert all(grads[k].tobytes() == g.tobytes() for k, g in want[1].items())
+        (trace,) = traces
+        for u, s in zip(trace.pre_reset, trace.spikes[1:]):
+            assert u.shape == s.shape == (7, 6, u.shape[2]) and u.dtype == np.float64
+            assert u.transpose(1, 0, 2).flags.c_contiguous
+
+    def test_one_call_allocates_under_5_5_mb_at_split_chip_shapes(self):
+        # 784-256-256 with a 2-wide head, B = 16, T = 10, at the shipped
+        # loss (alpha 0, beta 1) and 8 bits; 5.09 MB when the bound was set
+        rng = RngStream(5)
+        net = init_network([784, 256, 256], rng.fork("net"), n_heads=5, head_size=2)
+        x = (rng.fork("x").uniform((16, 10, 784)) < 0.2).astype(np.float64)
+        y = rng.fork("y").integers(16, 2)
+        spec = LossSpec(lam=1.0, mu=1.0, alpha=0.0, beta=1.0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            twin_loss(net, x, y, spec, QuantSpec(), SurrogateSpec(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 5.5 * 2**20, f"{(peak - entry) / 2**20:.2f} MB above entry"
 
 
 class TestFrames:

@@ -17,7 +17,6 @@ from spikecl.continual import (
     potential,
     regularizer_penalty,
     si_update_omega,
-    write_mask_dump,
     xdg_gates,
 )
 from spikecl.container import read_bundle
@@ -26,7 +25,7 @@ from spikecl.rng import RngStream
 from spikecl.snn import LifParams, forward, init_network
 from spikecl.train import OptimizerState, SurrogateSpec, optimizer_step
 
-from oracles import backward, ewc_penalty_oracle
+from oracles import backward, ewc_penalty_oracle, write_mask_dump
 
 
 class TestHebbianAccumulation:

@@ -25,11 +25,10 @@ from spikecl.data import (
     generate_digit_corpus,
     load_idx,
     load_idx_pair,
-    serialize_idx,
 )
 from spikecl.errors import ConfigurationError, ContractViolation, FormatError, SpikeclError
 from spikecl.rng import RngStream
-from oracles import corpus_to_idx, encode, export_drift_csv, write_idx
+from oracles import corpus_to_idx, encode, export_drift_csv, serialize_idx, write_idx
 
 
 def make_image_bytes(count, rows, cols, pixels):

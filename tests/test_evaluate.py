@@ -62,17 +62,9 @@ def test_sliced_evaluation_equals_one_pass_oracle(case, chunk):
         assert got == want
 
 
-@pytest.mark.parametrize("chip", [False, True], ids=["float", "chip"])
-def test_evaluation_allocates_under_4_mb_above_entry(chip):
-    # A 200-sample drift day through the shipped 64-256-256-8 network: one
-    # float pass keeps every layer's (200, 10, n) spikes and potentials,
-    # about 17 MB, and one integer pass its currents and spikes, about
-    # 16 MB; 16-row slices keep about a twelfth of that.
-    config = RunConfig(
-        scenario="synthetic-drift", drift=DriftSpec(days=1, train_per_day=8), chip=chip
-    )
+def evaluation_peak_above_entry(config):
+    """Bytes ``evaluate_task`` allocates above entry on task 0 under tracemalloc."""
     stream = build_stream(config)
-    assert len(stream.tasks[0].test_y) == 200
     run_rng = RngStream(1)
     net = build_network(config, stream, run_rng.fork("init"))
     strategy = apply_strategy(config.strategy, stream.scenario, 1, config.surrogate)
@@ -84,4 +76,34 @@ def test_evaluation_allocates_under_4_mb_above_entry(chip):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry < 4 * 2**20, f"{(peak - entry) / 2**20:.1f} MB above entry"
+    return peak - entry
+
+
+@pytest.mark.parametrize("chip", [False, True], ids=["float", "chip"])
+def test_evaluation_allocates_under_4_mb_above_entry(chip):
+    # A 200-sample drift day through the shipped 64-256-256-8 network: one
+    # float pass keeps every layer's (200, 10, n) spikes and potentials,
+    # about 17 MB, and one integer pass its currents and spikes, about
+    # 16 MB; 16-row slices keep about a twelfth of that.
+    config = RunConfig(
+        scenario="synthetic-drift", drift=DriftSpec(days=1, train_per_day=8), chip=chip
+    )
+    assert len(build_stream(config).tasks[0].test_y) == 200
+    used = evaluation_peak_above_entry(config)
+    assert used < 4 * 2**20, f"{used / 2**20:.1f} MB above entry"
+
+
+@pytest.mark.parametrize("chip", [False, True], ids=["float", "chip"])
+def test_split_evaluation_allocates_under_8_mb_above_entry(chip):
+    # A 500-sample split task through the shipped 784-256-256 network, two
+    # chunks of 256 and 244. Encoding a whole chunk draws 2 million words
+    # and keeps its (256, 10, 784) spike trains, about 50 MB above entry;
+    # encoding each 16-sample slice from the chunk's fork in turn peaked at
+    # 3.3 MB (float) and 6.3 MB (chip, with its quantized image) when the
+    # bound was set.
+    config = RunConfig(
+        split_pairs=[[0, 1]], corpus_train_per_class=4, corpus_test_per_class=250, chip=chip
+    )
+    assert build_stream(config).tasks[0].test_x.shape == (500, 784)
+    used = evaluation_peak_above_entry(config)
+    assert used < 8 * 2**20, f"{used / 2**20:.1f} MB above entry"

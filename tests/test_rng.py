@@ -4,6 +4,8 @@ import pytest
 from spikecl.errors import ContractViolation
 from spikecl.rng import RngStream, fnv1a64, mix64
 
+from oracles import seed_base
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _ULP_BELOW = np.nextafter(1.0, 0.0)
 
@@ -12,7 +14,7 @@ def _raw_oracle(stream, n):
     """The out-of-place splitmix64 block: counters (c+1 .. c+n) of ``stream``."""
     start = stream._counter + 1
     idx = np.arange(start, start + n, dtype=np.uint64)
-    z = np.uint64(stream.seed_base) + idx * _GAMMA
+    z = np.uint64(seed_base(stream)) + idx * _GAMMA
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(0xBF58476D1CE4E5B9)
     z = z ^ (z >> np.uint64(27))

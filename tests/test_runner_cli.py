@@ -342,6 +342,21 @@ def test_out_of_range_drift_size_exits_2_with_one_error_line(tmp_path, override)
     _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_DRIFT, "drift": drift}))
 
 
+_SMALL_DRIFT_CHIP = {**_SMALL_DRIFT, "chip": True,
+                     "drift": {"days": 1, "train_per_day": 16, "test_per_day": 16}}
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [[0.1], [0.1, 0.1, 0.1], [0.0, 0.1], [-0.1, 0.1], [float("inf"), 0.1], [0.1, float("nan")]],
+    ids=["too-short", "too-long", "zero", "negative", "infinite", "nan"],
+)
+def test_bad_scale_override_exits_2_with_one_error_line(tmp_path, scales):
+    # hidden [16] is two computing layers in either scenario
+    cfg = {**_SMALL_DRIFT_CHIP, "quant": {"scale_override": scales}}
+    _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump(cfg))
+
+
 def test_non_integer_seed_exits_2_without_a_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -387,3 +387,23 @@ def test_memorization_loss_decreases():
         optimizer_step(opt, net, grads)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])), losses
     assert losses[-1] < losses[0] - 0.05
+
+
+@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
+def test_bptt_never_reads_the_first_matrix(net_shape, reset):
+    # chip.twin_loss holds NaNs in the first matrix's place
+    sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
+    rng = RngStream(29)
+    lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
+    n_heads = None if head_size is None else 3
+    net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
+    task = None if head_size is None else 2
+    trace, logits = forward(net, rng.fork("x").bernoulli(0.2, (batch, 10, sizes[0])), task=task)
+    dlogits = rng.fork("d").normal(logits.shape)
+    want = backward_dlogits(net, trace, dlogits, SurrogateSpec())
+    net.weights[0] = np.full(net.weights[0].shape, np.nan)
+    got = backward_dlogits(net, trace, dlogits, SurrogateSpec())
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name

@@ -12,9 +12,9 @@ the full-precision external network and the chip's integer pass, which the
 external processor runs as the chip's "twin" (its counts equal the
 registers bit for bit). ``twin_loss`` adds the twin's cross-entropy to the
 external network's loss and back-propagates through the twin's spikes,
-straight through the quantization. ``upload_weights`` re-quantizes and
-uploads the trained weights (``spikecl.runner`` calls it before a task and
-after each epoch).
+straight through the quantization. Training builds no ``ChipModel`` and
+uploads nothing; the protocol machine serves the tests and the benchmark's
+check that the registers equal the twin's counts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     ProtocolError,
 )
 from .numerics import cross_entropy_grad, softmax_cross_entropy_batch
-from .snn import ForwardTrace, LifParams, SpikingNetwork
+from .snn import RESET_MODES, ForwardTrace, LifParams, SpikingNetwork
 from .train import LossSpec, SurrogateSpec, backward_dlogits
 
 # Nothing here calls ``forward`` or ``optimizer_step``: the twin's training
@@ -65,14 +65,11 @@ class QuantSpec:
         return 2 ** (self.bits - 1) - 1
 
 
-@dataclass
-class ChipConstraints:
-    """Hardware budget the simulator enforces on upload."""
-
-    max_classes: int = 16
-    max_layers: int = 9
-    max_neurons_per_layer: int = 1024
-    max_synapses_per_layer: int = 262144
+# The hardware budget ``validate_constraints`` enforces.
+MAX_CLASSES = 16
+MAX_LAYERS = 9
+MAX_NEURONS_PER_LAYER = 1024
+MAX_SYNAPSES_PER_LAYER = 262144
 
 
 @dataclass
@@ -107,8 +104,19 @@ def serialize_image(image: ConfigImage) -> bytes:
 _IMAGE_KEYS = ("layer_sizes", "scales", "thresholds", "leak_shift", "bits", "reset", "version")
 
 
+def _ints(v, n: int, low: int) -> bool:
+    """``v`` is a list of ``n`` integers >= ``low`` (no bools)."""
+    return isinstance(v, list) and len(v) == n and all(type(x) is int and x >= low for x in v)
+
+
 def parse_image(data: bytes) -> ConfigImage:
-    """Decode a config image; a malformed one raises a ``SpikeclError``."""
+    """Decode a config image; a malformed one raises a ``SpikeclError``.
+
+    Every field and array is checked (docs/protocol.md lists the rules);
+    the arrays must be exactly ``q0`` .. ``q{L-1}``, shaped by
+    ``layer_sizes``. A bias array raises ``ConstraintViolation``, as the
+    chip has no bias storage; any other bad field or array ``FormatError``.
+    """
     meta, arrays = parse_bundle(data)
     if not isinstance(meta, dict):
         raise FormatError(f"chip config metadata is a {type(meta).__name__}, not an object")
@@ -117,18 +125,34 @@ def parse_image(data: bytes) -> ConfigImage:
     missing = [k for k in _IMAGE_KEYS if k not in meta]
     if missing:
         raise FormatError(f"chip config metadata lacks {missing}")
-    if not isinstance(meta["layer_sizes"], list):
-        raise FormatError("chip config layer_sizes must be a list")
-    names = [f"q{l}" for l in range(len(meta["layer_sizes"]) - 1)]
-    missing = [name for name in names if name not in arrays]
-    if missing:
-        raise FormatError(f"chip config image lacks weight arrays {missing}")
+    sizes, scales, shift = meta["layer_sizes"], meta["scales"], meta["leak_shift"]
+    if not (isinstance(sizes, list) and len(sizes) >= 2 and _ints(sizes, len(sizes), 1)):
+        raise FormatError("chip config layer_sizes must be two or more positive integers")
+    n = len(sizes) - 1
+    checks = {
+        "thresholds": _ints(meta["thresholds"], n, 1),
+        "scales": isinstance(scales, list) and len(scales) == n and all(
+            type(s) in (int, float) and 0.0 < s < math.inf for s in scales
+        ),
+        "leak_shift": type(shift) is int and shift >= 0,
+        "reset": meta["reset"] in RESET_MODES,
+    }
+    bad = [key for key, ok in checks.items() if not ok]
+    if bad:
+        raise FormatError(f"chip config {bad} malformed for {n} computing layers")
+    bias = sorted(name for name in arrays if "bias" in name.lower())
+    if bias:
+        raise ConstraintViolation(f"bias storage requested ({', '.join(bias)}); chip has none")
+    shapes = {f"q{l}": (sizes[l], sizes[l + 1]) for l in range(n)}
+    found = {name: a.shape for name, a in arrays.items()}
+    if found != shapes:
+        raise FormatError(f"chip config arrays {found} are not the weight arrays {shapes}")
     return ConfigImage(
-        layer_sizes=meta["layer_sizes"],
-        quantized=[arrays[name] for name in names],
-        scales=meta["scales"],
+        layer_sizes=sizes,
+        quantized=[arrays[name] for name in shapes],
+        scales=scales,
         thresholds=meta["thresholds"],
-        leak_shift=meta["leak_shift"],
+        leak_shift=shift,
         bits=meta["bits"],
         reset=meta["reset"],
         version=meta["version"],
@@ -193,17 +217,12 @@ def quantize_network(
     return image
 
 
-def validate_constraints(
-    subject: SpikingNetwork | ConfigImage,
-    constraints: ChipConstraints | None = None,
-    extra_arrays: dict | None = None,
-) -> list[str]:
-    """Check the class cap, layer budget, per-layer memory, bias absence
-    and, for a config image, that every weight fits its signed bit width.
+def validate_constraints(subject: SpikingNetwork | ConfigImage) -> list[str]:
+    """Check the class cap, layer budget, per-layer memory and, for a
+    config image, that every weight fits its signed bit width.
 
     Returns a list of human-readable violations (empty means ok).
     """
-    c = constraints or ChipConstraints()
     violations = []
     if isinstance(subject, SpikingNetwork):
         sizes, mats, _ = flatten_for_chip(subject, 0 if subject.multi_head else None)
@@ -220,23 +239,17 @@ def validate_constraints(
                     violations.append(
                         f"layer {l} has weights outside the {subject.bits}-bit range ±{qmax}"
                     )
-    if sizes[-1] > c.max_classes:
-        violations.append(f"output classes {sizes[-1]} exceed cap {c.max_classes}")
-    if len(mats) > c.max_layers:
-        violations.append(f"{len(mats)} computing layers exceed cap {c.max_layers}")
+    if sizes[-1] > MAX_CLASSES:
+        violations.append(f"output classes {sizes[-1]} exceed cap {MAX_CLASSES}")
+    if len(mats) > MAX_LAYERS:
+        violations.append(f"{len(mats)} computing layers exceed cap {MAX_LAYERS}")
     for l, w in enumerate(mats):
-        if sizes[l + 1] > c.max_neurons_per_layer:
+        if sizes[l + 1] > MAX_NEURONS_PER_LAYER:
             violations.append(
-                f"layer {l} has {sizes[l + 1]} neurons, cap {c.max_neurons_per_layer}"
+                f"layer {l} has {sizes[l + 1]} neurons, cap {MAX_NEURONS_PER_LAYER}"
             )
-        if w.size > c.max_synapses_per_layer:
-            violations.append(f"layer {l} has {w.size} synapses, cap {c.max_synapses_per_layer}")
-    # networks built here are bias-free by construction; foreign images may
-    # carry a bias section, which the chip has no storage for
-    if extra_arrays:
-        for name in extra_arrays:
-            if "bias" in name.lower():
-                violations.append(f"bias storage requested ({name}); chip has none")
+        if w.size > MAX_SYNAPSES_PER_LAYER:
+            violations.append(f"layer {l} has {w.size} synapses, cap {MAX_SYNAPSES_PER_LAYER}")
     return violations
 
 
@@ -353,7 +366,6 @@ class ChipModel:
     input and change only between interrupt assertions.
     """
 
-    constraints: ChipConstraints = field(default_factory=ChipConstraints)
     image: ConfigImage | None = None
     weights: list[np.ndarray] = field(default_factory=list)  # exact_float_weights(image)
     readout: list[np.ndarray] = field(default_factory=list)
@@ -368,7 +380,7 @@ def upload_config(chip: ChipModel, data: bytes | ConfigImage) -> ChipModel:
     """Install a config image: memories overwritten, neuron state zeroed,
     interrupt cleared. On any failure the chip is left unchanged."""
     image = parse_image(data) if isinstance(data, (bytes, bytearray)) else data
-    violations = validate_constraints(image, chip.constraints)
+    violations = validate_constraints(image)
     if violations:
         raise ConstraintViolation("; ".join(violations))
     weights = exact_float_weights(image)
@@ -409,84 +421,7 @@ def read_layer_spikes(chip: ChipModel, layer: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Optional framed byte transport (see docs/protocol.md for the bit layout)
-
-FRAME_SOF = 0xA5
-CMD_CONFIG_CHUNK = 0x01
-_FRAME_PAYLOAD_MAX = 4096
-
-
-def encode_frames(payload: bytes, cmd: int = CMD_CONFIG_CHUNK) -> list[bytes]:
-    """Split a payload into checksummed frames: SOF, cmd, u32 offset,
-    u32 total payload length, u16 chunk length, bytes, u32 crc32(frame body).
-
-    Every transfer has at least one frame; an empty payload is one empty
-    frame.
-    """
-    import struct as _struct
-    import zlib as _zlib
-
-    frames = []
-    for off in range(0, max(len(payload), 1), _FRAME_PAYLOAD_MAX):
-        chunk = payload[off : off + _FRAME_PAYLOAD_MAX]
-        header = _struct.pack("<IIH", off, len(payload), len(chunk))
-        body = bytes([FRAME_SOF, cmd]) + header + chunk
-        frames.append(body + _struct.pack("<I", _zlib.crc32(body)))
-    return frames
-
-
-def decode_frames(frames: list[bytes]) -> bytes:
-    """Reassemble framed chunks in any order, verifying structure and
-    checksums. No frames, a missing or repeated offset, frames that disagree
-    on the total length, or a reassembled payload of another length raise
-    TransportError."""
-    import struct as _struct
-    import zlib as _zlib
-
-    from .errors import TransportError
-
-    if not frames:
-        raise TransportError("no frames")
-    parts: dict[int, bytes] = {}
-    totals = set()
-    for frame in frames:
-        if len(frame) < 16 or frame[0] != FRAME_SOF:
-            raise TransportError("malformed frame")
-        body, crc = frame[:-4], _struct.unpack("<I", frame[-4:])[0]
-        if _zlib.crc32(body) != crc:
-            raise TransportError("frame checksum mismatch")
-        off, total, length = _struct.unpack("<IIH", body[2:12])
-        chunk = body[12:]
-        if len(chunk) != length:
-            raise TransportError("frame length mismatch")
-        if off in parts:
-            raise TransportError(f"duplicate frame at offset {off}")
-        parts[off] = chunk
-        totals.add(total)
-    if len(totals) != 1:
-        raise TransportError(f"frames disagree on the total length: {sorted(totals)}")
-    out = bytearray()
-    for off in sorted(parts):
-        if off != len(out):
-            raise TransportError("missing frame")
-        out += parts[off]
-    total = totals.pop()
-    if len(out) != total:
-        raise TransportError(f"reassembled {len(out)} bytes, frames declare {total}")
-    return bytes(out)
-
-
-# ---------------------------------------------------------------------------
 # The chip's loss term
-
-
-def upload_weights(
-    chip: ChipModel, net: SpikingNetwork, spec: QuantSpec, task: int | None = None
-) -> ConfigImage:
-    """Quantize the current weights (the active head's view) and upload them."""
-    image = quantize_network(net, spec, task)
-    upload_config(chip, image)
-    return image
 
 
 def twin_loss(
@@ -506,8 +441,8 @@ def twin_loss(
     terms are one cross-entropy and the chip itself is not driven. Only the
     beta term carries gradients: BPTT on the pass's spikes and potentials
     times each layer's scale, straight through the rounding and the leak's
-    floor (decay 1 - 2**-shift). At alpha = beta = 0 nothing is quantized;
-    at beta = 0 no backward runs.
+    floor (decay 1 - 2**-shift). At mu = 0 or alpha = beta = 0 the term is
+    zero and nothing is quantized; at beta = 0 no backward runs.
 
     The pass runs on ``quantize_codes``' float64 codes, as the same exact
     float weights the chip gets from an upload (``_exact_float``); no int64
@@ -517,7 +452,7 @@ def twin_loss(
     codes are scaled, in place, and the first layer's place holds NaNs.
     """
     spec = loss_spec
-    if spec.alpha == 0.0 and spec.beta == 0.0:
+    if spec.mu == 0.0 or spec.alpha == spec.beta == 0.0:
         return 0.0, {}
     image = quantize_codes(net, quant_spec, task)
     weights = [_exact_float(l, q) for l, q in enumerate(image.quantized)]

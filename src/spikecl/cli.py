@@ -54,11 +54,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .chip import ChipConstraints, validate_constraints
+    from .chip import validate_constraints
     from .snn import load_network
 
     net = load_network(args.checkpoint)
-    violations = validate_constraints(net, ChipConstraints())
+    violations = validate_constraints(net)
     if violations:
         for v in violations:
             print(f"violation: {v}")

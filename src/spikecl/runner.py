@@ -2,9 +2,10 @@
 
 Training has one step, ``train_step``, and one epoch loop, ``train_epoch``,
 fed by one batch iterator. Every task, the pooled joint phase and the chip
-loop run through them. The chip is an optional loss term
-(``chip.twin_loss``); ``mentor_learner_epoch`` is the chip loop's epoch,
-which adds that term and uploads the trained weights to the chip.
+loop run through them. The chip is an optional loss term of a chip run's
+tasks (``chip.twin_loss``); ``mentor_learner_epoch`` is the chip loop's
+epoch. No chip is built: a chip run checks once, before training, that its
+network fits the chip's budget.
 
 A run is a pure function of (config, seed): every random draw comes from
 named forks of one seeded stream, datasets are deterministic, and result
@@ -32,14 +33,12 @@ import numpy as np
 import yaml
 
 from .chip import (
-    ChipModel,
-    ConfigImage,
     QuantSpec,
     chip_twin_counts,
     exact_float_weights,
     quantize_network,
     twin_loss,
-    upload_weights,
+    validate_constraints,
 )
 from .continual import Strategy, StrategyConfig, TaskContext, apply_strategy
 from .data import (
@@ -53,7 +52,7 @@ from .data import (
     generate_digit_corpus,
     load_idx_pair,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ConstraintViolation
 from .metrics import (
     MetricsRecord,
     aggregate_summary,
@@ -271,22 +270,21 @@ def _head_for(net: SpikingNetwork, task_idx: int) -> int | None:
 @dataclass
 class MentorState:
     """The learner of one task: the external full-precision network, its
-    optimizer and loss weights, and, in the chip loop, the last image
-    uploaded to the chip."""
+    optimizer, its loss weights and, in the chip loop only, the chip term's
+    quantization."""
 
     net: SpikingNetwork
     optimizer: OptimizerState
     surrogate: SurrogateSpec
     loss_spec: LossSpec
-    quant_spec: QuantSpec
+    quant_spec: QuantSpec | None = None
     task: int | None = None  # active head in multi-head mode
-    twin_image: ConfigImage | None = None
 
 
-def _learner(config: RunConfig, net: SpikingNetwork, task: int | None = None) -> MentorState:
+def _learner(config: RunConfig, net: SpikingNetwork, task=None, quant=None) -> MentorState:
     """A learner with a fresh optimizer; every task starts one."""
     optimizer = OptimizerState(kind=config.optimizer, lr=config.learning_rate)
-    return MentorState(net, optimizer, config.surrogate, config.loss, config.quant, task)
+    return MentorState(net, optimizer, config.surrogate, config.loss, quant, task)
 
 
 def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
@@ -311,7 +309,7 @@ def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
         yield batch if tids is None else batch + (tids[idx],)
 
 
-def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, chip=None) -> float:
+def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext) -> float:
     """One optimizer step on one (B, T, n) batch; returns the batch loss.
 
     ``batch`` is ``(x_enc, labels, gates)``, which trains head
@@ -319,9 +317,9 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, 
     multi-head batch with one task id per sample. One loop runs a forward
     and backward per head, weighted by its share of the batch (1 when
     unpooled). The cross-entropy gradient is scaled by ``loss.lam``. With
-    a ``chip``, the chip's term (``chip.twin_loss``) is added, then the
-    strategy's ``batch_loss`` (which sees no trace or logits for a pooled
-    batch), and ``grad_transform`` shapes the step.
+    ``state.quant_spec`` set, the chip's term (``chip.twin_loss``) is added,
+    then the strategy's ``batch_loss`` (which sees no trace or logits for a
+    pooled batch), and ``grad_transform`` shapes the step.
     """
     x_enc, labels, gates, *pooled = batch
     net, spec = state.net, state.loss_spec
@@ -341,7 +339,7 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, 
         loss += spec.lam * ce * share
     if pooled:  # no one head's trace covers the batch
         trace = logits = None
-    if chip is not None:
+    if state.quant_spec is not None:
         chip_loss, chip_grads = twin_loss(
             net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
         )
@@ -354,56 +352,42 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext, 
     return loss + extra_loss
 
 
-def train_epoch(state: MentorState, batches, strategy: Strategy, ctx: TaskContext, chip=None) -> dict:
+def train_epoch(state: MentorState, batches, strategy: Strategy, ctx: TaskContext) -> dict:
     """``train_step`` over every batch; returns the mean loss and the batch count."""
     total_loss, n_batches = 0.0, 0
     for batch in batches:
-        total_loss += train_step(state, batch, strategy, ctx, chip)
+        total_loss += train_step(state, batch, strategy, ctx)
         n_batches += 1
     return {"mean_loss": total_loss / max(n_batches, 1), "batches": n_batches}
 
 
-def mentor_learner_epoch(
-    state: MentorState, chip: ChipModel, batches, strategy: Strategy, ctx: TaskContext
-) -> dict:
-    """One epoch of the chip loop: ``train_epoch`` with the chip's loss term.
-
-    The weights are quantized and uploaded before the task's first epoch
-    and after every epoch. With mu = 0 the chip and twin are never touched,
-    and the epoch equals ``train_epoch`` without a chip.
-    """
-    if state.loss_spec.mu == 0.0:
-        return train_epoch(state, batches, strategy, ctx)
-    if state.twin_image is None:
-        state.twin_image = upload_weights(chip, state.net, state.quant_spec, state.task)
-    out = train_epoch(state, batches, strategy, ctx, chip)
-    state.twin_image = upload_weights(chip, state.net, state.quant_spec, state.task)
-    return out
+def mentor_learner_epoch(state: MentorState, batches, strategy: Strategy, ctx: TaskContext) -> dict:
+    """One epoch of the chip loop: ``train_epoch`` on a learner with the
+    chip's loss term (``state.quant_spec`` set), timed apart when traced.
+    With mu = 0 the term is zero and the epoch equals ``train_epoch``."""
+    return train_epoch(state, batches, strategy, ctx)
 
 
-def _fit(config, state, strategy, run_rng, tag, ctx, xs, ys, tids=None, chip=None) -> None:
-    """``config.epochs_per_task`` epochs over (xs, ys), with the chip in the
-    loop when ``chip`` is given."""
+def _fit(config, state, strategy, run_rng, tag, ctx, xs, ys, tids=None) -> None:
+    """``config.epochs_per_task`` epochs over (xs, ys), in the chip loop
+    when the learner has the chip's term."""
+    epoch_loop = train_epoch if state.quant_spec is None else mentor_learner_epoch
     for epoch in range(config.epochs_per_task):
         ctx = replace(ctx, epoch=epoch)
         batches = _batches(
             config, state.net, strategy, ctx, run_rng, f"{tag}/epoch{epoch}", xs, ys, tids
         )
-        if chip is None:
-            train_epoch(state, batches, strategy, ctx)
-        else:
-            mentor_learner_epoch(state, chip, batches, strategy, ctx)
+        epoch_loop(state, batches, strategy, ctx)
 
 
-def train_task(config, net, stream, task_idx, strategy, run_rng, chip=None) -> MentorState:
-    """Sequential training of one task; the chip, when given, is in the loop."""
+def train_task(config, net, stream, task_idx, strategy, run_rng) -> MentorState:
+    """Sequential training of one task, in the chip loop when ``config.chip``."""
     task = stream.tasks[task_idx]
-    state = _learner(config, net, _head_for(net, task_idx))
+    state = _learner(config, net, _head_for(net, task_idx), config.quant if config.chip else None)
     ctx = TaskContext(
         task=task_idx + 1, total_tasks=len(stream.tasks), total_epochs=config.epochs_per_task,
     )
-    _fit(config, state, strategy, run_rng, f"task{task_idx}", ctx,
-         task.train_x, task.train_y, chip=chip)
+    _fit(config, state, strategy, run_rng, f"task{task_idx}", ctx, task.train_x, task.train_y)
     return state
 
 
@@ -498,8 +482,11 @@ def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], Spiking
     stream = build_stream(config)
     run_rng = RngStream(seed)
     net = build_network(config, stream, run_rng.fork("init"))
+    if config.chip:
+        violations = validate_constraints(net)
+        if violations:
+            raise ConstraintViolation("; ".join(violations))
     strategy = apply_strategy(config.strategy, stream.scenario, seed, config.surrogate)
-    chip = ChipModel() if config.chip else None
 
     records: list[MetricsRecord] = []
     n_tasks = len(stream.tasks)
@@ -527,7 +514,7 @@ def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], Spiking
             task=task_idx + 1, total_tasks=n_tasks, epoch=0, total_epochs=config.epochs_per_task,
         )
         strategy.before_task(ctx, net)
-        train_task(config, net, stream, task_idx, strategy, run_rng, chip)
+        train_task(config, net, stream, task_idx, strategy, run_rng)
         provider = _make_sample_provider(stream.tasks[task_idx], config, run_rng, task_idx)
         strategy.after_task(ctx, net, provider)
 

@@ -3,13 +3,14 @@ tests use."""
 
 import os
 import struct
+import zlib
 
 import numpy as np
 
 from spikecl.chip import chip_twin_counts, quantize_network
 from spikecl.container import write_bundle
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile
-from spikecl.errors import ContractViolation
+from spikecl.errors import ContractViolation, TransportError
 from spikecl.numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from spikecl.snn import LifParams, SpikingNetwork, forward
@@ -268,3 +269,63 @@ def param_names(net: SpikingNetwork) -> list[str]:
 def seed_base(stream: RngStream) -> int:
     """The stream's base word, mix64(seed) or a fork's derived base."""
     return stream._base
+
+
+# Framed byte transport for config images and other payloads; the bit layout
+# is in docs/protocol.md.
+
+FRAME_SOF = 0xA5
+CMD_CONFIG_CHUNK = 0x01
+_FRAME_PAYLOAD_MAX = 4096
+
+
+def encode_frames(payload: bytes, cmd: int = CMD_CONFIG_CHUNK) -> list[bytes]:
+    """Split a payload into checksummed frames: SOF, cmd, u32 offset,
+    u32 total payload length, u16 chunk length, bytes, u32 crc32(frame body).
+
+    Every transfer has at least one frame; an empty payload is one empty
+    frame.
+    """
+    frames = []
+    for off in range(0, max(len(payload), 1), _FRAME_PAYLOAD_MAX):
+        chunk = payload[off : off + _FRAME_PAYLOAD_MAX]
+        header = struct.pack("<IIH", off, len(payload), len(chunk))
+        body = bytes([FRAME_SOF, cmd]) + header + chunk
+        frames.append(body + struct.pack("<I", zlib.crc32(body)))
+    return frames
+
+
+def decode_frames(frames: list[bytes]) -> bytes:
+    """Reassemble framed chunks in any order, verifying structure and
+    checksums. No frames, a missing or repeated offset, frames that disagree
+    on the total length, or a reassembled payload of another length raise
+    TransportError."""
+    if not frames:
+        raise TransportError("no frames")
+    parts: dict[int, bytes] = {}
+    totals = set()
+    for frame in frames:
+        if len(frame) < 16 or frame[0] != FRAME_SOF:
+            raise TransportError("malformed frame")
+        body, crc = frame[:-4], struct.unpack("<I", frame[-4:])[0]
+        if zlib.crc32(body) != crc:
+            raise TransportError("frame checksum mismatch")
+        off, total, length = struct.unpack("<IIH", body[2:12])
+        chunk = body[12:]
+        if len(chunk) != length:
+            raise TransportError("frame length mismatch")
+        if off in parts:
+            raise TransportError(f"duplicate frame at offset {off}")
+        parts[off] = chunk
+        totals.add(total)
+    if len(totals) != 1:
+        raise TransportError(f"frames disagree on the total length: {sorted(totals)}")
+    out = bytearray()
+    for off in sorted(parts):
+        if off != len(out):
+            raise TransportError("missing frame")
+        out += parts[off]
+    total = totals.pop()
+    if len(out) != total:
+        raise TransportError(f"reassembled {len(out)} bytes, frames declare {total}")
+    return bytes(out)

@@ -135,11 +135,11 @@ def test_criterion_3_chip_degradation_bound():
     rng = RngStream(1)
     net = build_network(cfg, stream, rng.fork("init"))
     strategy = apply_strategy(cfg.strategy, stream.scenario, 1, cfg.surrogate)
-    chip = ChipModel()
     ctx = TaskContext(task=1, total_tasks=len(stream.tasks), epoch=0,
                       total_epochs=cfg.epochs_per_task)
     strategy.before_task(ctx, net)
-    state = train_task(cfg, net, stream, 0, strategy, rng, chip)
+    train_task(cfg, net, stream, 0, strategy, rng)
+    image = quantize_network(net, cfg.quant, task=0)
 
     # external accuracy (float forward) vs chip twin (integer emulation)
     task = stream.tasks[0]
@@ -153,7 +153,7 @@ def test_criterion_3_chip_degradation_bound():
 
         x_enc = encode_batch(x, cfg.encoder, enc.fork(f"c{start}"))
         _, ext_logits = forward(net, x_enc, task=0)
-        chip_logits = chip_twin_counts(state.twin_image, x_enc)
+        chip_logits = chip_twin_counts(image, x_enc)
         correct["external"] += int((ext_logits.argmax(axis=1) == y).sum())
         correct["chip"] += int((chip_logits.argmax(axis=1) == y).sum())
         total += len(y)

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from spikecl.chip import (
     QUANT_BITS,
-    ChipConstraints,
     ChipModel,
     ConfigImage,
     QuantSpec,
     chip_forward,
     chip_twin_counts,
-    decode_frames,
-    encode_frames,
     exact_float_weights,
     parse_image,
     quantize_codes,
@@ -23,7 +20,6 @@ from spikecl.chip import (
     serialize_image,
     twin_loss,
     upload_config,
-    upload_weights,
     validate_constraints,
 )
 import spikecl.chip as chip_module
@@ -38,11 +34,11 @@ from spikecl.errors import (
 from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
 from spikecl.numerics import softmax_cross_entropy_batch
 from spikecl.rng import RngStream
-from spikecl.runner import MentorState, mentor_learner_epoch
+from spikecl.runner import MentorState, mentor_learner_epoch, train_epoch
 from spikecl.snn import LifParams, SpikingNetwork, forward, init_network
 from spikecl.train import LossSpec, OptimizerState, SurrogateSpec
 
-from oracles import dequantize_to_network, float_twin_loss
+from oracles import decode_frames, dequantize_to_network, encode_frames, float_twin_loss
 
 
 def small_net(weights=None, reset="subtract"):
@@ -133,6 +129,32 @@ class TestConfigImage:
             upload_config(chip, self._bundle(drop_array="q1"))
         assert not chip.configured
 
+    @pytest.mark.parametrize(
+        "mutate, error, named",
+        [
+            (lambda m, a: a.update(bias0=np.zeros((1, 2))), ConstraintViolation, "bias"),
+            (lambda m, a: a.update(q7=np.zeros((2, 2), dtype=np.int64)), FormatError, "q7"),
+            (lambda m, a: a.update(q1=np.zeros((3, 2), dtype=np.int64)), FormatError, "q1"),
+            (lambda m, a: m.update(thresholds=["60", "80"]), FormatError, "thresholds"),
+            (lambda m, a: m.update(leak_shift="3"), FormatError, "leak_shift"),
+            (lambda m, a: m.update(layer_sizes=["2", "2", "2"]), FormatError, "layer_sizes"),
+            (lambda m, a: m.update(thresholds=m["thresholds"][:1]), FormatError, "thresholds"),
+            (lambda m, a: m.update(leak_shift=-1), FormatError, "leak_shift"),
+            (lambda m, a: m.update(reset="bogus"), FormatError, "reset"),
+            (lambda m, a: m.update(scales="x"), FormatError, "scales"),
+        ],
+        ids=["bias-array", "stray-array", "shape-disagrees", "string-thresholds",
+             "string-leak-shift", "string-layer-sizes", "short-thresholds",
+             "negative-leak-shift", "unknown-reset", "string-scales"],
+    )
+    def test_malformed_image_raises_and_leaves_chip_unconfigured(self, mutate, error, named):
+        meta, arrays = parse_bundle(serialize_image(quantize_network(small_net(), QuantSpec())))
+        mutate(meta, arrays)
+        chip = ChipModel()
+        with pytest.raises(error, match=named):
+            upload_config(chip, serialize_bundle(meta, arrays))
+        assert not chip.configured
+
     def test_corrupted_checksum_is_transport_error_and_chip_unchanged(self):
         chip = ChipModel()
         blob = bytearray(serialize_image(quantize_network(small_net(), QuantSpec())))
@@ -175,7 +197,7 @@ class TestConstraints:
     def test_neuron_and_synapse_budget(self):
         rng = RngStream(3)
         net = init_network([4, 2000], rng)
-        violations = validate_constraints(net, ChipConstraints())
+        violations = validate_constraints(net)
         assert any("neurons" in v for v in violations)
 
     @pytest.mark.parametrize("bits", QUANT_BITS)
@@ -199,11 +221,6 @@ class TestConstraints:
         assert any("non-integer" in v for v in validate_constraints(image))
         with pytest.raises(ConstraintViolation):
             upload_config(ChipModel(), image)
-
-    def test_bias_storage_flagged(self):
-        image = quantize_network(small_net(), QuantSpec())
-        violations = validate_constraints(image, extra_arrays={"bias0": np.zeros((1, 2))})
-        assert any("bias" in v for v in violations)
 
 
 class TestProtocol:
@@ -551,8 +568,7 @@ class TestTwinLoss:
         quant = QuantSpec(bits=bits, leak_shift=1)
         x = (rng.fork("x").uniform((32, 12, 20)) < 0.5).astype(np.float64)
         y = rng.fork("y").integers(32, 3)
-        chip = ChipModel()
-        upload_weights(chip, net, quant, task)
+        chip = upload_config(ChipModel(), quantize_network(net, quant, task))
         registers = []
         for sample in x:
             chip_forward(chip, sample)
@@ -697,75 +713,55 @@ class TestMentorLearner:
             batches.append((x, labels, None))
         return batches
 
-    def _epoch(self, state, chip, batches):
+    def _epoch(self, state, batches, epoch=mentor_learner_epoch):
         strategy = apply_strategy(StrategyConfig("none"), "task-incremental", 0, state.surrogate)
-        return mentor_learner_epoch(state, chip, batches, strategy, TaskContext(task=1, total_tasks=1))
+        return epoch(state, batches, strategy, TaskContext(task=1, total_tasks=1))
 
-    def _state(self, rng, mu):
+    def _state(self, rng, mu, alpha=0.0, beta=1.0, quant=QuantSpec(bits=8)):
         net = init_network([4, 8, 2], rng, gain=2.0)
         return MentorState(
             net=net,
             optimizer=OptimizerState(kind="adam", lr=5e-3),
             surrogate=SurrogateSpec(),
-            loss_spec=LossSpec(lam=1.0, mu=mu, alpha=0.0, beta=1.0),
-            quant_spec=QuantSpec(bits=8),
+            loss_spec=LossSpec(lam=1.0, mu=mu, alpha=alpha, beta=beta),
+            quant_spec=quant,
         )
 
-    def test_mu_zero_never_touches_chip(self):
+    def test_mu_zero_quantizes_nothing_and_equals_the_external_epoch(self, monkeypatch):
+        def no_quantize(*args, **kwargs):
+            raise AssertionError("quantized at mu = 0")
+
+        monkeypatch.setattr(chip_module, "quantize_codes", no_quantize)
         rng = RngStream(5)
-        state = self._state(rng, mu=0.0)
-        chip = ChipModel()
-        self._epoch(state, chip, self._toy_batches(rng.fork("data")))
-        assert not chip.configured  # fully external mode
-        assert state.twin_image is None
+        state = self._state(rng.fork("net"), mu=0.0)
+        ref = self._state(rng.fork("net"), mu=0.0, quant=None)  # fully external mode
+        self._epoch(state, self._toy_batches(rng.fork("data")))
+        self._epoch(ref, self._toy_batches(rng.fork("data")), epoch=train_epoch)
+        for w, w_ref in zip(state.net.weights, ref.net.weights):
+            assert w.tobytes() == w_ref.tobytes()
 
     def test_loss_decreases_on_separable_toy_set(self):
         rng = RngStream(6)
         state = self._state(rng, mu=1.0)
-        chip = ChipModel()
         batches = self._toy_batches(rng.fork("data"), n_batches=8)
-        first = self._epoch(state, chip, batches)
+        first = self._epoch(state, batches)
         losses = [first["mean_loss"]]
         for _ in range(4):
-            losses.append(self._epoch(state, chip, batches)["mean_loss"])
+            losses.append(self._epoch(state, batches)["mean_loss"])
         assert losses[-1] < losses[0]
 
-    def _count_handshakes(self, monkeypatch):
-        calls = []
-        real = chip_module.chip_forward
-
-        def counting(chip, x):
-            calls.append(x.shape)
-            real(chip, x)
-
-        monkeypatch.setattr(chip_module, "chip_forward", counting)
-        return calls
-
-    def test_epoch_uploads_config_and_chip_matches_twin(self, monkeypatch):
-        # alpha = 0: no handshake during training, yet the epoch-end upload
-        # still leaves the chip in step with the twin
-        rng = RngStream(7)
-        state = self._state(rng, mu=1.0)
-        chip = ChipModel()
-        calls = self._count_handshakes(monkeypatch)
-        self._epoch(state, chip, self._toy_batches(rng.fork("data")))
-        assert calls == []
-        assert chip.configured
-        probe = (rng.fork("probe").uniform((6, 4)) < 0.5).astype(np.float64)
-        chip_forward(chip, probe)
-        regs = [read_layer_spikes(chip, l) for l in range(2)]
-        twin = chip_twin_counts(state.twin_image, probe[None])
-        assert np.array_equal(regs[-1], twin[0])
-
-    def test_alpha_term_uses_chip_readout(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_epoch_builds_uploads_and_drives_no_chip(self, alpha, monkeypatch):
         # the alpha term is the cross-entropy of the integer pass's counts,
-        # which are the registers, so training drives no handshake
+        # which are the registers, so training needs no chip at any alpha
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the chip loop touched the protocol machine")
+
+        for name in ("ChipModel", "upload_config", "chip_forward", "read_layer_spikes"):
+            monkeypatch.setattr(chip_module, name, forbidden)
         rng = RngStream(8)
-        state = self._state(rng, mu=1.0)
-        state.loss_spec = LossSpec(lam=1.0, mu=1.0, alpha=0.5, beta=0.5)
-        chip = ChipModel()
-        calls = self._count_handshakes(monkeypatch)
-        out = self._epoch(state, chip, self._toy_batches(rng.fork("data"), 2))
+        state = self._state(rng, mu=1.0, alpha=alpha, beta=1.0 - alpha)
+        before = [w.copy() for w in state.net.weights]
+        out = self._epoch(state, self._toy_batches(rng.fork("data"), 2))
         assert out["batches"] == 2
-        assert chip.configured
-        assert calls == []
+        assert all((w != b).any() for w, b in zip(state.net.weights, before))

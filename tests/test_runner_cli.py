@@ -287,15 +287,19 @@ def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     _assert_run_is_a_configuration_error(tmp_path, text)
 
 
-def _assert_run_is_a_configuration_error(tmp_path, text):
+def _run_in_child(tmp_path, text):
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text(text)
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "spikecl.cli", "run", "--config", str(cfg_path),
          "--output", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _assert_run_is_a_configuration_error(tmp_path, text):
+    proc = _run_in_child(tmp_path, text)
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConfigurationError: ")
@@ -355,6 +359,46 @@ def test_bad_scale_override_exits_2_with_one_error_line(tmp_path, scales):
     # hidden [16] is two computing layers in either scenario
     cfg = {**_SMALL_DRIFT_CHIP, "quant": {"scale_override": scales}}
     _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump(cfg))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_chip_run_over_the_chip_budget_exits_2_before_training(tmp_path, mu):
+    # 1100 units exceed a chip layer's 1024 neurons; at mu = 0 no step needs
+    # the chip, but a chip run is evaluated on it, so the budget still holds
+    cfg = {**_SMALL_DRIFT_CHIP, "hidden": [1100], "loss": {"mu": mu}}
+    proc = _run_in_child(tmp_path, yaml.safe_dump(cfg))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConstraintViolation: ")
+    assert "1100 neurons" in lines[0]
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_chip_flag_sets_the_chip_loop_weights(tmp_path, monkeypatch):
+    import spikecl.runner as runner_module
+
+    seen = []
+    run = runner_module.run_experiment
+
+    def spy(config, verbose=True):
+        seen.append((config.chip, config.loss.mu, config.loss.alpha, config.loss.beta))
+        return run(config, verbose)
+
+    monkeypatch.setattr(runner_module, "run_experiment", spy)
+    small = {**_SMALL_SPLIT, "hidden": [32], "split_pairs": [[0, 1], [2, 3]],
+             "corpus_train_per_class": 40, "corpus_test_per_class": 20}
+
+    def rows(name, cfg, *flags):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump({**cfg, "output_dir": str(tmp_path / name)}))
+        assert cli_main(["run", "--config", str(path), *flags]) == 0
+        records = parse_results(tmp_path / name / "results.csv")
+        return [dataclasses.replace(r, wall_ms=0.0) for r in records]
+
+    flagged = rows("flag", {**small, "loss": {"mu": 0.0, "alpha": 0.5, "beta": 0.25}}, "--chip")
+    in_file = rows("file", {**small, "chip": True, "loss": {"mu": 1.0, "alpha": 0.0, "beta": 1.0}})
+    assert seen == [(True, 1.0, 0.0, 1.0)] * 2
+    assert flagged == in_file
 
 
 def test_non_integer_seed_exits_2_without_a_traceback(tmp_path):

@@ -1,20 +1,18 @@
 """The single training step: pooled multi-head batches, the chip's loss term,
-and chip runs at mu = 0."""
+chip runs at mu = 0 and chip runs without a chip."""
+
+import platform
 
 import numpy as np
 import pytest
 
-from spikecl.chip import (
-    ChipModel,
-    QuantSpec,
-    chip_twin_counts,
-    upload_weights,
-)
+import spikecl.chip as chip_mod
+from spikecl.chip import QuantSpec, chip_twin_counts, quantize_network
 from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
 from spikecl.data import DriftSpec
 from spikecl.numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
-from spikecl.runner import MentorState, RunConfig, run_seed, train_step
+from spikecl.runner import MentorState, RunConfig, run_experiment, run_seed, train_step
 from spikecl.snn import forward, init_network
 from spikecl.train import LossSpec, OptimizerState, SurrogateSpec, add_grads, backward_dlogits, optimizer_step
 
@@ -25,13 +23,13 @@ def _spikes(rng, shape, p=0.4):
     return (rng.uniform(shape) < p).astype(np.float64)
 
 
-def _state(net, loss=None):
+def _state(net, loss=None, quant=None):
     return MentorState(
         net=net,
         optimizer=OptimizerState(kind="adam", lr=5e-3),
         surrogate=SurrogateSpec(),
         loss_spec=loss or LossSpec(),
-        quant_spec=QuantSpec(bits=8),
+        quant_spec=quant,
     )
 
 
@@ -78,9 +76,8 @@ def test_chip_batch_loss_is_mean_of_composite_loss():
     rng = RngStream(22)
     net = init_network([10, 12, 3], rng.fork("net"), gain=4.0, head_gain=2.0)
     loss = LossSpec(lam=0.8, mu=1.3, alpha=0.6, beta=0.7)
-    state = _state(net, loss)
-    chip = ChipModel()
-    image = upload_weights(chip, net, state.quant_spec)
+    state = _state(net, loss, QuantSpec(bits=8))
+    image = quantize_network(net, state.quant_spec)
     x = _spikes(rng.fork("x"), (9, 10, 10), p=0.6)
     y = rng.fork("y").integers(9, 3)
 
@@ -90,19 +87,16 @@ def test_chip_batch_loss_is_mean_of_composite_loss():
     # the twin is the chip's integer pass: its term has the chip's counts
     want = np.mean([composite_loss(int(y[i]), enn[i], inn[i], inn[i], loss) for i in range(9)])
 
-    got = train_step(state, (x, y, None), _strategy("none"), TaskContext(task=1, total_tasks=1), chip)
+    got = train_step(state, (x, y, None), _strategy("none"), TaskContext(task=1, total_tasks=1))
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_twin_loss_at_beta_zero_skips_the_twin(monkeypatch):
-    import spikecl.chip as chip_mod
-
     rng = RngStream(23)
     net = init_network([10, 12, 3], rng.fork("net"), gain=4.0, head_gain=2.0)
     spec = LossSpec(lam=0.8, mu=1.3, alpha=0.6, beta=0.0)
     quant = QuantSpec(bits=8)
-    chip = ChipModel()
-    image = upload_weights(chip, net, quant)
+    image = quantize_network(net, quant)
     x = _spikes(rng.fork("x"), (9, 10, 10), p=0.6)
     y = rng.fork("y").integers(9, 3)
     ce_chip, _ = softmax_cross_entropy_batch(chip_twin_counts(image, x).astype(np.float64), y)
@@ -139,3 +133,47 @@ def test_chip_with_mu_zero_trains_the_same_weights_as_no_chip():
         other.get_param(name).tobytes() != ref.get_param(name).tobytes()
         for name in param_names(ref)
     )
+
+
+def _small_chip_split(**kw):
+    return RunConfig(
+        scenario="split-mnist",
+        hidden=[32],
+        split_pairs=[[0, 1], [2, 3]],
+        corpus_train_per_class=40,
+        corpus_test_per_class=20,
+        epochs_per_task=1,
+        chip=True,
+        **kw,
+    )
+
+
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or not np.__version__.startswith("2.4."),
+    reason="rows pinned on x86-64 with numpy 2.4",
+)
+@pytest.mark.parametrize("mu, correct", [(1.0, [29, 30, 19]), (0.0, [26, 29, 20])])
+def test_chip_run_builds_and_uploads_to_no_chip(mu, correct, monkeypatch):
+    # the pinned rows are those of the chip loop when it still built a chip
+    # and uploaded the weights to it before each task and after each epoch
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chip loop built or uploaded to a chip")
+
+    monkeypatch.setattr(chip_mod, "ChipModel", forbidden)
+    monkeypatch.setattr(chip_mod, "upload_config", forbidden)
+    cfg = _small_chip_split(strategy=StrategyConfig("hwc-hard"), loss=LossSpec(mu=mu))
+    records, _ = run_seed(cfg, 3)
+    assert [(r.after_task, r.eval_task) for r in records] == [(1, 1), (2, 1), (2, 2)]
+    assert [r.accuracy for r in records] == [c / 40 for c in correct]
+
+
+def test_joint_phase_of_a_chip_run_trains_without_the_chip_term(tmp_path):
+    def checkpoint(chip):
+        out = tmp_path / str(chip)
+        cfg = _small_chip_split(strategy=StrategyConfig("joint"), loss=LossSpec(mu=1.0),
+                                output_dir=str(out))
+        cfg.chip = chip
+        run_experiment(cfg, verbose=False)
+        return (out / "checkpoint_seed1.bin").read_bytes()
+
+    assert checkpoint(True) == checkpoint(False)

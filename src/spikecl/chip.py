@@ -109,33 +109,26 @@ def _ints(v, n: int, low: int) -> bool:
     return isinstance(v, list) and len(v) == n and all(type(x) is int and x >= low for x in v)
 
 
-def parse_image(data: bytes) -> ConfigImage:
-    """Decode a config image; a malformed one raises a ``SpikeclError``.
+def _check_image(fields: dict, arrays: dict) -> None:
+    """Raise unless an image's fields and arrays are well-formed: the one
+    check of ``parse_image`` and of an image object handed to ``upload_config``.
 
-    Every field and array is checked (docs/protocol.md lists the rules);
-    the arrays must be exactly ``q0`` .. ``q{L-1}``, shaped by
-    ``layer_sizes``. A bias array raises ``ConstraintViolation``, as the
-    chip has no bias storage; any other bad field or array ``FormatError``.
+    The arrays must be exactly ``q0`` .. ``q{L-1}``, shaped by
+    ``layer_sizes`` (docs/protocol.md lists the rules). A bias array raises
+    ``ConstraintViolation``, as the chip has no bias storage; any other bad
+    field or array ``FormatError``.
     """
-    meta, arrays = parse_bundle(data)
-    if not isinstance(meta, dict):
-        raise FormatError(f"chip config metadata is a {type(meta).__name__}, not an object")
-    if meta.get("kind") != "chip-config":
-        raise ContractViolation(f"not a chip config image: {meta.get('kind')!r}")
-    missing = [k for k in _IMAGE_KEYS if k not in meta]
-    if missing:
-        raise FormatError(f"chip config metadata lacks {missing}")
-    sizes, scales, shift = meta["layer_sizes"], meta["scales"], meta["leak_shift"]
+    sizes, scales, shift = fields["layer_sizes"], fields["scales"], fields["leak_shift"]
     if not (isinstance(sizes, list) and len(sizes) >= 2 and _ints(sizes, len(sizes), 1)):
         raise FormatError("chip config layer_sizes must be two or more positive integers")
     n = len(sizes) - 1
     checks = {
-        "thresholds": _ints(meta["thresholds"], n, 1),
+        "thresholds": _ints(fields["thresholds"], n, 1),
         "scales": isinstance(scales, list) and len(scales) == n and all(
             type(s) in (int, float) and 0.0 < s < math.inf for s in scales
         ),
         "leak_shift": type(shift) is int and shift >= 0,
-        "reset": meta["reset"] in RESET_MODES,
+        "reset": fields["reset"] in RESET_MODES,
     }
     bad = [key for key, ok in checks.items() if not ok]
     if bad:
@@ -144,19 +137,25 @@ def parse_image(data: bytes) -> ConfigImage:
     if bias:
         raise ConstraintViolation(f"bias storage requested ({', '.join(bias)}); chip has none")
     shapes = {f"q{l}": (sizes[l], sizes[l + 1]) for l in range(n)}
-    found = {name: a.shape for name, a in arrays.items()}
+    found = {name: getattr(a, "shape", None) for name, a in arrays.items()}
     if found != shapes:
         raise FormatError(f"chip config arrays {found} are not the weight arrays {shapes}")
-    return ConfigImage(
-        layer_sizes=sizes,
-        quantized=[arrays[name] for name in shapes],
-        scales=scales,
-        thresholds=meta["thresholds"],
-        leak_shift=shift,
-        bits=meta["bits"],
-        reset=meta["reset"],
-        version=meta["version"],
-    )
+
+
+def parse_image(data: bytes) -> ConfigImage:
+    """Decode a config image; a malformed one raises a ``SpikeclError``
+    (``_check_image``)."""
+    meta, arrays = parse_bundle(data)
+    if not isinstance(meta, dict):
+        raise FormatError(f"chip config metadata is a {type(meta).__name__}, not an object")
+    if meta.get("kind") != "chip-config":
+        raise ContractViolation(f"not a chip config image: {meta.get('kind')!r}")
+    missing = [k for k in _IMAGE_KEYS if k not in meta]
+    if missing:
+        raise FormatError(f"chip config metadata lacks {missing}")
+    _check_image(meta, arrays)
+    weights = [arrays[f"q{l}"] for l in range(len(arrays))]
+    return ConfigImage(quantized=weights, **{key: meta[key] for key in _IMAGE_KEYS})
 
 
 def flatten_for_chip(net: SpikingNetwork, task: int | None = None) -> tuple[list[int], list[np.ndarray], list[LifParams]]:
@@ -217,17 +216,19 @@ def quantize_network(
     return image
 
 
-def validate_constraints(subject: SpikingNetwork | ConfigImage) -> list[str]:
+def validate_constraints(subject: SpikingNetwork | ConfigImage | list[int]) -> list[str]:
     """Check the class cap, layer budget, per-layer memory and, for a
     config image, that every weight fits its signed bit width.
 
+    ``subject`` is a network (its first head in multi-head mode), a config
+    image, or the layer widths of a single-head network, input first.
     Returns a list of human-readable violations (empty means ok).
     """
     violations = []
     if isinstance(subject, SpikingNetwork):
-        sizes, mats, _ = flatten_for_chip(subject, 0 if subject.multi_head else None)
-    else:
-        sizes, mats = subject.layer_sizes, subject.quantized
+        sizes = flatten_for_chip(subject, 0 if subject.multi_head else None)[0]
+    elif isinstance(subject, ConfigImage):
+        sizes = subject.layer_sizes
         if subject.bits not in QUANT_BITS:
             violations.append(f"bit width {subject.bits!r} is not one of {QUANT_BITS}")
         else:
@@ -239,17 +240,19 @@ def validate_constraints(subject: SpikingNetwork | ConfigImage) -> list[str]:
                     violations.append(
                         f"layer {l} has weights outside the {subject.bits}-bit range ±{qmax}"
                     )
+    else:
+        sizes = subject
     if sizes[-1] > MAX_CLASSES:
         violations.append(f"output classes {sizes[-1]} exceed cap {MAX_CLASSES}")
-    if len(mats) > MAX_LAYERS:
-        violations.append(f"{len(mats)} computing layers exceed cap {MAX_LAYERS}")
-    for l, w in enumerate(mats):
-        if sizes[l + 1] > MAX_NEURONS_PER_LAYER:
+    if len(sizes) - 1 > MAX_LAYERS:
+        violations.append(f"{len(sizes) - 1} computing layers exceed cap {MAX_LAYERS}")
+    for l, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        if n_out > MAX_NEURONS_PER_LAYER:
+            violations.append(f"layer {l} has {n_out} neurons, cap {MAX_NEURONS_PER_LAYER}")
+        if n_in * n_out > MAX_SYNAPSES_PER_LAYER:
             violations.append(
-                f"layer {l} has {sizes[l + 1]} neurons, cap {MAX_NEURONS_PER_LAYER}"
+                f"layer {l} has {n_in * n_out} synapses, cap {MAX_SYNAPSES_PER_LAYER}"
             )
-        if w.size > MAX_SYNAPSES_PER_LAYER:
-            violations.append(f"layer {l} has {w.size} synapses, cap {MAX_SYNAPSES_PER_LAYER}")
     return violations
 
 
@@ -378,8 +381,14 @@ class ChipModel:
 
 def upload_config(chip: ChipModel, data: bytes | ConfigImage) -> ChipModel:
     """Install a config image: memories overwritten, neuron state zeroed,
-    interrupt cleared. On any failure the chip is left unchanged."""
-    image = parse_image(data) if isinstance(data, (bytes, bytearray)) else data
+    interrupt cleared. Bytes are parsed and an image object is checked by
+    the same rules (``_check_image``), then both go through
+    ``validate_constraints``. On any failure the chip is left unchanged."""
+    if isinstance(data, (bytes, bytearray)):
+        image = parse_image(data)
+    else:
+        image = data
+        _check_image(vars(image), {f"q{l}": q for l, q in enumerate(image.quantized)})
     violations = validate_constraints(image)
     if violations:
         raise ConstraintViolation("; ".join(violations))
@@ -433,16 +442,15 @@ def twin_loss(
     surrogate: SurrogateSpec,
     task: int | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """The chip's term mu*(alpha*H(y, chip) + beta*H(y, twin)) of one batch
-    and its gradients, keyed by the external network's parameter names.
+    """The chip's term mu*H(y, chip) of one batch and its gradients, keyed
+    by the external network's parameter names.
 
-    The twin is the chip's integer pass on the current weights, quantized
-    on every call; its counts are what the chip's registers latch, so both
-    terms are one cross-entropy and the chip itself is not driven. Only the
-    beta term carries gradients: BPTT on the pass's spikes and potentials
-    times each layer's scale, straight through the rounding and the leak's
-    floor (decay 1 - 2**-shift). At mu = 0 or alpha = beta = 0 the term is
-    zero and nothing is quantized; at beta = 0 no backward runs.
+    The chip's prediction is its integer pass on the current weights,
+    quantized on every call; its counts are what the chip's registers
+    latch, so the chip itself is not driven. The gradients are BPTT on the
+    pass's spikes and potentials times each layer's scale, straight through
+    the rounding and the leak's floor (decay 1 - 2**-shift). At mu = 0 the
+    term is zero and nothing is quantized.
 
     The pass runs on ``quantize_codes``' float64 codes, as the same exact
     float weights the chip gets from an upload (``_exact_float``); no int64
@@ -451,8 +459,8 @@ def twin_loss(
     layers 1 and up only, to carry the gradient down a layer, so only those
     codes are scaled, in place, and the first layer's place holds NaNs.
     """
-    spec = loss_spec
-    if spec.mu == 0.0 or spec.alpha == spec.beta == 0.0:
+    mu = loss_spec.mu
+    if mu == 0.0:
         return 0.0, {}
     image = quantize_codes(net, quant_spec, task)
     weights = [_exact_float(l, q) for l, q in enumerate(image.quantized)]
@@ -466,9 +474,6 @@ def twin_loss(
         pre_reset.append(np.multiply(u.transpose(1, 0, 2), scale).transpose(1, 0, 2))
     del weights
     ce, probs = softmax_cross_entropy_batch(spikes[-1].sum(axis=1), labels)
-    loss = spec.mu * (spec.alpha + spec.beta) * ce
-    if spec.beta == 0.0:
-        return loss, {}
     matrices = [np.broadcast_to(np.nan, first)]
     for q, scale in zip(later, image.scales[1:]):
         q *= scale  # the same bits as q.astype(float64) * scale
@@ -480,8 +485,7 @@ def twin_loss(
     ]
     twin = SpikingNetwork(list(image.layer_sizes), matrices, lifs)
     trace = ForwardTrace(spikes, pre_reset, None, None)
-    dlog = spec.mu * spec.beta * cross_entropy_grad(probs, labels)
-    grads = backward_dlogits(twin, trace, dlog, surrogate)
+    grads = backward_dlogits(twin, trace, mu * cross_entropy_grad(probs, labels), surrogate)
     if net.multi_head:
         grads[f"head{task}"] = grads.pop(f"w{len(matrices) - 1}")
-    return loss, grads
+    return mu * ce, grads

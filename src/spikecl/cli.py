@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import SpikeclError
@@ -23,12 +24,9 @@ def _cmd_run(args) -> int:
     if args.seed:
         config.seeds = args.seed
     if args.chip:
-        config.chip = True
-        if config.loss.mu == 0.0:
-            # chip-in-the-loop default weighting; external-only keeps mu = 0
-            config.loss.mu = 1.0
-            config.loss.alpha = 0.0
-            config.loss.beta = 1.0
+        # the chip loop's default weight; rebuilt, so the chip's budget is checked
+        loss = replace(config.loss, mu=config.loss.mu or 1.0)
+        config = replace(config, chip=True, loss=loss)
     if args.output:
         config.output_dir = args.output
     out = run_experiment(config)

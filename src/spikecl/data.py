@@ -213,6 +213,7 @@ _DIGIT_STROKES = {
 }
 
 _CANVAS = 28
+DIGIT_PIXELS = _CANVAS * _CANVAS  # one digit image, MNIST's 28 x 28
 _PIX = None
 
 
@@ -358,7 +359,7 @@ def generate_digit_corpus(
     root = RngStream(seed)
     sets = []
     for split, per in (("train", train_per_class), ("test", test_per_class)):
-        xs = np.empty((10 * per, _CANVAS * _CANVAS), dtype=np.uint8)
+        xs = np.empty((10 * per, DIGIT_PIXELS), dtype=np.uint8)
         ys = np.empty(10 * per, dtype=np.int64)
         for digit in range(10):
             stream = root.fork(f"{split}/digit{digit}")

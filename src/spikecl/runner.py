@@ -4,8 +4,8 @@ Training has one step, ``train_step``, and one epoch loop, ``train_epoch``,
 fed by one batch iterator. Every task, the pooled joint phase and the chip
 loop run through them. The chip is an optional loss term of a chip run's
 tasks (``chip.twin_loss``); ``mentor_learner_epoch`` is the chip loop's
-epoch. No chip is built: a chip run checks once, before training, that its
-network fits the chip's budget.
+epoch. No chip is built: a chip config is checked once, when it is built,
+against the chip's budget.
 
 A run is a pure function of (config, seed): every random draw comes from
 named forks of one seeded stream, datasets are deterministic, and result
@@ -43,6 +43,7 @@ from .chip import (
 from .continual import Strategy, StrategyConfig, TaskContext, apply_strategy
 from .data import (
     DEFAULT_SPLIT_PAIRS,
+    DIGIT_PIXELS,
     DriftSpec,
     EncoderSpec,
     TaskStream,
@@ -52,7 +53,7 @@ from .data import (
     generate_digit_corpus,
     load_idx_pair,
 )
-from .errors import ConfigurationError, ConstraintViolation
+from .errors import ConfigurationError, ConstraintViolation, FormatError
 from .metrics import (
     MetricsRecord,
     aggregate_summary,
@@ -66,13 +67,20 @@ from .snn import LifParams, SpikingNetwork, forward, init_network, save_network
 from .train import LossSpec, OptimizerState, SurrogateSpec, add_grads, backward_dlogits, optimizer_step
 
 SCENARIO_NAMES = ("split-mnist", "synthetic-drift")
-PROFILES = ("ci", "full")
+# Test samples per named encoding fork in ``evaluate_task``; part of the
+# fork names, so changing it changes every evaluation's spike trains.
+_EVAL_CHUNK = 256
 
 
 @dataclass
 class RunConfig:
     """Everything one experiment needs; every field is addressable from the
-    YAML config file under the same (nested) names."""
+    YAML config file under the same (nested) names.
+
+    Building one checks every field; a ``chip: true`` config is also
+    checked against the chip's budget, from the layer widths alone, so an
+    oversized network fails before any data is made or file written.
+    """
 
     scenario: str = "split-mnist"
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
@@ -81,7 +89,6 @@ class RunConfig:
     encoder: EncoderSpec = field(default_factory=EncoderSpec)
     surrogate: SurrogateSpec = field(default_factory=SurrogateSpec)
     loss: LossSpec = field(default_factory=LossSpec)
-    optimizer: str = "adam"
     learning_rate: float = 5e-3
     batch_size: int = 16
     epochs_per_task: int = 2
@@ -91,7 +98,6 @@ class RunConfig:
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     chip: bool = False
     quant: QuantSpec = field(default_factory=QuantSpec)
-    profile: str = "ci"
     train_cap: int | None = 2000
     test_cap: int | None = 500
     mnist_dir: str | None = None
@@ -107,16 +113,12 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_NAMES}"
             )
-        if self.profile not in PROFILES:
-            raise ConfigurationError(f"unknown profile {self.profile!r}")
         if self.batch_size < 1 or self.epochs_per_task < 1:
             raise ConfigurationError("batch_size and epochs_per_task must be >= 1")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
         if self.chip and self.strategy.name == "xdg":
             raise ConfigurationError("unit gating is not supported in the chip loop")
-        if self.optimizer not in ("adam", "sgd-momentum"):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigurationError("dropout must be in [0, 1)")
         if any(cap is not None and cap < 1 for cap in (self.train_cap, self.test_cap)):
@@ -142,6 +144,14 @@ class RunConfig:
                 raise ConfigurationError(
                     f"quant.scale_override entries must be finite and > 0, got {scales}"
                 )
+        if self.chip:
+            width, classes = (
+                (DIGIT_PIXELS, 2) if self.scenario == "split-mnist"
+                else (self.drift.features, self.drift.classes)
+            )
+            violations = validate_constraints([width, *self.hidden, classes])
+            if violations:
+                raise ConstraintViolation("; ".join(violations))
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
@@ -202,10 +212,11 @@ def load_config(path) -> RunConfig:
 
 
 def apply_profile(config: RunConfig, profile: str) -> RunConfig:
-    """ci keeps the desk-scale caps; full removes them."""
+    """The data caps of a size profile: ci keeps the desk-scale caps; full
+    removes them."""
     if profile == "full":
-        return replace(config, profile="full", train_cap=None, test_cap=None)
-    return replace(config, profile="ci", train_cap=2000, test_cap=500)
+        return replace(config, train_cap=None, test_cap=None)
+    return replace(config, train_cap=2000, test_cap=500)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +234,8 @@ def build_stream(config: RunConfig) -> TaskStream:
                 os.path.join(config.mnist_dir, "t10k-images-idx3-ubyte"),
                 os.path.join(config.mnist_dir, "t10k-labels-idx1-ubyte"),
             )
+            if train_x.shape[1] != DIGIT_PIXELS or test_x.shape[1] != DIGIT_PIXELS:
+                raise FormatError(f"{config.mnist_dir}: images are not 28 x 28")
         else:
             train_x, train_y, test_x, test_y = generate_digit_corpus(
                 config.corpus_train_per_class, config.corpus_test_per_class, config.data_seed
@@ -283,7 +296,7 @@ class MentorState:
 
 def _learner(config: RunConfig, net: SpikingNetwork, task=None, quant=None) -> MentorState:
     """A learner with a fresh optimizer; every task starts one."""
-    optimizer = OptimizerState(kind=config.optimizer, lr=config.learning_rate)
+    optimizer = OptimizerState(lr=config.learning_rate)
     return MentorState(net, optimizer, config.surrogate, config.loss, quant, task)
 
 
@@ -419,17 +432,16 @@ def evaluate_task(
     config: RunConfig,
     run_rng: RngStream,
     strategy: Strategy,
-    chunk: int = 256,
 ) -> float:
     """Test accuracy on one task; read-only on the network.
 
     Task identity selects the head and gates in task-incremental runs and is
     withheld (single shared head) in domain-incremental runs.
 
-    Each ``chunk`` of test samples has its own named fork, from which its
-    ``config.batch_size`` slices are encoded in order and simulated one at
-    a time, so no encoding or trace larger than a training batch's is ever
-    live. The fork is counter-based, so the slices draw the bytes one
+    Each chunk of ``_EVAL_CHUNK`` test samples has its own named fork, from
+    which its ``config.batch_size`` slices are encoded in order and
+    simulated one at a time, so no encoding or trace larger than a training
+    batch's is ever live. The fork is counter-based, so the slices draw the bytes one
     encoding of the whole chunk would. The chip's pass is exact integer
     arithmetic, so slicing changes none of its counts. A float slice of 16
     samples at T = 10 is 160 rows, whole BLAS kernel blocks, so each sample
@@ -442,9 +454,9 @@ def evaluate_task(
         image = quantize_network(net, config.quant, task=head)
         weights = exact_float_weights(image)
     correct = 0
-    for ci, start in enumerate(range(0, len(task.test_y), chunk)):
+    for ci, start in enumerate(range(0, len(task.test_y), _EVAL_CHUNK)):
         enc = run_rng.fork(f"eval/after{trained_idx}/task{eval_idx}/chunk{ci}")
-        stop = min(start + chunk, len(task.test_y))
+        stop = min(start + _EVAL_CHUNK, len(task.test_y))
         for b in range(start, stop, config.batch_size):
             rows = slice(b, min(b + config.batch_size, stop))
             x_enc = encode_batch(task.test_x[rows], config.encoder, enc)
@@ -482,10 +494,6 @@ def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], Spiking
     stream = build_stream(config)
     run_rng = RngStream(seed)
     net = build_network(config, stream, run_rng.fork("init"))
-    if config.chip:
-        violations = validate_constraints(net)
-        if violations:
-            raise ConstraintViolation("; ".join(violations))
     strategy = apply_strategy(config.strategy, stream.scenario, seed, config.surrogate)
 
     records: list[MetricsRecord] = []

@@ -1,4 +1,4 @@
-"""Surrogate-gradient backpropagation through time, losses, and optimizers.
+"""Surrogate-gradient backpropagation through time, losses, and the optimizer.
 
 The backward pass differentiates mean softmax cross-entropy on spike-count
 logits with the step nonlinearity's derivative replaced by a surrogate
@@ -22,7 +22,6 @@ from .numerics import require_finite, softmax
 from .snn import ForwardTrace, SpikingNetwork
 
 SURROGATE_SHAPES = ("fast-sigmoid", "boxcar")
-OPTIMIZER_KINDS = ("adam", "sgd-momentum")
 
 
 @dataclass
@@ -65,27 +64,22 @@ class SurrogateSpec:
 
 @dataclass
 class LossSpec:
-    """Weights of the composite interaction loss, plus the distillation
-    temperature used by the LwF baseline.
+    """Weights of the composite interaction loss
+    L = lam*H(y, external) + mu*H(y, chip).
 
     ``lam`` scales the external network's cross-entropy in every run, with
-    or without the chip; ``mu`` gates the whole chip side; ``alpha`` and
-    ``beta`` weight the chip readout and its simulated twin inside it.
+    or without the chip; ``mu`` scales the cross-entropy of the chip's
+    integer pass, which only a chip run adds (``chip.twin_loss``).
     """
 
     lam: float = 1.0
     mu: float = 0.0
-    alpha: float = 0.0
-    beta: float = 1.0
-    distill_temperature: float = 2.0
 
     def __post_init__(self):
-        if min(self.lam, self.mu, self.alpha, self.beta) < 0.0:
+        if min(self.lam, self.mu) < 0.0:
             raise ContractViolation("loss weights must be nonnegative")
         if self.lam + self.mu <= 0.0:
             raise ContractViolation("lam + mu must be positive")
-        if not (self.distill_temperature > 0.0):
-            raise ContractViolation("distillation temperature must be > 0")
 
 
 def distillation_loss(old_logits, new_logits, temperature: float) -> float:
@@ -208,39 +202,34 @@ _STEP_ROWS = 128
 
 @dataclass
 class OptimizerState:
-    """Optimizer kind plus per-parameter accumulator slots.
+    """Adam's hyperparameters plus per-parameter moment slots.
 
     A parameter's slots are created, as float64 zeros of the weight's shape,
     on the first step that gives it a gradient; later steps update them in
     place.
     """
 
-    kind: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    momentum: float = 0.9
     slots: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ContractViolation(f"optimizer kind must be one of {OPTIMIZER_KINDS}")
         if not (self.lr > 0.0):
             raise ContractViolation("learning rate must be > 0")
 
 
 def optimizer_step(opt: OptimizerState, net: SpikingNetwork, grads: dict[str, np.ndarray]) -> None:
-    """Apply one update in place; parameters without gradients are untouched.
+    """Apply one Adam update in place; parameters without gradients are untouched.
 
-    Weights, slots and the Adam step count change in place. A weight that is
-    not a writeable C-contiguous float64 array is first replaced by a copy
-    that is. Each block of rows goes through the textbook expressions with
-    the same IEEE operations in the same order:
+    Weights, slots and the step count change in place. A weight that is not
+    a writeable C-contiguous float64 array is first replaced by a copy that
+    is. Each block of rows goes through the textbook expressions with the
+    same IEEE operations in the same order:
 
-        adam:          m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-                       w = w - (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
-        sgd-momentum:  buf = momentum*buf + g;  w = w - lr*buf
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        w = w - (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
     """
     for name, g in grads.items():
         w = net.get_param(name)
@@ -251,15 +240,10 @@ def optimizer_step(opt: OptimizerState, net: SpikingNetwork, grads: dict[str, np
             w = np.array(w, dtype=np.float64, order="C")
             net.set_param(name, w)
         slot = opt.slots.get(name)
-        if opt.kind == "adam":
-            if slot is None:
-                slot = opt.slots[name] = {"m": np.zeros(w.shape), "v": np.zeros(w.shape), "t": 0}
-            slot["t"] += 1
-            _adam_rows(opt, w, g, slot["m"], slot["v"], slot["t"])
-        else:
-            if slot is None:
-                slot = opt.slots[name] = {"buf": np.zeros(w.shape)}
-            _momentum_rows(opt, w, g, slot["buf"])
+        if slot is None:
+            slot = opt.slots[name] = {"m": np.zeros(w.shape), "v": np.zeros(w.shape), "t": 0}
+        slot["t"] += 1
+        _adam_rows(opt, w, g, slot["m"], slot["v"], slot["t"])
 
 
 def _adam_rows(opt: OptimizerState, w, g, m, v, t: int) -> None:
@@ -285,15 +269,3 @@ def _adam_rows(opt: OptimizerState, w, g, m, v, t: int) -> None:
         db += opt.eps
         nb /= db
         wb -= nb
-
-
-def _momentum_rows(opt: OptimizerState, w, g, buf) -> None:
-    step = np.empty((min(_STEP_ROWS, w.shape[0]),) + w.shape[1:])
-    for r in range(0, w.shape[0], _STEP_ROWS):
-        rows = slice(r, r + _STEP_ROWS)
-        wb, bb = w[rows], buf[rows]
-        sb = step[: len(wb)]
-        bb *= opt.momentum
-        bb += g[rows]
-        np.multiply(bb, opt.lr, out=sb)
-        wb -= sb

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from spikecl.chip import chip_twin_counts, quantize_network
+from spikecl.chip import quantize_network
 from spikecl.container import write_bundle
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFile
 from spikecl.errors import ContractViolation, TransportError
@@ -50,23 +50,21 @@ def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
     return loss, probs
 
 
-def composite_loss(y: int, yhat_enn, yhat_inn, yhat_sim, spec) -> float:
-    """L = lam*H(y, enn) + mu*(alpha*H(y, inn) + beta*H(y, sim)) for one sample.
+def composite_loss(y: int, yhat_enn, yhat_chip, spec) -> float:
+    """L = lam*H(y, enn) + mu*H(y, chip) for one sample.
 
-    With ``mu == 0`` the chip-side predictions are ignored entirely (fully
+    With ``mu == 0`` the chip's prediction is ignored entirely (fully
     external training), so the result is exactly lam*H(y, enn).
     """
     enn = np.asarray(yhat_enn, dtype=np.float64).reshape(-1)
     loss_enn, _ = softmax_cross_entropy(enn, y)
     if spec.mu == 0.0:
         return spec.lam * loss_enn
-    inn = np.asarray(yhat_inn, dtype=np.float64).reshape(-1)
-    sim = np.asarray(yhat_sim, dtype=np.float64).reshape(-1)
-    if inn.shape != enn.shape or sim.shape != enn.shape:
+    chip = np.asarray(yhat_chip, dtype=np.float64).reshape(-1)
+    if chip.shape != enn.shape:
         raise ContractViolation("prediction vectors must share the class count")
-    loss_inn, _ = softmax_cross_entropy(inn, y)
-    loss_sim, _ = softmax_cross_entropy(sim, y)
-    return spec.lam * loss_enn + spec.mu * (spec.alpha * loss_inn + spec.beta * loss_sim)
+    loss_chip, _ = softmax_cross_entropy(chip, y)
+    return spec.lam * loss_enn + spec.mu * loss_chip
 
 
 def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surrogate=None):
@@ -153,26 +151,22 @@ def dequantize_to_network(image) -> SpikingNetwork:
 
 
 def float_twin_loss(net, x_enc, labels, loss_spec, quant_spec, surrogate, task=None):
-    """``chip.twin_loss`` as it was computed through a float twin: the chip
-    term from the integer counts (the registers), the twin term and its
-    gradients from a float forward and BPTT of the dequantized image.
-    Returns ``(loss, grads, trace)`` with the float twin's trace."""
-    spec = loss_spec
+    """``chip.twin_loss`` as it was computed through a float twin: the term
+    mu*H(y, twin) and its gradients from a float forward and BPTT of the
+    dequantized image. Returns ``(loss, grads, trace)`` with the float
+    twin's trace."""
+    mu = loss_spec.mu
     image = quantize_network(net, quant_spec, task)
-    chip_counts = chip_twin_counts(image, x_enc).astype(np.float64)
-    ce_inn, _ = softmax_cross_entropy_batch(chip_counts, labels)
     sim_net = dequantize_to_network(image)
     trace, logits = forward(sim_net, x_enc)
     ce_s, probs = softmax_cross_entropy_batch(logits, labels)
-    loss = spec.mu * (spec.alpha * ce_inn + spec.beta * ce_s)
-    dlog = spec.mu * spec.beta * cross_entropy_grad(probs, labels)
-    twin_grads = backward_dlogits(sim_net, trace, dlog, surrogate)
+    twin_grads = backward_dlogits(sim_net, trace, mu * cross_entropy_grad(probs, labels), surrogate)
     grads = {}
     last = len(sim_net.weights) - 1
     for l in range(len(sim_net.weights)):
         name = f"head{task}" if net.multi_head and l == last else f"w{l}"
         grads[name] = twin_grads[f"w{l}"]
-    return loss, grads, trace
+    return mu * ce_s, grads, trace
 
 
 def ewc_penalty_oracle(tasks, net, strength) -> tuple[float, dict[str, np.ndarray]]:

@@ -129,7 +129,7 @@ def test_criterion_3_chip_degradation_bound():
         scenario="split-mnist",
         strategy=StrategyConfig("none"),
         chip=True,
-        loss=LossSpec(lam=1.0, mu=1.0, alpha=0.0, beta=1.0),
+        loss=LossSpec(lam=1.0, mu=1.0),
     )
     stream = build_stream(cfg)
     rng = RngStream(1)
@@ -306,8 +306,7 @@ def test_criterion_6_equation_identities():
     # composite loss with mu = 0 equals lam * H(y, enn) exactly
     enn = rng.fork("enn").normal((6,))
     lam = 0.731
-    loss = composite_loss(3, enn, rng.fork("junk").normal((6,)), np.zeros(6),
-                          LossSpec(lam=lam, mu=0.0))
+    loss = composite_loss(3, enn, rng.fork("junk").normal((6,)), LossSpec(lam=lam, mu=0.0))
     mu_exact = loss == lam * softmax_cross_entropy(enn, 3)[0]
 
     # incremental accuracy vs brute-force mean, exact

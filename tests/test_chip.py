@@ -155,6 +155,25 @@ class TestConfigImage:
             upload_config(chip, serialize_bundle(meta, arrays))
         assert not chip.configured
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda image: setattr(image, "leak_shift", -1), "leak_shift"),
+            (lambda image: setattr(image, "reset", "bogus"), "reset"),
+            (lambda image: setattr(image, "thresholds", image.thresholds[:1]), "thresholds"),
+        ],
+        ids=["negative-leak-shift", "unknown-reset", "one-threshold-for-two-layers"],
+    )
+    def test_malformed_image_object_raises_and_leaves_chip_unconfigured(self, mutate, named):
+        # an image object takes the checks its bytes would
+        net = SpikingNetwork([4, 3, 2], [np.ones((4, 3)), np.ones((3, 2))], [LifParams()] * 2)
+        image = quantize_network(net, QuantSpec())
+        mutate(image)
+        chip = ChipModel()
+        with pytest.raises(FormatError, match=named):
+            upload_config(chip, image)
+        assert not chip.configured
+
     def test_corrupted_checksum_is_transport_error_and_chip_unchanged(self):
         chip = ChipModel()
         blob = bytearray(serialize_image(quantize_network(small_net(), QuantSpec())))
@@ -522,7 +541,7 @@ def exact_twin_net(rng, bits, reset, shift, steps, multi_head):
 
 
 class TestTwinLoss:
-    SPEC = LossSpec(lam=1.0, mu=1.3, alpha=0.6, beta=0.7)
+    SPEC = LossSpec(lam=1.0, mu=1.3)
 
     @pytest.mark.parametrize("multi_head", [False, True], ids=["single-head", "multi-head"])
     @pytest.mark.parametrize("reset", ["subtract", "zero"])
@@ -576,18 +595,8 @@ class TestTwinLoss:
             registers.append(read_layer_spikes(chip, 1))
         ce, _ = softmax_cross_entropy_batch(np.array(registers, dtype=np.float64), y)
         loss, grads = twin_loss(net, x, y, self.SPEC, quant, SurrogateSpec(), task)
-        assert loss == self.SPEC.mu * (self.SPEC.alpha + self.SPEC.beta) * ce
+        assert loss == self.SPEC.mu * ce
         assert set(grads) == ({"w0", "head1"} if multi_head else {"w0", "w1"})
-
-    def test_alpha_and_beta_zero_quantize_nothing(self, monkeypatch):
-        def no_quantize(*args, **kwargs):
-            raise AssertionError("quantized at alpha = beta = 0")
-
-        monkeypatch.setattr(chip_module, "quantize_codes", no_quantize)
-        spec = LossSpec(lam=1.0, mu=1.0, alpha=0.0, beta=0.0)
-        x = np.ones((2, 3, 2))
-        assert twin_loss(small_net(), x, np.array([0, 1]), spec, QuantSpec(),
-                         SurrogateSpec()) == (0.0, {})
 
     @pytest.mark.parametrize("bits", QUANT_BITS)
     def test_twin_runs_on_the_float_codes_of_the_one_quantizer(self, bits, monkeypatch):
@@ -626,12 +635,12 @@ class TestTwinLoss:
 
     def test_one_call_allocates_under_5_5_mb_at_split_chip_shapes(self):
         # 784-256-256 with a 2-wide head, B = 16, T = 10, at the shipped
-        # loss (alpha 0, beta 1) and 8 bits; 5.09 MB when the bound was set
+        # loss (mu 1) and 8 bits; 5.09 MB when the bound was set
         rng = RngStream(5)
         net = init_network([784, 256, 256], rng.fork("net"), n_heads=5, head_size=2)
         x = (rng.fork("x").uniform((16, 10, 784)) < 0.2).astype(np.float64)
         y = rng.fork("y").integers(16, 2)
-        spec = LossSpec(lam=1.0, mu=1.0, alpha=0.0, beta=1.0)
+        spec = LossSpec(lam=1.0, mu=1.0)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -717,13 +726,13 @@ class TestMentorLearner:
         strategy = apply_strategy(StrategyConfig("none"), "task-incremental", 0, state.surrogate)
         return epoch(state, batches, strategy, TaskContext(task=1, total_tasks=1))
 
-    def _state(self, rng, mu, alpha=0.0, beta=1.0, quant=QuantSpec(bits=8)):
+    def _state(self, rng, mu, quant=QuantSpec(bits=8)):
         net = init_network([4, 8, 2], rng, gain=2.0)
         return MentorState(
             net=net,
-            optimizer=OptimizerState(kind="adam", lr=5e-3),
+            optimizer=OptimizerState(lr=5e-3),
             surrogate=SurrogateSpec(),
-            loss_spec=LossSpec(lam=1.0, mu=mu, alpha=alpha, beta=beta),
+            loss_spec=LossSpec(lam=1.0, mu=mu),
             quant_spec=quant,
         )
 
@@ -750,17 +759,16 @@ class TestMentorLearner:
             losses.append(self._epoch(state, batches)["mean_loss"])
         assert losses[-1] < losses[0]
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_epoch_builds_uploads_and_drives_no_chip(self, alpha, monkeypatch):
-        # the alpha term is the cross-entropy of the integer pass's counts,
-        # which are the registers, so training needs no chip at any alpha
+    def test_epoch_builds_uploads_and_drives_no_chip(self, monkeypatch):
+        # the chip's term is the cross-entropy of the integer pass's counts,
+        # which are the registers, so training needs no chip
         def forbidden(*args, **kwargs):
             raise AssertionError("the chip loop touched the protocol machine")
 
         for name in ("ChipModel", "upload_config", "chip_forward", "read_layer_spikes"):
             monkeypatch.setattr(chip_module, name, forbidden)
         rng = RngStream(8)
-        state = self._state(rng, mu=1.0, alpha=alpha, beta=1.0 - alpha)
+        state = self._state(rng, mu=1.0)
         before = [w.copy() for w in state.net.weights]
         out = self._epoch(state, self._toy_batches(rng.fork("data"), 2))
         assert out["batches"] == 2

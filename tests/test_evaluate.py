@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import spikecl.runner as runner
 from spikecl.chip import chip_twin_counts, quantize_network
 from spikecl.continual import StrategyConfig, apply_strategy
 from spikecl.data import DriftSpec, encode_batch
@@ -48,16 +49,17 @@ def one_pass_accuracy(net, stream, eval_idx, trained_idx, config, run_rng, strat
 
 @pytest.mark.parametrize("chunk", [37, 256])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_sliced_evaluation_equals_one_pass_oracle(case, chunk):
+def test_sliced_evaluation_equals_one_pass_oracle(case, chunk, monkeypatch):
     # 100 test samples per task: with chunk 37 the chunks are 37, 37 and 26
     # rows and the slices 16, 16, 5 and 16, 10; with 256, one chunk.
+    monkeypatch.setattr(runner, "_EVAL_CHUNK", chunk)
     config = RunConfig(batch_size=16, **CASES[case])
     stream = build_stream(config)
     run_rng = RngStream(3)
     net = build_network(config, stream, run_rng.fork("init"))
     strategy = apply_strategy(config.strategy, stream.scenario, 3, config.surrogate)
     for eval_idx in range(len(stream.tasks)):
-        got = evaluate_task(net, stream, eval_idx, 1, config, run_rng, strategy, chunk)
+        got = evaluate_task(net, stream, eval_idx, 1, config, run_rng, strategy)
         want = one_pass_accuracy(net, stream, eval_idx, 1, config, run_rng, strategy, chunk)
         assert got == want
 

@@ -59,7 +59,7 @@ CASES = {
         strategy=StrategyConfig("hwc-hard"),
         split_pairs=[[0, 1], [2, 3]],
         chip=True,
-        loss=LossSpec(lam=1.0, mu=1.0, alpha=0.0, beta=1.0),
+        loss=LossSpec(lam=1.0, mu=1.0),
         quant=QuantSpec(bits=8, leak_shift=3),
     ),
     "drift-ewc": dict(_DRIFT, strategy=StrategyConfig("ewc")),
@@ -67,7 +67,7 @@ CASES = {
         _DRIFT,
         strategy=StrategyConfig("si"),
         chip=True,
-        loss=LossSpec(lam=0.6, mu=0.8, alpha=0.5, beta=0.5),
+        loss=LossSpec(lam=0.6, mu=0.4),
         dropout=0.1,
     ),
 }

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from spikecl.cli import main as cli_main
 from spikecl.container import write_bundle
 from spikecl.continual import StrategyConfig
-from spikecl.data import DriftSpec
-from spikecl.errors import ConfigurationError, SpikeclError
+from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, DriftSpec, IdxFile
+from spikecl.errors import ConfigurationError, FormatError, SpikeclError
 from spikecl.metrics import parse_results
 from spikecl.rng import RngStream
 from spikecl.runner import (
@@ -30,6 +30,8 @@ from spikecl.runner import (
     run_seed,
 )
 from spikecl.snn import init_network, save_network
+
+from oracles import write_idx
 
 
 def tiny_config(**kw):
@@ -279,9 +281,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
         'batch_size: "x"\n',  # a string for an int field
         "hidden: 5\n",  # a scalar for a list field
         'loss: {lam: "a"}\n',  # a string for a section's float field
+        # unknown keys: a file that sets one fails rather than being ignored
+        "profile: full\n",
+        "optimizer: adam\n",
+        "loss: {alpha: 0.0}\n",
+        "loss: {beta: 1.0}\n",
+        "loss: {distill_temperature: 2.0}\n",
     ],
     ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key",
-         "int-field-string", "list-field-scalar", "section-float-string"],
+         "int-field-string", "list-field-scalar", "section-float-string",
+         "removed-profile", "removed-optimizer", "removed-loss-alpha", "removed-loss-beta",
+         "removed-loss-distill-temperature"],
 )
 def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     _assert_run_is_a_configuration_error(tmp_path, text)
@@ -371,7 +381,60 @@ def test_chip_run_over_the_chip_budget_exits_2_before_training(tmp_path, mu):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConstraintViolation: ")
     assert "1100 neurons" in lines[0]
-    assert not (tmp_path / "out" / "results.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_chip_budget_is_checked_before_any_data_or_output(tmp_path, monkeypatch):
+    import spikecl.runner as runner_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a data set was built before the chip's budget was checked")
+
+    for name in ("build_stream", "generate_digit_corpus", "build_synthetic_drift"):
+        monkeypatch.setattr(runner_module, name, forbidden)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**_SMALL_SPLIT, "chip": True, "hidden": [1100],
+                                    "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    path.write_text(yaml.safe_dump({**_SMALL_SPLIT, "hidden": [1100],
+                                    "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", "--config", str(path), "--chip"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("side", [28, 32])
+def test_mnist_dir_images_must_be_28_by_28(tmp_path, side):
+    # a chip config's budget is checked for 784-wide input before any file is read
+    rng = RngStream(5)
+    for prefix, n in (("train", 20), ("t10k", 10)):
+        pixels = (rng.fork(prefix).uniform((n * side * side,)) * 255).astype(np.uint8)
+        labels = np.arange(n, dtype=np.uint8) % 10
+        write_idx(tmp_path / f"{prefix}-images-idx3-ubyte",
+                  IdxFile(IDX_MAGIC_IMAGES, (n, side, side), pixels))
+        write_idx(tmp_path / f"{prefix}-labels-idx1-ubyte", IdxFile(IDX_MAGIC_LABELS, (n,), labels))
+    config = RunConfig(mnist_dir=str(tmp_path), split_pairs=[[0, 1]])
+    if side == 28:
+        assert build_stream(config).feature_dim == 784
+    else:
+        with pytest.raises(FormatError, match="28 x 28"):
+            build_stream(config)
+
+
+_ROOT = os.path.dirname(SRC)
+_SHIPPED_CONFIGS = sorted(
+    name for name in os.listdir(os.path.join(_ROOT, "configs")) if name.endswith(".yaml")
+)
+
+
+@pytest.mark.parametrize("name", _SHIPPED_CONFIGS + ["README.md"])
+def test_shipped_configs_and_the_readme_block_load(name):
+    if name == "README.md":
+        with open(os.path.join(_ROOT, "README.md")) as f:
+            (block,) = re.findall(r"```yaml\n(.*?)```", f.read(), re.S)
+        config = config_from_dict(yaml.safe_load(block))
+    else:
+        config = load_config(os.path.join(_ROOT, "configs", name))
+    assert isinstance(config, RunConfig)
 
 
 def test_chip_flag_sets_the_chip_loop_weights(tmp_path, monkeypatch):
@@ -381,7 +444,7 @@ def test_chip_flag_sets_the_chip_loop_weights(tmp_path, monkeypatch):
     run = runner_module.run_experiment
 
     def spy(config, verbose=True):
-        seen.append((config.chip, config.loss.mu, config.loss.alpha, config.loss.beta))
+        seen.append((config.chip, config.loss.mu))
         return run(config, verbose)
 
     monkeypatch.setattr(runner_module, "run_experiment", spy)
@@ -395,9 +458,9 @@ def test_chip_flag_sets_the_chip_loop_weights(tmp_path, monkeypatch):
         records = parse_results(tmp_path / name / "results.csv")
         return [dataclasses.replace(r, wall_ms=0.0) for r in records]
 
-    flagged = rows("flag", {**small, "loss": {"mu": 0.0, "alpha": 0.5, "beta": 0.25}}, "--chip")
-    in_file = rows("file", {**small, "chip": True, "loss": {"mu": 1.0, "alpha": 0.0, "beta": 1.0}})
-    assert seen == [(True, 1.0, 0.0, 1.0)] * 2
+    flagged = rows("flag", {**small, "loss": {"mu": 0.0}}, "--chip")
+    in_file = rows("file", {**small, "chip": True, "loss": {"mu": 1.0}})
+    assert seen == [(True, 1.0)] * 2
     assert flagged == in_file
 
 

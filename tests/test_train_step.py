@@ -26,7 +26,7 @@ def _spikes(rng, shape, p=0.4):
 def _state(net, loss=None, quant=None):
     return MentorState(
         net=net,
-        optimizer=OptimizerState(kind="adam", lr=5e-3),
+        optimizer=OptimizerState(lr=5e-3),
         surrogate=SurrogateSpec(),
         loss_spec=loss or LossSpec(),
         quant_spec=quant,
@@ -57,7 +57,7 @@ def test_pooled_multi_head_step_matches_per_head_loop():
     rng = RngStream(21)
     net = init_network([12, 16], rng.fork("net"), n_heads=3, head_size=2)
     ref = net.copy()
-    ref_opt = OptimizerState(kind="adam", lr=5e-3)
+    ref_opt = OptimizerState(lr=5e-3)
     state = _state(net)
     strategy = _strategy("joint")
     ctx = TaskContext(task=3, total_tasks=3)
@@ -75,7 +75,7 @@ def test_pooled_multi_head_step_matches_per_head_loop():
 def test_chip_batch_loss_is_mean_of_composite_loss():
     rng = RngStream(22)
     net = init_network([10, 12, 3], rng.fork("net"), gain=4.0, head_gain=2.0)
-    loss = LossSpec(lam=0.8, mu=1.3, alpha=0.6, beta=0.7)
+    loss = LossSpec(lam=0.8, mu=1.3)
     state = _state(net, loss, QuantSpec(bits=8))
     image = quantize_network(net, state.quant_spec)
     x = _spikes(rng.fork("x"), (9, 10, 10), p=0.6)
@@ -84,30 +84,10 @@ def test_chip_batch_loss_is_mean_of_composite_loss():
     _, enn = forward(net, x)
     inn = chip_twin_counts(image, x).astype(np.float64)  # equals the registers
     assert (enn != inn).any()  # the external and the chip term differ
-    # the twin is the chip's integer pass: its term has the chip's counts
-    want = np.mean([composite_loss(int(y[i]), enn[i], inn[i], inn[i], loss) for i in range(9)])
+    want = np.mean([composite_loss(int(y[i]), enn[i], inn[i], loss) for i in range(9)])
 
     got = train_step(state, (x, y, None), _strategy("none"), TaskContext(task=1, total_tasks=1))
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_twin_loss_at_beta_zero_skips_the_twin(monkeypatch):
-    rng = RngStream(23)
-    net = init_network([10, 12, 3], rng.fork("net"), gain=4.0, head_gain=2.0)
-    spec = LossSpec(lam=0.8, mu=1.3, alpha=0.6, beta=0.0)
-    quant = QuantSpec(bits=8)
-    image = quantize_network(net, quant)
-    x = _spikes(rng.fork("x"), (9, 10, 10), p=0.6)
-    y = rng.fork("y").integers(9, 3)
-    ce_chip, _ = softmax_cross_entropy_batch(chip_twin_counts(image, x).astype(np.float64), y)
-
-    def twin_backward(*args, **kwargs):
-        raise AssertionError("the twin backward ran at beta = 0")
-
-    monkeypatch.setattr(chip_mod, "backward_dlogits", twin_backward)
-    loss, grads = chip_mod.twin_loss(net, x, y, spec, quant, SurrogateSpec())
-    assert loss == spec.mu * (spec.alpha + spec.beta) * ce_chip
-    assert grads == {}
 
 
 def test_chip_with_mu_zero_trains_the_same_weights_as_no_chip():

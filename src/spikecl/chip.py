@@ -256,17 +256,21 @@ def validate_constraints(subject: SpikingNetwork | ConfigImage | list[int]) -> l
     return violations
 
 
-def _exact_float(l: int, q: np.ndarray) -> np.ndarray:
+def _exact_float(l: int, q: np.ndarray, peak: int | None = None) -> np.ndarray:
     """Layer ``l``'s integer codes as the float array the core accumulates
-    with: float32 when n_in * max|q| < 2**24, float64 below 2**53.
+    with: float32 when n_in * peak < 2**24, float64 below 2**53.
 
-    The accumulate multiplies 0/1 spikes by these codes, so every partial
-    sum, in any order and with or without FMA, is an integer of magnitude
-    at most n_in * max|q|; below the format's 2**(mantissa bits + 1) each
-    is exact. Float64 codes that stay float64 are not copied. Raises
+    ``peak`` bounds max|q|: the quantizer's qmax for its own codes, which
+    it clips to ±qmax; it is scanned from ``q`` when not given, as for an
+    image from outside. The accumulate multiplies 0/1 spikes by these
+    codes, so every partial sum, in any order and with or without FMA, is
+    an integer of magnitude at most n_in * peak; below the format's
+    2**(mantissa bits + 1) each is exact, so either width gives the same
+    bits. Float64 codes that stay float64 are not copied. Raises
     ``ContractViolation`` at 2**53 and above.
     """
-    peak = max(int(q.max()), -int(q.min())) if q.size else 0
+    if peak is None:
+        peak = max(int(q.max()), -int(q.min())) if q.size else 0
     bound = q.shape[0] * peak
     if bound < 2**24:
         return q.astype(np.float32)
@@ -453,8 +457,9 @@ def twin_loss(
     term is zero and nothing is quantized.
 
     The pass runs on ``quantize_codes``' float64 codes, as the same exact
-    float weights the chip gets from an upload (``_exact_float``); no int64
-    image is made. The trace's potentials are (B, T, n) views of time-major
+    float weights the chip gets from an upload (``_exact_float``, with the
+    width picked from the bound n_in * qmax, not a scan); no int64 image is
+    made. The trace's potentials are (B, T, n) views of time-major
     storage, as ``snn.ForwardTrace`` documents. BPTT reads the weights of
     layers 1 and up only, to carry the gradient down a layer, so only those
     codes are scaled, in place, and the first layer's place holds NaNs.
@@ -463,7 +468,7 @@ def twin_loss(
     if mu == 0.0:
         return 0.0, {}
     image = quantize_codes(net, quant_spec, task)
-    weights = [_exact_float(l, q) for l, q in enumerate(image.quantized)]
+    weights = [_exact_float(l, q, quant_spec.qmax) for l, q in enumerate(image.quantized)]
     # the pass reads ``weights``; BPTT reads only the later layers' codes
     first, later = image.quantized[0].shape, image.quantized[1:]
     image.quantized = []

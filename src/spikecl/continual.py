@@ -11,7 +11,8 @@ fired together for an earlier task stop moving; the rest stay free to learn.
 Baselines (EWC, SI, LwF, XdG) and the none/joint reference modes expose the
 same four training-loop hooks: before_task, batch_loss, grad_transform,
 after_task. On the first task every strategy except XdG is a bit-exact
-no-op relative to ``none``.
+no-op relative to ``none``. The final task of a stream is not consolidated:
+consolidation protects a task against later ones, and none follow it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ STRATEGIES = ("none", "joint", "hwc-soft", "hwc-hard", "ewc", "si", "lwf", "xdg"
 
 @dataclass
 class TaskContext:
-    """Position inside an incremental run: current task and epoch."""
+    """Position inside an incremental run: current task and epoch.
+
+    In the final task (``is_final_task``) strategies keep no consolidation
+    state: no later task reads it.
+    """
 
     task: int
     total_tasks: int
@@ -52,6 +57,10 @@ class TaskContext:
     @property
     def is_final_epoch(self) -> bool:
         return self.epoch == self.total_epochs - 1
+
+    @property
+    def is_final_task(self) -> bool:
+        return self.task == self.total_tasks
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,9 @@ def potential(store: HebbianStore, mode: str, threshold: float | None = None) ->
     """P = 1 - max(H) (soft) or P = 1 - g(max(H)) (hard).
 
     Hard mode's gate g(x) is 0 for x <= threshold and 1 above it, so a
-    statistic exactly at the threshold stays plastic.
+    statistic exactly at the threshold stays plastic. Soft values are
+    float64; hard values are bool (one byte per synapse), which
+    ``gate_update`` multiplies as 1.0 and 0.0.
     """
     if store.tasks_completed < 1:
         raise ContractViolation("potential requires at least one completed task")
@@ -140,7 +151,7 @@ def potential(store: HebbianStore, mode: str, threshold: float | None = None) ->
     if mode == "hard":
         if threshold is None or not (0.0 < threshold < 1.0):
             raise ContractViolation("hard mode requires a threshold in (0, 1)")
-        values = {k: (h <= threshold).astype(np.float64) for k, h in store.h_max.items()}
+        values = {k: h <= threshold for k, h in store.h_max.items()}
     else:
         values = {k: 1.0 - h for k, h in store.h_max.items()}
     return PotentialMask(mode, values, threshold)
@@ -150,7 +161,9 @@ def gate_update(grads: dict[str, np.ndarray], mask: PotentialMask) -> dict[str, 
     """Multiply each raw gradient by its potential mask, in place.
 
     Writes into the arrays of ``grads``, which ``runner.train_step`` owns
-    (``g *= p`` has the bits of ``g * p``), and returns ``grads``.
+    (``g *= p`` has the bits of ``g * p``, also for a bool ``p``, which
+    casts to 1.0 and 0.0, so a negative gradient masked to zero stays
+    -0.0), and returns ``grads``.
     """
     for name, g in grads.items():
         p = mask.values.get(name)
@@ -328,7 +341,9 @@ class Strategy:
         return grads
 
     def after_task(self, ctx, net, sample_provider=None) -> None:
-        pass
+        """Consolidate the task just trained. In the final task
+        (``ctx.is_final_task``) strategies skip it and draw nothing from
+        ``sample_provider``: only a later task would read the result."""
 
     # -- gating queries (test-time behavior is part of the strategy) ---------
     def train_gates(self, ctx: TaskContext, net: SpikingNetwork):
@@ -374,13 +389,13 @@ class HwcStrategy(Strategy):
                 self.mask = None  # nothing consolidated yet (all-silent history)
             else:
                 self.mask = potential(self.store, self.mode, thr)
-        self._acc = {
+        self._acc = {} if ctx.is_final_task else {
             name: HebbianAccumulator(net.get_param(name).shape)
             for name in self.consolidated_names(net)
         }
 
     def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
-        if ctx.is_final_epoch:
+        if self._acc and ctx.is_final_epoch:
             rates = record_firing_rates(trace)
             for name, acc in self._acc.items():
                 l = int(name[1:])
@@ -393,6 +408,8 @@ class HwcStrategy(Strategy):
         return gate_update(grads, self.mask)
 
     def after_task(self, ctx, net, sample_provider=None):
+        if ctx.is_final_task:
+            return
         h_tau = {name: finalize_hebbian(acc) for name, acc in self._acc.items()}
         finalize_task(self.store, h_tau)
 
@@ -437,6 +454,8 @@ class EwcStrategy(Strategy):
             self.fisher_sum[name] = total
 
     def after_task(self, ctx, net, sample_provider=None):
+        if ctx.is_final_task:
+            return
         if sample_provider is None:
             raise ContractViolation("EWC needs task samples to estimate importances")
         samples = sample_provider(self.cfg.ewc_fisher_samples)
@@ -454,7 +473,7 @@ class SiStrategy(Strategy):
         self._pending: tuple[dict, dict] | None = None
 
     def before_task(self, ctx, net):
-        names = self.consolidated_names(net)
+        names = [] if ctx.is_final_task else self.consolidated_names(net)
         self._theta_start = {k: net.get_param(k).copy() for k in names}
         self._w_acc = {k: np.zeros_like(net.get_param(k)) for k in names}
         self._pending = None
@@ -476,6 +495,8 @@ class SiStrategy(Strategy):
     def grad_transform(self, ctx, net, grads):
         # the optimizer applies `grads` after this call; the resulting move
         # is credited at the next call (or at task end)
+        if not self._w_acc:  # the final task accrues nothing
+            return grads
         self._flush(net)
         self._pending = (
             {k: net.get_param(k).copy() for k in self._w_acc},
@@ -484,6 +505,8 @@ class SiStrategy(Strategy):
         return grads
 
     def after_task(self, ctx, net, sample_provider=None):
+        if ctx.is_final_task:
+            return
         self._flush(net)
         drift = {
             k: net.get_param(k) - self._theta_start[k] for k in self._w_acc
@@ -519,6 +542,8 @@ class LwfStrategy(Strategy):
         return total, grads
 
     def after_task(self, ctx, net, sample_provider=None):
+        if ctx.is_final_task:
+            return
         self.snapshot = net.copy()
         self.seen_tasks.append(ctx.task - 1)
 

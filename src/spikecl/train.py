@@ -190,9 +190,18 @@ def backward_dlogits(
 
 
 def add_grads(grads: dict[str, np.ndarray], extra: dict[str, np.ndarray] | None) -> None:
-    """Add ``extra`` into ``grads``, storing a first gradient uncopied."""
+    """Add ``extra`` into ``grads``. A first gradient is stored uncopied;
+    later ones are summed into it in place (``+=`` has the bits of ``+``).
+
+    ``grads`` takes ownership of ``extra``'s arrays, so callers pass only
+    fresh arrays that nothing else holds: BPTT's (``backward_dlogits``),
+    ``chip.twin_loss``'s, ``regularizer_penalty``'s and LwF's own sums.
+    """
     for name, g in (extra or {}).items():
-        grads[name] = grads[name] + g if name in grads else g
+        if name in grads:
+            grads[name] += g
+        else:
+            grads[name] = g
 
 
 # Rows per in-place optimizer block: a (128, 256) float64 block and its

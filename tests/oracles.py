@@ -247,9 +247,13 @@ def export_drift_csv(stream, out_dir) -> list[str]:
 
 
 def write_mask_dump(path, mask) -> None:
-    """Persist a potential mask for post-hoc analysis (bundle container)."""
+    """Persist a potential mask for post-hoc analysis (bundle container).
+
+    The container stores float64 and int64 arrays only, so hard (bool)
+    values are written as float64 0/1.
+    """
     meta = {"kind": "potential-mask", "version": 1, "mode": mask.mode, "threshold": mask.threshold}
-    write_bundle(path, meta, mask.values)
+    write_bundle(path, meta, {k: v.astype(np.float64) for k, v in mask.values.items()})
 
 
 def param_names(net: SpikingNetwork) -> list[str]:

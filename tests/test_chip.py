@@ -633,6 +633,30 @@ class TestTwinLoss:
             assert u.shape == s.shape == (7, 6, u.shape[2]) and u.dtype == np.float64
             assert u.transpose(1, 0, 2).flags.c_contiguous
 
+    def test_twin_width_comes_from_qmax_with_the_bits_of_the_scanned_width(self, monkeypatch):
+        # at 16 bits with a fixed scale the codes stay far below qmax: the
+        # scan would pick float32 for the first layer, the bound n_in * qmax
+        # picks float64, and both accumulate exactly
+        rng = RngStream(70)
+        net = init_network([784, 32], rng.fork("net"), n_heads=2, head_size=3, gain=3.0)
+        quant = QuantSpec(bits=16, leak_shift=1, scale_override=[0.0005, 0.001])
+        x = (rng.fork("x").uniform((5, 6, 784)) < 0.3).astype(np.float64)
+        y = rng.fork("y").integers(5, 3)
+        want = twin_loss(net, x, y, self.SPEC, quant, SurrogateSpec(), 1)
+        widths = []
+
+        def scanned(l, q, peak=None):
+            widths.append((peak, exact(l, q, peak).dtype, exact(l, q).dtype))
+            return exact(l, q)
+
+        exact = chip_module._exact_float
+        monkeypatch.setattr(chip_module, "_exact_float", scanned)
+        loss, grads = twin_loss(net, x, y, self.SPEC, quant, SurrogateSpec(), 1)
+        assert [w[0] for w in widths] == [quant.qmax, quant.qmax]
+        assert widths[0][1:] == (np.float64, np.float32)
+        assert loss == want[0] and loss > 0.0
+        assert all(grads[k].tobytes() == g.tobytes() for k, g in want[1].items())
+
     def test_one_call_allocates_under_5_5_mb_at_split_chip_shapes(self):
         # 784-256-256 with a 2-wide head, B = 16, T = 10, at the shipped
         # loss (mu 1) and 8 bits; 5.09 MB when the bound was set

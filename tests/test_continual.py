@@ -202,6 +202,22 @@ class TestGateUpdate:
         out = gate_update({"head0": g}, mask)
         assert out["head0"] is g
 
+    def test_hard_mask_is_bool_and_gates_with_the_bits_of_a_float_mask(self):
+        rng = RngStream(17)
+        h = rng.fork("h").uniform((6, 5))
+        h[0, 0] = 0.4  # at the threshold: plastic
+        mask = potential_of(h, "hard", 0.4)
+        assert mask.values["w0"].dtype == np.bool_
+        g = rng.fork("g").normal((6, 5))
+        g[1, :] = -np.abs(g[1, :])  # negative entries masked to -0.0
+        g[2, 0] = 0.0
+        g[2, 1] = -0.0
+        want = g * (h <= 0.4).astype(np.float64)
+        assert np.signbit(want[h > 0.4]).any()
+        out = gate_update({"w0": g.copy()}, mask)
+        assert out["w0"].dtype == np.float64
+        assert out["w0"].tobytes() == want.tobytes()
+
 
 def potential_of(h, mode, threshold=None):
     store = HebbianStore()

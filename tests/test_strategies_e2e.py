@@ -1,9 +1,13 @@
 """End-to-end smokes over the full strategy roster, plus cross-strategy
 equivalence invariants on a miniature task stream."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import spikecl.continual as continual
+import spikecl.runner as runner
 from spikecl.continual import STRATEGIES, StrategyConfig, TaskContext, apply_strategy
 from spikecl.data import DriftSpec, build_split_stream, generate_digit_corpus
 from spikecl.rng import RngStream
@@ -55,6 +59,77 @@ def test_every_strategy_completes_split(strategy):
 def test_every_strategy_completes_drift(strategy):
     recs, _ = run_seed(mini_drift_cfg(strategy), 2)
     assert {r.after_task for r in recs} == {1, 2, 3}
+
+
+def _two_task_run(monkeypatch, name):
+    """A 2-task mini split run of ``name`` at 2 epochs per task; returns the
+    run's strategy, the (task, epoch) of every ``accumulate_hebbian`` call,
+    the task index of every Fisher provider draw, and per step (task,
+    whether SI holds ``_pending`` copies) and the tasks LwF snapshotted."""
+    made, at, log = [], {}, {"hebbian": [], "draws": [], "pending": [], "snapshots": []}
+
+    def spy_strategy(*args):
+        s = apply_strategy(*args)
+        batch_loss, grad_transform, after_task = s.batch_loss, s.grad_transform, s.after_task
+
+        def spy_batch_loss(ctx, *rest):
+            at["now"] = (ctx.task, ctx.epoch)
+            return batch_loss(ctx, *rest)
+
+        def spy_grad_transform(ctx, net, grads):
+            out = grad_transform(ctx, net, grads)
+            log["pending"].append((ctx.task, getattr(s, "_pending", None) is not None))
+            return out
+
+        def spy_after_task(ctx, net, provider=None):
+            before = getattr(s, "snapshot", None)
+            after_task(ctx, net, provider)
+            if getattr(s, "snapshot", None) is not before:
+                log["snapshots"].append(ctx.task)
+
+        s.batch_loss, s.grad_transform, s.after_task = spy_batch_loss, spy_grad_transform, spy_after_task
+        made.append(s)
+        return s
+
+    def spy_accumulate(acc, pre, post):
+        log["hebbian"].append(at["now"])
+        return accumulate(acc, pre, post)
+
+    def spy_provider(task, config, run_rng, task_idx):
+        provider = make_provider(task, config, run_rng, task_idx)
+
+        def draw(count):
+            log["draws"].append(task_idx)
+            return provider(count)
+
+        return draw
+
+    accumulate, make_provider = continual.accumulate_hebbian, runner._make_sample_provider
+    monkeypatch.setattr(runner, "apply_strategy", spy_strategy)
+    monkeypatch.setattr(continual, "accumulate_hebbian", spy_accumulate)
+    monkeypatch.setattr(runner, "_make_sample_provider", spy_provider)
+    cfg = replace(mini_split_cfg(name), split_pairs=[[0, 1], [2, 3]], epochs_per_task=2)
+    recs, _ = run_seed(cfg, 3)
+    assert {r.after_task for r in recs} == {1, 2}
+    return made[0], log
+
+
+@pytest.mark.parametrize("name", ["hwc-hard", "ewc", "si", "lwf"])
+def test_the_final_task_consolidates_nothing(monkeypatch, name):
+    strategy, log = _two_task_run(monkeypatch, name)
+    if name == "hwc-hard":
+        assert log["hebbian"] and set(log["hebbian"]) == {(1, 1)}
+        assert strategy._acc == {} and strategy.store.tasks_completed == 1
+        assert strategy.mask is not None  # task 1 stays protected
+    elif name == "ewc":
+        assert log["draws"] == [0]
+    elif name == "si":
+        tasks = {t for t, _ in log["pending"]}
+        assert tasks == {1, 2}
+        assert all(pending == (t == 1) for t, pending in log["pending"])
+        assert strategy._w_acc == {} and strategy._theta_start == {}
+    else:
+        assert log["snapshots"] == [1] and strategy.seen_tasks == [0]
 
 
 def train_one_task(strategy_name):

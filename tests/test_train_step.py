@@ -72,6 +72,43 @@ def test_pooled_multi_head_step_matches_per_head_loop():
         assert net.get_param(name).tobytes() == ref.get_param(name).tobytes(), name
 
 
+def test_add_grads_sums_in_place_with_the_bits_of_plus():
+    rng = RngStream(23)
+    a, b = rng.fork("a").normal((7, 5)), rng.fork("b").normal((7, 5))
+    want = a + b
+    first = a.copy()
+    grads = {}
+    add_grads(grads, {"w0": first})
+    add_grads(grads, None)
+    add_grads(grads, {"w0": b})
+    assert grads["w0"] is first
+    assert first.tobytes() == want.tobytes()
+
+
+def test_add_grads_of_a_pooled_two_head_batch_keeps_the_bits_of_plus():
+    rng = RngStream(24)
+    net = init_network([12, 16], rng.fork("net"), n_heads=2, head_size=2)
+    x = _spikes(rng.fork("x"), (9, 8, 12))
+    y = rng.fork("y").integers(9, 2)
+    tasks = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+    per_head = []
+    for t in (0, 1):
+        sub = tasks == t
+        trace, logits = forward(net, x[sub], task=t)
+        _, probs = softmax_cross_entropy_batch(logits, y[sub])
+        dlog = cross_entropy_grad(probs, y[sub]) * (sub.sum() / len(y))
+        per_head.append(backward_dlogits(net, trace, dlog, SurrogateSpec()))
+    g0, g1 = per_head
+    want = {"w0": g0["w0"] + g1["w0"], "head0": g0["head0"].copy(), "head1": g1["head1"].copy()}
+    grads = {}
+    for g in per_head:
+        add_grads(grads, g)
+    assert grads["w0"] is g0["w0"] and grads["head1"] is g1["head1"]
+    assert sorted(grads) == sorted(want)
+    for name, w in want.items():
+        assert grads[name].tobytes() == w.tobytes(), name
+
+
 def test_chip_batch_loss_is_mean_of_composite_loss():
     rng = RngStream(22)
     net = init_network([10, 12, 3], rng.fork("net"), gain=4.0, head_gain=2.0)

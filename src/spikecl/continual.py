@@ -113,7 +113,12 @@ class HebbianStore:
 
 
 def finalize_task(store: HebbianStore, h_tau: dict[str, np.ndarray]) -> HebbianStore:
-    """Fold one completed task's statistics into the running maximum."""
+    """Fold one completed task's statistics into the running maximum.
+
+    The store takes ownership of ``h_tau``'s arrays (a first task's H is
+    stored uncopied), so callers pass only fresh arrays that nothing else
+    holds, such as ``finalize_hebbian``'s.
+    """
     for name, h in h_tau.items():
         if not np.all((h >= 0.0) & (h <= 1.0)):
             raise ContractViolation(f"H values for {name} outside [0, 1]")
@@ -122,7 +127,7 @@ def finalize_task(store: HebbianStore, h_tau: dict[str, np.ndarray]) -> HebbianS
                 raise ContractViolation(f"shape mismatch for {name}")
             store.h_max[name] = np.maximum(store.h_max[name], h)
         else:
-            store.h_max[name] = h.copy()
+            store.h_max[name] = h
     store.tasks_completed += 1
     return store
 
@@ -412,6 +417,7 @@ class HwcStrategy(Strategy):
             return
         h_tau = {name: finalize_hebbian(acc) for name, acc in self._acc.items()}
         finalize_task(self.store, h_tau)
+        self._acc = {}
 
 
 class EwcStrategy(Strategy):
@@ -515,6 +521,7 @@ class SiStrategy(Strategy):
         for name, c in contrib.items():
             self.omega[name] = self.omega.get(name, 0.0) + c
         self.anchor = {k: net.get_param(k).copy() for k in self._w_acc}
+        self._theta_start, self._w_acc = {}, {}
 
 
 class LwfStrategy(Strategy):

@@ -343,42 +343,54 @@ def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
     return np.round(img * 255.0).astype(np.uint8)
 
 
-_CORPUS_CACHE: dict[tuple, tuple] = {}
+_CORPUS_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def generate_digit_corpus(
     train_per_class: int = 1500,
     test_per_class: int = 300,
     seed: int = 90210,
+    digits=range(10),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic rendered digit dataset (train_x, train_y, test_x, test_y),
-    with uint8 pixel codes like ``load_idx_pair``'s."""
-    key = (train_per_class, test_per_class, seed)
-    if key in _CORPUS_CACHE:
-        return _CORPUS_CACHE[key]
+    with uint8 pixel codes like ``load_idx_pair``'s, holding only ``digits``.
+
+    Each digit renders from its own fork, and one permutation per split
+    orders the samples of all ten digits; the named digits keep their
+    positions in it, in that order. So the rows and their order are the
+    ten-digit corpus's with the other digits' rows taken out, and nothing
+    else is rendered. Rendered digits are cached read-only per (split,
+    digit, per-class count, seed); the returned arrays are fresh.
+    """
+    wanted = sorted({int(d) for d in digits})
+    if not set(wanted) <= set(range(10)):
+        raise ConfigurationError(f"digits {wanted} are not all in 0..9")
     root = RngStream(seed)
     sets = []
     for split, per in (("train", train_per_class), ("test", test_per_class)):
-        xs = np.empty((10 * per, DIGIT_PIXELS), dtype=np.uint8)
-        ys = np.empty(10 * per, dtype=np.int64)
-        for digit in range(10):
-            stream = root.fork(f"{split}/digit{digit}")
-            done = 0
-            # 256-sample chunks bound the (n, P) temporaries, and they are
-            # also part of the RNG draw sequence: each chunk draws its own
-            # blocks from `stream`, so changing the chunk size changes every
-            # rendered corpus.
-            while done < per:
-                n = min(256, per - done)
-                lo = digit * per + done
-                xs[lo : lo + n] = _render_digits(digit, n, stream)
-                ys[lo : lo + n] = digit
-                done += n
-        order = root.fork(f"{split}/order").permutation(len(ys))
-        sets.append((xs[order], ys[order]))
-    result = (*sets[0], *sets[1])
-    _CORPUS_CACHE[key] = result
-    return result
+        # digit d fills positions [d * per, (d + 1) * per) of the full corpus
+        order = root.fork(f"{split}/order").permutation(10 * per)
+        ys = (order // per).astype(np.int64)
+        kept = np.isin(ys, wanted)
+        order, ys = order[kept], ys[kept]
+        xs = np.empty((len(ys), DIGIT_PIXELS), dtype=np.uint8)
+        for digit in wanted:
+            key = (split, digit, per, seed)
+            if key not in _CORPUS_CACHE:
+                stream = root.fork(f"{split}/digit{digit}")
+                block = np.empty((per, DIGIT_PIXELS), dtype=np.uint8)
+                # 256-sample chunks bound the (n, P) temporaries, and they
+                # are also part of the RNG draw sequence: each chunk draws
+                # its own blocks from `stream`, so changing the chunk size
+                # changes every rendered corpus.
+                for lo in range(0, per, 256):
+                    block[lo : lo + 256] = _render_digits(digit, min(256, per - lo), stream)
+                block.flags.writeable = False
+                _CORPUS_CACHE[key] = block
+            rows = ys == digit
+            xs[rows] = _CORPUS_CACHE[key][order[rows] - digit * per]
+        sets.append((xs, ys))
+    return (*sets[0], *sets[1])
 
 
 # ---------------------------------------------------------------------------

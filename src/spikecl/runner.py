@@ -224,7 +224,15 @@ def apply_profile(config: RunConfig, profile: str) -> RunConfig:
 
 
 def build_stream(config: RunConfig) -> TaskStream:
+    """The config's task stream. A split run without ``mnist_dir`` renders
+    only the digits its pairs name; each task holds the bytes it would take
+    from the ten-digit corpus."""
     if config.scenario == "split-mnist":
+        pairs = (
+            tuple(tuple(p) for p in config.split_pairs)
+            if config.split_pairs
+            else DEFAULT_SPLIT_PAIRS
+        )
         if config.mnist_dir:
             train_x, train_y = load_idx_pair(
                 os.path.join(config.mnist_dir, "train-images-idx3-ubyte"),
@@ -238,13 +246,9 @@ def build_stream(config: RunConfig) -> TaskStream:
                 raise FormatError(f"{config.mnist_dir}: images are not 28 x 28")
         else:
             train_x, train_y, test_x, test_y = generate_digit_corpus(
-                config.corpus_train_per_class, config.corpus_test_per_class, config.data_seed
+                config.corpus_train_per_class, config.corpus_test_per_class, config.data_seed,
+                digits={d for pair in pairs for d in pair},
             )
-        pairs = (
-            tuple(tuple(p) for p in config.split_pairs)
-            if config.split_pairs
-            else DEFAULT_SPLIT_PAIRS
-        )
         return build_split_stream(
             train_x, train_y, test_x, test_y, pairs=pairs,
             train_cap=config.train_cap, test_cap=config.test_cap,

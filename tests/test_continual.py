@@ -641,9 +641,10 @@ class TestSnapshotsSurviveInPlaceSteps:
         pending = strat._pending[0]["w0"].copy()
         optimizer_step(OptimizerState(lr=0.05), net, grads)
         assert strat._pending[0]["w0"].tobytes() == pending.tobytes()
+        assert strat._theta_start["w0"].tobytes() == start["w0"].tobytes()
         strat.after_task(ctx, net)
+        assert strat._theta_start == {} and strat._w_acc == {}
         anchor = strat.anchor["w0"].copy()
         self._step(net, 64)
-        assert strat._theta_start["w0"].tobytes() == start["w0"].tobytes()
         assert strat.anchor["w0"].tobytes() == anchor.tobytes()
         assert not np.array_equal(net.weights[0], anchor)

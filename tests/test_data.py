@@ -331,6 +331,58 @@ class TestDigitCorpus:
         assert np.array_equal(x, train_x)  # both hold the same 8-bit codes
         assert np.array_equal(y, train_y)
 
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """The digit of every ``_render_digits`` call (one per chunk), from
+        an empty cache."""
+        log, render = [], data_mod._render_digits
+
+        def spy(digit, n, rng):
+            log.append(digit)
+            return render(digit, n, rng)
+
+        monkeypatch.setattr(data_mod, "_CORPUS_CACHE", {})
+        monkeypatch.setattr(data_mod, "_render_digits", spy)
+        return log
+
+    @pytest.mark.parametrize("pairs", [[[0, 1], [2, 3]], [[9, 4], [7, 1]]])
+    def test_split_run_renders_only_its_digits_with_the_full_corpus_bytes(self, rendered, pairs):
+        from spikecl.runner import RunConfig, build_stream
+
+        cfg = RunConfig(split_pairs=pairs, corpus_train_per_class=14, corpus_test_per_class=6,
+                        train_cap=20, test_cap=None, data_seed=31)
+        got = build_stream(cfg)
+        assert set(rendered) == {d for pair in pairs for d in pair}
+        want = build_split_stream(*generate_digit_corpus(14, 6, seed=31),
+                                  pairs=[tuple(p) for p in pairs], train_cap=20)
+        for g, w in zip(got.tasks, want.tasks, strict=True):
+            assert g.orig_classes == w.orig_classes
+            for name in ("train_x", "train_y", "test_x", "test_y"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_overlapping_request_renders_only_the_digits_it_adds(self, rendered):
+        generate_digit_corpus(10, 4, seed=5, digits=[3, 1])
+        assert sorted(rendered) == [1, 1, 3, 3]  # train and test
+        rendered.clear()
+        _, train_y, _, test_y = generate_digit_corpus(10, 4, seed=5, digits=[1, 6, 3])
+        assert rendered == [6, 6]
+        assert sorted(set(train_y)) == sorted(set(test_y)) == [1, 3, 6]
+
+    def test_digits_outside_0_to_9_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="0..9"):
+            generate_digit_corpus(4, 2, seed=5, digits=[3, 10])
+
+    def test_writing_into_a_returned_corpus_leaves_the_cache_intact(self):
+        first = generate_digit_corpus(20, 5, seed=9)
+        kept = [a.copy() for a in first]
+        for a in first:
+            a[...] = 0
+        for a, b in zip(generate_digit_corpus(20, 5, seed=9), kept):
+            assert a.tobytes() == b.tobytes()
+        assert not any(block.flags.writeable for block in data_mod._CORPUS_CACHE.values())
+
     @pytest.mark.parametrize(
         "train, test, digest",
         [

@@ -132,6 +132,25 @@ def test_the_final_task_consolidates_nothing(monkeypatch, name):
         assert log["snapshots"] == [1] and strategy.seen_tasks == [0]
 
 
+@pytest.mark.parametrize("name, scratch", [("hwc-hard", ("_acc",)), ("si", ("_theta_start", "_w_acc"))])
+def test_consolidation_scratch_is_dropped_before_evaluation(monkeypatch, name, scratch):
+    # after task 1's after_task has folded them in, the per-task sums and
+    # snapshots are dead state; the evaluations after task 1 must not hold them
+    seen = []
+    evaluate = runner.evaluate_task
+
+    def spy_evaluate(net, stream, eval_idx, trained_idx, config, run_rng, strategy):
+        if trained_idx == 0:
+            seen.append({attr: getattr(strategy, attr) for attr in scratch})
+        return evaluate(net, stream, eval_idx, trained_idx, config, run_rng, strategy)
+
+    monkeypatch.setattr(runner, "evaluate_task", spy_evaluate)
+    cfg = replace(mini_split_cfg(name), split_pairs=[[0, 1], [2, 3], [4, 5]])
+    recs, _ = run_seed(cfg, 5)
+    assert {r.after_task for r in recs} == {1, 2, 3}
+    assert seen and all(state == {attr: {} for attr in scratch} for state in seen)
+
+
 def train_one_task(strategy_name):
     cfg = mini_split_cfg(strategy_name)
     stream = build_stream(cfg)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,14 +344,14 @@ def _render_digits(digit: int, n: int, rng: RngStream) -> np.ndarray:
     return np.round(img * 255.0).astype(np.uint8)
 
 
-_CORPUS_CACHE: dict[tuple, np.ndarray] = {}
+_CORPUS_CACHE: dict[tuple, tuple] = {}
 
 
 def generate_digit_corpus(
     train_per_class: int = 1500,
     test_per_class: int = 300,
     seed: int = 90210,
-    digits=range(10),
+    digits: Iterable[int] = range(10),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic rendered digit dataset (train_x, train_y, test_x, test_y),
     with uint8 pixel codes like ``load_idx_pair``'s, holding only ``digits``.
@@ -359,14 +360,15 @@ def generate_digit_corpus(
     orders the samples of all ten digits; the named digits keep their
     positions in it, in that order. So the rows and their order are the
     ten-digit corpus's with the other digits' rows taken out, and nothing
-    else is rendered. Rendered digits are cached read-only per (split,
-    digit, per-class count, seed); the returned arrays are fresh.
+    else is rendered. The arrays are cached per call's arguments and
+    returned read-only.
     """
-    wanted = sorted({int(d) for d in digits})
-    if not set(wanted) <= set(range(10)):
-        raise ConfigurationError(f"digits {wanted} are not all in 0..9")
+    wanted = tuple(sorted({int(d) for d in digits}))
+    key = (train_per_class, test_per_class, seed, wanted)
+    if key in _CORPUS_CACHE:
+        return _CORPUS_CACHE[key]
     root = RngStream(seed)
-    sets = []
+    arrays = []
     for split, per in (("train", train_per_class), ("test", test_per_class)):
         # digit d fills positions [d * per, (d + 1) * per) of the full corpus
         order = root.fork(f"{split}/order").permutation(10 * per)
@@ -374,23 +376,23 @@ def generate_digit_corpus(
         kept = np.isin(ys, wanted)
         order, ys = order[kept], ys[kept]
         xs = np.empty((len(ys), DIGIT_PIXELS), dtype=np.uint8)
+        block = np.empty((per, DIGIT_PIXELS), dtype=np.uint8)
         for digit in wanted:
-            key = (split, digit, per, seed)
-            if key not in _CORPUS_CACHE:
-                stream = root.fork(f"{split}/digit{digit}")
-                block = np.empty((per, DIGIT_PIXELS), dtype=np.uint8)
-                # 256-sample chunks bound the (n, P) temporaries, and they
-                # are also part of the RNG draw sequence: each chunk draws
-                # its own blocks from `stream`, so changing the chunk size
-                # changes every rendered corpus.
-                for lo in range(0, per, 256):
-                    block[lo : lo + 256] = _render_digits(digit, min(256, per - lo), stream)
-                block.flags.writeable = False
-                _CORPUS_CACHE[key] = block
+            stream = root.fork(f"{split}/digit{digit}")
+            # 256-sample chunks bound the (n, P) temporaries, and they are
+            # also part of the RNG draw sequence: each chunk draws its own
+            # blocks from `stream`, so changing the chunk size changes every
+            # rendered corpus.
+            for lo in range(0, per, 256):
+                block[lo : lo + 256] = _render_digits(digit, min(256, per - lo), stream)
             rows = ys == digit
-            xs[rows] = _CORPUS_CACHE[key][order[rows] - digit * per]
-        sets.append((xs, ys))
-    return (*sets[0], *sets[1])
+            xs[rows] = block[order[rows] - digit * per]
+        arrays += [xs, ys]
+    for a in arrays:
+        a.flags.writeable = False
+    result = tuple(arrays)
+    _CORPUS_CACHE[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

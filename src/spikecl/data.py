@@ -27,7 +27,6 @@ IDX_MAGIC_LABELS = 0x00000801
 IDX_MAGIC_IMAGES = 0x00000803
 
 SCENARIOS = ("task-incremental", "domain-incremental")
-ENCODER_KINDS = ("rate-poisson", "direct-repeat")
 
 DEFAULT_SPLIT_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
@@ -124,9 +123,6 @@ class TaskStream:
                 if task.orig_classes != self.tasks[0].orig_classes:
                     raise ContractViolation("domain-incremental tasks must share one class set")
 
-    def __len__(self) -> int:
-        return len(self.tasks)
-
 
 def _balanced_subset(y: np.ndarray, cap: int | None) -> np.ndarray:
     """Indices of the first-k-per-class deterministic subset (order preserved)."""
@@ -139,12 +135,7 @@ def _balanced_subset(y: np.ndarray, cap: int | None) -> np.ndarray:
         idx = np.flatnonzero(y == c)[:per]
         keep[idx] = True
     extra = cap - int(keep.sum())
-    if extra > 0:
-        for i in np.flatnonzero(~keep):
-            keep[i] = True
-            extra -= 1
-            if extra == 0:
-                break
+    keep[np.flatnonzero(~keep)[:extra]] = True
     return np.flatnonzero(keep)
 
 
@@ -497,21 +488,19 @@ def build_synthetic_drift(spec: DriftSpec, seed: int) -> TaskStream:
 
 @dataclass
 class EncoderSpec:
-    kind: str = "rate-poisson"
     timesteps: int = 10
     max_rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ENCODER_KINDS:
-            raise ContractViolation(f"encoder kind must be one of {ENCODER_KINDS}")
         if self.timesteps < 1:
             raise ContractViolation("timesteps must be >= 1")
         if not (0.0 < self.max_rate <= 1.0):
             raise ContractViolation("max_rate must be in (0, 1]")
 
 
-def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None) -> np.ndarray:
-    """Spike trains (B, T, n) for a batch, one contiguous draw block.
+def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream) -> np.ndarray:
+    """Poisson-rate spike trains (B, T, n) for a batch, one contiguous draw
+    block: each step spikes with probability feature * ``spec.max_rate``.
 
     uint8 features are 8-bit intensity codes (image pixels), encoded as
     code / 255; any other features (drift) must be intensities in [0, 1].
@@ -526,10 +515,5 @@ def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None 
         if not np.all((f >= 0.0) & (f <= 1.0)):
             raise ContractViolation("features must lie in [0, 1]")
     B, n = f.shape
-    if spec.kind == "direct-repeat":
-        rows = (f >= 0.5).astype(np.float64)
-        return np.repeat(rows[:, None, :], spec.timesteps, axis=1)
-    if rng is None:
-        raise ContractViolation("rate-poisson encoding requires an rng stream")
     # (B, 1, n) broadcasts over the T steps, so bernoulli checks B*n values
     return rng.bernoulli((f * spec.max_rate)[:, None, :], (B, spec.timesteps, n))

@@ -1,10 +1,10 @@
 """Experiment orchestration: config, training, evaluation, persistence.
 
-Training has one step, ``train_step``, and one epoch loop, ``train_epoch``,
-fed by one batch iterator. Every task, the pooled joint phase and the chip
-loop run through them. The chip is an optional loss term of a chip run's
-tasks (``chip.twin_loss``); ``mentor_learner_epoch`` is the chip loop's
-epoch. No chip is built: a chip config is checked once, when it is built,
+Training has one step, ``train_step``, one epoch loop, ``train_epoch``, fed
+by one batch iterator, and one stream loop, ``run_seed``. Every task, the
+pooled joint phase and the chip loop run through them. The chip is an
+optional loss term of a chip run's tasks (``chip.twin_loss``);
+``mentor_learner_epoch`` is the chip loop's epoch. No chip is built: a chip config is checked once, when it is built,
 against the chip's budget.
 
 A run is a pure function of (config, seed): every random draw comes from
@@ -94,7 +94,6 @@ class RunConfig:
     epochs_per_task: int = 2
     init_gain: float = 2.0
     head_gain: float = 1.0
-    dropout: float = 0.0
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     chip: bool = False
     quant: QuantSpec = field(default_factory=QuantSpec)
@@ -119,8 +118,6 @@ class RunConfig:
             raise ConfigurationError("at least one seed is required")
         if self.chip and self.strategy.name == "xdg":
             raise ConfigurationError("unit gating is not supported in the chip loop")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigurationError("dropout must be in [0, 1)")
         if any(cap is not None and cap < 1 for cap in (self.train_cap, self.test_cap)):
             raise ConfigurationError("train_cap and test_cap must be >= 1 or null")
         if min(self.corpus_train_per_class, self.corpus_test_per_class) < 1:
@@ -304,42 +301,36 @@ def _learner(config: RunConfig, net: SpikingNetwork, task=None, quant=None) -> M
     return MentorState(net, optimizer, config.surrogate, config.loss, quant, task)
 
 
-def _batches(config, net, strategy, ctx, run_rng, tag, xs, ys, tids=None):
-    """One epoch's shuffled batches ``(x_enc, labels, gates)``, with the
-    per-sample task ids appended when ``tids`` is given.
+def _batches(config, run_rng, tag, xs, ys, tids=None):
+    """One epoch's shuffled batches ``(x_enc, labels)``, with the per-sample
+    task ids appended when ``tids`` is given.
 
     Each draw comes from its own named fork of ``run_rng``: ``shuffle/`` for
-    the order, ``encode/`` per batch for the spike trains and, only when
-    ``dropout > 0``, ``dropout/`` per batch for the keep-masks, which
-    multiply the strategy's unit gates.
+    the order and ``encode/`` per batch for the spike trains.
     """
     order = run_rng.fork(f"shuffle/{tag}").permutation(len(ys))
     for bi, start in enumerate(range(0, len(ys), config.batch_size)):
         idx = order[start : start + config.batch_size]
         x_enc = encode_batch(xs[idx], config.encoder, run_rng.fork(f"encode/{tag}/batch{bi}"))
-        gates = strategy.train_gates(ctx, net)
-        if config.dropout > 0.0:
-            drop_rng = run_rng.fork(f"dropout/{tag}/batch{bi}")
-            masks = [drop_rng.bernoulli(1.0 - config.dropout, (n,)) for n in net.hidden_sizes()]
-            gates = masks if gates is None else [g * m for g, m in zip(gates, masks)]
-        batch = (x_enc, ys[idx], gates)
-        yield batch if tids is None else batch + (tids[idx],)
+        yield (x_enc, ys[idx]) if tids is None else (x_enc, ys[idx], tids[idx])
 
 
 def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext) -> float:
     """One optimizer step on one (B, T, n) batch; returns the batch loss.
 
-    ``batch`` is ``(x_enc, labels, gates)``, which trains head
-    ``state.task``, or ``(x_enc, labels, gates, tasks)``, a pooled
-    multi-head batch with one task id per sample. One loop runs a forward
-    and backward per head, weighted by its share of the batch (1 when
-    unpooled). The cross-entropy gradient is scaled by ``loss.lam``. With
-    ``state.quant_spec`` set, the chip's term (``chip.twin_loss``) is added,
-    then the strategy's ``batch_loss`` (which sees no trace or logits for a
-    pooled batch), and ``grad_transform`` shapes the step.
+    ``batch`` is ``(x_enc, labels)``, which trains head ``state.task``, or
+    ``(x_enc, labels, tasks)``, a pooled multi-head batch with one task id
+    per sample. The strategy's ``train_gates`` gate the hidden units. One
+    loop runs a forward and backward per head, weighted by its share of the
+    batch (1 when unpooled). The cross-entropy gradient is scaled by
+    ``loss.lam``. With ``state.quant_spec`` set, the chip's term
+    (``chip.twin_loss``) is added, then the strategy's ``batch_loss`` (which
+    sees no trace or logits for a pooled batch), and ``grad_transform``
+    shapes the step.
     """
-    x_enc, labels, gates, *pooled = batch
+    x_enc, labels, *pooled = batch
     net, spec = state.net, state.loss_spec
+    gates = strategy.train_gates(ctx, net)
     labels = np.asarray(labels, dtype=np.int64)
     if pooled:
         heads = [(int(t), pooled[0] == t) for t in np.unique(pooled[0])]
@@ -391,9 +382,7 @@ def _fit(config, state, strategy, run_rng, tag, ctx, xs, ys, tids=None) -> None:
     epoch_loop = train_epoch if state.quant_spec is None else mentor_learner_epoch
     for epoch in range(config.epochs_per_task):
         ctx = replace(ctx, epoch=epoch)
-        batches = _batches(
-            config, state.net, strategy, ctx, run_rng, f"{tag}/epoch{epoch}", xs, ys, tids
-        )
+        batches = _batches(config, run_rng, f"{tag}/epoch{epoch}", xs, ys, tids)
         epoch_loop(state, batches, strategy, ctx)
 
 
@@ -408,7 +397,7 @@ def train_task(config, net, stream, task_idx, strategy, run_rng) -> MentorState:
     return state
 
 
-def _joint_phase(config, net, stream, strategy, run_rng):
+def _joint_phase(config, net, stream, strategy, run_rng, ctx):
     """Upper bound: one pooled phase over all tasks' training data."""
     xs = np.concatenate([t.train_x for t in stream.tasks])
     ys = np.concatenate([t.train_y for t in stream.tasks])
@@ -417,10 +406,6 @@ def _joint_phase(config, net, stream, strategy, run_rng):
         tids = np.concatenate(
             [np.full(len(t.train_y), i, dtype=np.int64) for i, t in enumerate(stream.tasks)]
         )
-    total = len(stream.tasks)
-    ctx = TaskContext(
-        task=total, total_tasks=total, total_epochs=config.epochs_per_task,
-    )
     _fit(config, _learner(config, net), strategy, run_rng, "joint", ctx, xs, ys, tids)
 
 
@@ -494,7 +479,12 @@ def _make_sample_provider(task, config, run_rng, task_idx):
 
 
 def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], SpikingNetwork]:
-    """Train through the whole stream for one seed; returns (records, net)."""
+    """Train through the whole stream for one seed; returns (records, net).
+
+    One loop trains, consolidates and evaluates: once per task, or once at
+    the last task index for a pooled strategy (joint), whose one phase
+    trains on every task's data. Each pass records every task trained so far.
+    """
     stream = build_stream(config)
     run_rng = RngStream(seed)
     net = build_network(config, stream, run_rng.fork("init"))
@@ -502,31 +492,16 @@ def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], Spiking
 
     records: list[MetricsRecord] = []
     n_tasks = len(stream.tasks)
-
-    if strategy.pooled:
-        t0 = time.perf_counter()
-        _joint_phase(config, net, stream, strategy, run_rng)
-        accs = [
-            evaluate_task(net, stream, i, n_tasks - 1, config, run_rng, strategy)
-            for i in range(n_tasks)
-        ]
-        wall = (time.perf_counter() - t0) * 1000.0
-        for i, acc in enumerate(accs):
-            records.append(
-                MetricsRecord(
-                    seed, config.strategy.name, stream.scenario, n_tasks, i + 1,
-                    acc, incremental_accuracy(accs, n_tasks), wall,
-                )
-            )
-        return records, net
-
-    for task_idx in range(n_tasks):
+    for task_idx in [n_tasks - 1] if strategy.pooled else range(n_tasks):
         t0 = time.perf_counter()
         ctx = TaskContext(
             task=task_idx + 1, total_tasks=n_tasks, epoch=0, total_epochs=config.epochs_per_task,
         )
         strategy.before_task(ctx, net)
-        train_task(config, net, stream, task_idx, strategy, run_rng)
+        if strategy.pooled:
+            _joint_phase(config, net, stream, strategy, run_rng, ctx)
+        else:
+            train_task(config, net, stream, task_idx, strategy, run_rng)
         provider = _make_sample_provider(stream.tasks[task_idx], config, run_rng, task_idx)
         strategy.after_task(ctx, net, provider)
 

@@ -2,7 +2,7 @@
 
 The backward pass differentiates mean softmax cross-entropy on spike-count
 logits with the step nonlinearity's derivative replaced by a surrogate
-pseudo-derivative. Each surrogate also defines a smooth "relaxed" activation
+pseudo-derivative. The surrogate also defines a smooth "relaxed" activation
 whose true derivative equals that pseudo-derivative, so running forward and
 backward in relaxed mode yields the exact gradient of a differentiable
 model -- which is what the finite-difference oracle checks.
@@ -21,45 +21,33 @@ from .errors import ContractViolation
 from .numerics import require_finite, softmax
 from .snn import ForwardTrace, SpikingNetwork
 
-SURROGATE_SHAPES = ("fast-sigmoid", "boxcar")
-
 
 @dataclass
 class SurrogateSpec:
-    """Pseudo-derivative family for the spike nonlinearity.
+    """The fast-sigmoid pseudo-derivative of the spike nonlinearity
+    (SuperSpike; Zenke & Ganguli, Neural Computation 2018).
 
-    ``width`` controls steepness (fast-sigmoid) or the support half-width
-    (boxcar). ``relaxed_activation`` is the smooth stand-in whose derivative
-    is exactly ``pseudo_derivative``.
+    ``width`` controls its steepness. ``relaxed_activation`` is the smooth
+    stand-in whose derivative is exactly ``pseudo_derivative``.
     """
 
-    shape: str = "fast-sigmoid"
     width: float = 2.0
 
     def __post_init__(self):
-        if self.shape not in SURROGATE_SHAPES:
-            raise ContractViolation(f"surrogate shape must be one of {SURROGATE_SHAPES}")
         if not (self.width > 0.0):
             raise ContractViolation("surrogate width must be > 0")
 
     def pseudo_derivative(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """1 / (1 + width*|x|)**2 (fast-sigmoid) or (|x| <= width) / (2*width)
-        (boxcar), built in ``out`` (which may be ``x``) with one pass per
-        operation of that expression."""
+        """1 / (1 + width*|x|)**2, built in ``out`` (which may be ``x``)
+        with one pass per operation of that expression."""
         out = np.abs(x, out=np.empty(np.shape(x)) if out is None else out)
-        if self.shape == "fast-sigmoid":
-            out *= self.width
-            out += 1.0
-            np.square(out, out=out)
-            return np.divide(1.0, out, out=out)
-        np.less_equal(out, self.width, out=out)
-        out /= 2.0 * self.width
-        return out
+        out *= self.width
+        out += 1.0
+        np.square(out, out=out)
+        return np.divide(1.0, out, out=out)
 
     def relaxed_activation(self, x: np.ndarray) -> np.ndarray:
-        if self.shape == "fast-sigmoid":
-            return 0.5 + x / (1.0 + self.width * np.abs(x))
-        return np.clip(0.5 + x / (2.0 * self.width), 0.0, 1.0)
+        return 0.5 + x / (1.0 + self.width * np.abs(x))
 
 
 @dataclass

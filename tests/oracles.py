@@ -113,10 +113,7 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
         u = trace.pre_reset[l]
         s = trace.spikes[l + 1]
         x = u - p.threshold
-        if surrogate.shape == "fast-sigmoid":
-            sd = 1.0 / (1.0 + surrogate.width * np.abs(x)) ** 2
-        else:
-            sd = (np.abs(x) <= surrogate.width) / (2.0 * surrogate.width)
+        sd = 1.0 / (1.0 + surrogate.width * np.abs(x)) ** 2
         if p.reset == "subtract":
             dv_du = 1.0 - p.threshold * sd
         else:
@@ -197,19 +194,33 @@ def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((z.argmax(axis=1) == y).mean())
 
 
-def encode(features: np.ndarray, spec: EncoderSpec, rng: RngStream | None = None) -> np.ndarray:
-    """Spike train (T, n) for one sample. rate-poisson draws each step with
-    probability feature * max_rate; direct-repeat thresholds at 0.5 and
-    repeats (consuming no randomness)."""
+def encode(features: np.ndarray, spec: EncoderSpec, rng: RngStream) -> np.ndarray:
+    """Spike train (T, n) for one sample: each step spikes with probability
+    feature * max_rate."""
     f = np.asarray(features, dtype=np.float64)
     if not np.all((f >= 0.0) & (f <= 1.0)):
         raise ContractViolation("features must lie in [0, 1]")
-    if spec.kind == "direct-repeat":
-        row = (f >= 0.5).astype(np.float64)
-        return np.tile(row, (spec.timesteps, 1))
-    if rng is None:
-        raise ContractViolation("rate-poisson encoding requires an rng stream")
     return rng.bernoulli(f * spec.max_rate, (spec.timesteps, f.size))
+
+
+def balanced_subset_oracle(y: np.ndarray, cap: int | None) -> np.ndarray:
+    """``data._balanced_subset`` one row at a time: the first cap // classes
+    rows of each class, then the earliest rows not yet kept until cap rows
+    are kept, in row order."""
+    if cap is None or len(y) <= cap:
+        return np.arange(len(y))
+    classes = np.unique(y)
+    keep = np.zeros(len(y), dtype=bool)
+    for c in classes:
+        keep[np.flatnonzero(y == c)[: cap // len(classes)]] = True
+    extra = cap - int(keep.sum())
+    for i in range(len(y)):
+        if extra == 0:
+            break
+        if not keep[i]:
+            keep[i] = True
+            extra -= 1
+    return np.flatnonzero(keep)
 
 
 def serialize_idx(idx: IdxFile) -> bytes:

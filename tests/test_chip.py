@@ -743,7 +743,7 @@ class TestMentorLearner:
             x = rng.fork(f"x{b}").bernoulli(
                 np.broadcast_to(feats[:, None, :], (batch, 10, 4)), (batch, 10, 4)
             )
-            batches.append((x, labels, None))
+            batches.append((x, labels))
         return batches
 
     def _epoch(self, state, batches, epoch=mentor_learner_epoch):

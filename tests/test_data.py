@@ -28,7 +28,14 @@ from spikecl.data import (
 )
 from spikecl.errors import ConfigurationError, ContractViolation, FormatError, SpikeclError
 from spikecl.rng import RngStream
-from oracles import corpus_to_idx, encode, export_drift_csv, serialize_idx, write_idx
+from oracles import (
+    balanced_subset_oracle,
+    corpus_to_idx,
+    encode,
+    export_drift_csv,
+    serialize_idx,
+    write_idx,
+)
 
 
 def make_image_bytes(count, rows, cols, pixels):
@@ -186,6 +193,21 @@ class TestSplitStream:
         for t in stream.tasks:
             assert len(t.train_y) == 40
             assert np.bincount(t.train_y).tolist() == [20, 20]
+
+    def test_odd_cap_with_a_short_class_fills_from_the_first_unkept_rows(self):
+        # cap 9 over 3 classes keeps the first 3 of each, but class 1 has
+        # only 2; the one row left over is the first row not yet kept (3)
+        y = np.array([0, 0, 0, 0, 2, 2, 2, 2, 1, 1, 0])
+        got = data_mod._balanced_subset(y, 9)
+        assert got.tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 9]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 3)),
+        cap=st.integers(1, 45),
+    )
+    def test_subset_equals_the_row_by_row_fill(self, y, cap):
+        assert data_mod._balanced_subset(y, cap).tolist() == balanced_subset_oracle(y, cap).tolist()
 
     def test_scenario_invariant_enforced(self, corpus):
         stream = build_split_stream(*corpus)
@@ -477,26 +499,18 @@ class TestDrift:
 
 class TestEncode:
     def test_zero_feature_never_spikes(self):
-        rng = RngStream(1)
-        for kind in ("rate-poisson", "direct-repeat"):
-            spec = EncoderSpec(kind=kind, timesteps=50)
-            train = encode(np.zeros(4), spec, rng)
-            assert (train == 0).all()
+        train = encode(np.zeros(4), EncoderSpec(timesteps=50), RngStream(1))
+        assert (train == 0).all()
 
     def test_full_rate_always_spikes(self):
-        spec = EncoderSpec("rate-poisson", timesteps=100, max_rate=1.0)
+        spec = EncoderSpec(timesteps=100, max_rate=1.0)
         train = encode(np.ones(3), spec, RngStream(2))
         assert (train == 1.0).all()  # bernoulli p=1 is exact
 
     def test_half_rate_law_of_large_numbers(self):
-        spec = EncoderSpec("rate-poisson", timesteps=10000, max_rate=1.0)
+        spec = EncoderSpec(timesteps=10000, max_rate=1.0)
         train = encode(np.array([0.5]), spec, RngStream(3))
         assert abs(train.mean() - 0.5) < 0.02
-
-    def test_direct_repeat_thresholds(self):
-        spec = EncoderSpec("direct-repeat", timesteps=4)
-        train = encode(np.array([0.4, 0.6]), spec)
-        assert (train[:, 0] == 0).all() and (train[:, 1] == 1).all()
 
     def test_deterministic_given_stream(self):
         spec = EncoderSpec(timesteps=20)
@@ -516,9 +530,8 @@ class TestEncode:
         with pytest.raises(ContractViolation):
             encode(np.array([1.5]), EncoderSpec(), RngStream(0))
 
-    @pytest.mark.parametrize("kind", ["rate-poisson", "direct-repeat"])
-    def test_nan_features_rejected(self, kind):
-        spec = EncoderSpec(kind=kind)
+    def test_nan_features_rejected(self):
+        spec = EncoderSpec()
         with pytest.raises(ContractViolation):
             encode(np.array([0.5, np.nan]), spec, RngStream(0))
         batch = RngStream(1).uniform((3, 4))
@@ -540,19 +553,16 @@ class TestEncode:
     @settings(max_examples=80, deadline=None)
     @given(
         codes=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)),
-        kind=st.sampled_from(["rate-poisson", "direct-repeat"]),
         max_rate=st.sampled_from([1.0, 0.5, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_codes_encode_as_their_intensities(self, codes, kind, max_rate, seed):
-        spec = EncoderSpec(kind=kind, timesteps=5, max_rate=max_rate)
+    def test_codes_encode_as_their_intensities(self, codes, max_rate, seed):
+        spec = EncoderSpec(timesteps=5, max_rate=max_rate)
         got = encode_batch(codes, spec, RngStream(seed))
         want = encode_batch(codes / 255.0, spec, RngStream(seed))
         assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
-        with pytest.raises(ContractViolation):
-            EncoderSpec(kind="temporal")
         with pytest.raises(ContractViolation):
             EncoderSpec(timesteps=0)
         with pytest.raises(ContractViolation):

@@ -271,6 +271,11 @@ def test_config_reader_parses_or_raises_spikecl_errors(tmp_path_factory, blob):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+# A split run small enough that a config which slips through finishes fast.
+_SMALL_SPLIT = {"corpus_train_per_class": 12, "corpus_test_per_class": 6,
+                "hidden": [16], "epochs_per_task": 1, "seeds": [1]}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -287,11 +292,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
         "loss: {alpha: 0.0}\n",
         "loss: {beta: 1.0}\n",
         "loss: {distill_temperature: 2.0}\n",
+        yaml.safe_dump({**_SMALL_SPLIT, "dropout": 0.1}),
+        yaml.safe_dump({**_SMALL_SPLIT, "encoder": {"kind": "direct-repeat"}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "surrogate": {"shape": "boxcar"}}),
     ],
     ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key",
          "int-field-string", "list-field-scalar", "section-float-string",
          "removed-profile", "removed-optimizer", "removed-loss-alpha", "removed-loss-beta",
-         "removed-loss-distill-temperature"],
+         "removed-loss-distill-temperature", "removed-dropout", "removed-encoder-kind",
+         "removed-surrogate-shape"],
 )
 def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     _assert_run_is_a_configuration_error(tmp_path, text)
@@ -314,11 +323,6 @@ def _assert_run_is_a_configuration_error(tmp_path, text):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spikecl-error: ConfigurationError: ")
     assert not (tmp_path / "out").exists()
-
-
-# A split run small enough that a config which slips through finishes fast.
-_SMALL_SPLIT = {"corpus_train_per_class": 12, "corpus_test_per_class": 6,
-                "hidden": [16], "epochs_per_task": 1, "seeds": [1]}
 
 
 @pytest.mark.parametrize(
@@ -495,14 +499,6 @@ def test_malformed_checkpoint_metadata_exits_2_with_one_error_line(tmp_path, met
 
 
 class TestConfigExtras:
-    def test_dropout_run_completes(self):
-        recs, _ = run_seed(tiny_config(dropout=0.2), 1)
-        assert len(recs) == 6
-
-    def test_dropout_validation(self):
-        with pytest.raises(ConfigurationError):
-            tiny_config(dropout=1.0)
-
     def test_custom_split_pairs(self):
         cfg = RunConfig(
             scenario="split-mnist",

@@ -103,7 +103,7 @@ def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, reset, g
     n_heads = None if head_size is None else 2
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
     task = None if head_size is None else 1
-    sur = SurrogateSpec("fast-sigmoid", 1.5) if mode == "relaxed" else None
+    sur = SurrogateSpec(1.5) if mode == "relaxed" else None
     x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
     hidden = sizes[1:] if head_size is not None else sizes[1:-1]
     gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None

@@ -65,7 +65,7 @@ def test_pooled_multi_head_step_matches_per_head_loop():
         x = _spikes(rng.fork(f"x{step}"), (13, 8, 12))
         y = rng.fork(f"y{step}").integers(13, 2)
         tasks = rng.fork(f"t{step}").integers(13, 3)
-        got = train_step(state, (x, y, None, tasks), strategy, ctx)
+        got = train_step(state, (x, y, tasks), strategy, ctx)
         want = _pooled_step_oracle(ref, ref_opt, x, y, tasks, state.surrogate)
         assert got == pytest.approx(want, rel=1e-12)
     for name in param_names(ref):
@@ -123,7 +123,7 @@ def test_chip_batch_loss_is_mean_of_composite_loss():
     assert (enn != inn).any()  # the external and the chip term differ
     want = np.mean([composite_loss(int(y[i]), enn[i], inn[i], loss) for i in range(9)])
 
-    got = train_step(state, (x, y, None), _strategy("none"), TaskContext(task=1, total_tasks=1))
+    got = train_step(state, (x, y), _strategy("none"), TaskContext(task=1, total_tasks=1))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -134,7 +134,6 @@ def test_chip_with_mu_zero_trains_the_same_weights_as_no_chip():
             strategy=StrategyConfig("hwc-hard"),
             hidden=[16],
             epochs_per_task=2,
-            dropout=0.1,
             chip=chip,
             loss=LossSpec(lam=lam, mu=0.0),
             drift=DriftSpec(days=2, train_per_day=40, test_per_day=16),

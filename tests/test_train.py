@@ -21,7 +21,7 @@ from oracles import SHIPPED_SHAPES, backward, bptt_oracle, composite_loss
 
 
 class TestSurrogate:
-    @pytest.mark.parametrize("width", [2.0, 5.0])
+    @pytest.mark.parametrize("width", [1.0, 2.0, 5.0])
     def test_relaxed_derivative_matches_pseudo_derivative(self, width):
         sur = SurrogateSpec(width)
         x = np.linspace(-2.0, 2.0, 41) + 0.013  # off |x|'s kink at 0
@@ -158,21 +158,23 @@ class TestBackward:
 
 
 @pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("width", [0.6, 5.0], ids=["width0.6", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("heads", [False, True], ids=["single-head", "multi-head"])
-def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(reset, mode, gated, heads):
+def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(reset, width, mode, gated, heads):
     sizes, head_size = ([14, 11, 9], 4) if heads else ([14, 11, 9, 4], None)
-    _check_bptt_against_oracle(sizes, head_size, 6, 7, 0.4, 0.6, reset, mode, gated)
+    _check_bptt_against_oracle(sizes, head_size, 6, 7, 0.4, width, reset, mode, gated)
 
 
 @pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("width", [2.0, 5.0], ids=["width2", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
-def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, reset, mode, gated):
+def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, reset, width, mode, gated):
     sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
-    _check_bptt_against_oracle(sizes, head_size, batch, 10, 0.2, 2.0, reset, mode, gated)
+    _check_bptt_against_oracle(sizes, head_size, batch, 10, 0.2, width, reset, mode, gated)
 
 
 def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, reset, mode, gated):

@@ -2,10 +2,11 @@
 
 The chip holds quantized integer weights and runs integer LIF dynamics:
 leak by arithmetic right shift, integer accumulation, threshold compare,
-reset. Interaction follows a strict handshake -- upload a config image, push
-one input, wait for the interrupt, read spike-count registers layer by
-layer (reading the last layer clears the interrupt) -- and any call out of
-order raises a protocol error without touching chip state.
+reset by subtraction. Interaction follows a strict handshake -- upload a
+config image, push one input, wait for the interrupt, read spike-count
+registers layer by layer (reading the last layer clears the interrupt) --
+and any call out of order raises a protocol error without touching chip
+state.
 
 In the chip loop, training couples two predictions of the same topology:
 the full-precision external network and the chip's integer pass, which the
@@ -32,7 +33,7 @@ from .errors import (
     ProtocolError,
 )
 from .numerics import cross_entropy_grad, softmax_cross_entropy_batch
-from .snn import RESET_MODES, ForwardTrace, LifParams, SpikingNetwork
+from .snn import RESET, ForwardTrace, LifParams, SpikingNetwork
 from .train import LossSpec, SurrogateSpec, backward_dlogits
 
 # Nothing here calls ``forward`` or ``optimizer_step``: the twin's training
@@ -82,7 +83,6 @@ class ConfigImage:
     thresholds: list[int]
     leak_shift: int
     bits: int
-    reset: str
     version: int = 1
 
 
@@ -95,13 +95,13 @@ def serialize_image(image: ConfigImage) -> bytes:
         "thresholds": [int(t) for t in image.thresholds],
         "leak_shift": int(image.leak_shift),
         "bits": int(image.bits),
-        "reset": image.reset,
+        "reset": RESET,
     }
     arrays = {f"q{l}": q for l, q in enumerate(image.quantized)}
     return serialize_bundle(meta, arrays)
 
 
-_IMAGE_KEYS = ("layer_sizes", "scales", "thresholds", "leak_shift", "bits", "reset", "version")
+_IMAGE_KEYS = ("layer_sizes", "scales", "thresholds", "leak_shift", "bits", "version")
 
 
 def _ints(v, n: int, low: int) -> bool:
@@ -128,7 +128,7 @@ def _check_image(fields: dict, arrays: dict) -> None:
             type(s) in (int, float) and 0.0 < s < math.inf for s in scales
         ),
         "leak_shift": type(shift) is int and shift >= 0,
-        "reset": fields["reset"] in RESET_MODES,
+        "reset": fields.get("reset", RESET) == RESET,  # files name it; objects need not
     }
     bad = [key for key, ok in checks.items() if not ok]
     if bad:
@@ -150,7 +150,7 @@ def parse_image(data: bytes) -> ConfigImage:
         raise FormatError(f"chip config metadata is a {type(meta).__name__}, not an object")
     if meta.get("kind") != "chip-config":
         raise ContractViolation(f"not a chip config image: {meta.get('kind')!r}")
-    missing = [k for k in _IMAGE_KEYS if k not in meta]
+    missing = [k for k in (*_IMAGE_KEYS, "reset") if k not in meta]
     if missing:
         raise FormatError(f"chip config metadata lacks {missing}")
     _check_image(meta, arrays)
@@ -201,8 +201,7 @@ def quantize_codes(
         codes.append(q)
         scales.append(scale)
         thresholds.append(max(1, int(np.rint(p.threshold / scale))))
-    reset = lifs[0].reset
-    return ConfigImage(sizes, codes, scales, thresholds, spec.leak_shift, spec.bits, reset)
+    return ConfigImage(sizes, codes, scales, thresholds, spec.leak_shift, spec.bits)
 
 
 def quantize_network(
@@ -303,8 +302,8 @@ def _integer_layers(
     integer core backs the protocol machine (a batch of one), batched twin
     evaluation and the twin's training pass. ``weights`` holds the exact
     float codes (``exact_float_weights(image)``, made here when not given;
-    the chip keeps its copy from the upload). Only the thresholds, leak
-    shift and reset of ``image`` are read when they are given.
+    the chip keeps its copy from the upload). Only the thresholds and leak
+    shift of ``image`` are read when they are given.
 
     Yields ``(spikes, u)`` per layer: the (B, T, n) float64 0/1 spikes and
     the int64 pre-reset potentials u_t = v_{t-1} - (v_{t-1} >> shift) + I_t.
@@ -317,7 +316,7 @@ def _integer_layers(
     in the dtype of each layer's weights (float32 or float64); it is exact
     (see ``_exact_float``), so it equals the int64 product bit for bit,
     whatever the row order, blocking or thread count. The leak, threshold
-    and reset recurrence runs in int64, in place on contiguous (B, n) slices.
+    and subtractive reset run in int64, in place on contiguous (B, n) slices.
     """
     x = np.asarray(input_spikes)
     if x.ndim != 3:
@@ -340,8 +339,7 @@ def _integer_layers(
             v -= drop
             u += v
             np.greater_equal(u, thr, out=s)
-            # the reset drops thr (subtract) or all of u (zero) where it fired
-            np.multiply(s, thr if image.reset == "subtract" else u, out=drop)
+            np.multiply(s, thr, out=drop)
             np.subtract(u, drop, out=v)
         spikes = np.ascontiguousarray(fired.transpose(1, 0, 2), dtype=np.float64)
         yield spikes, cur.transpose(1, 0, 2)
@@ -484,10 +482,7 @@ def twin_loss(
         q *= scale  # the same bits as q.astype(float64) * scale
         matrices.append(q)
     decay = 1.0 - 2.0 ** -image.leak_shift
-    lifs = [
-        LifParams(decay=decay, threshold=float(t) * scale, reset=image.reset)
-        for t, scale in zip(image.thresholds, image.scales)
-    ]
+    lifs = [LifParams(decay, float(t) * scale) for t, scale in zip(image.thresholds, image.scales)]
     twin = SpikingNetwork(list(image.layer_sizes), matrices, lifs)
     trace = ForwardTrace(spikes, pre_reset, None, None)
     grads = backward_dlogits(twin, trace, mu * cross_entropy_grad(probs, labels), surrogate)

@@ -500,13 +500,14 @@ class SiStrategy(Strategy):
 
     def grad_transform(self, ctx, net, grads):
         # the optimizer applies `grads` after this call; the resulting move
-        # is credited at the next call (or at task end)
+        # is credited at the next call (or at task end). The step moves the
+        # weights in place, so they are copied; nothing writes its gradients.
         if not self._w_acc:  # the final task accrues nothing
             return grads
         self._flush(net)
         self._pending = (
             {k: net.get_param(k).copy() for k in self._w_acc},
-            {k: g.copy() for k, g in grads.items() if k in self._w_acc},
+            {k: g for k, g in grads.items() if k in self._w_acc},
         )
         return grads
 

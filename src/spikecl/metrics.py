@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, FormatError
 
 CSV_COLUMNS = (
     "seed",
@@ -59,28 +59,30 @@ def emit_results(records: list[MetricsRecord], path) -> None:
         raise IOError(f"failed to write results to {path}: {exc}") from exc
 
 
+_FIELD_TYPES = (int, str, str, int, int, float, float, float)
+
+
 def parse_results(path) -> list[MetricsRecord]:
-    """Inverse of emit_results (floats round-trip via repr)."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != ",".join(CSV_COLUMNS):
-            raise ContractViolation(f"unexpected CSV header in {path}")
-        out = []
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            out.append(
-                MetricsRecord(
-                    seed=int(parts[0]),
-                    strategy=parts[1],
-                    scenario=parts[2],
-                    after_task=int(parts[3]),
-                    eval_task=int(parts[4]),
-                    accuracy=float(parts[5]),
-                    acc_incremental=float(parts[6]),
-                    wall_ms=float(parts[7]),
-                )
-            )
-        return out
+    """Inverse of emit_results (floats round-trip via repr). A header other
+    than ``CSV_COLUMNS`` raises ``ContractViolation``; a row that is not
+    eight fields of the column types, or bytes that are not UTF-8,
+    ``FormatError``."""
+    out = []
+    try:
+        with open(path, encoding="utf-8") as f:
+            if f.readline().strip() != ",".join(CSV_COLUMNS):
+                raise ContractViolation(f"unexpected CSV header in {path}")
+            for n, line in enumerate(f, start=2):
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != len(CSV_COLUMNS):
+                    raise FormatError(f"{path} line {n}: {len(parts)} fields, not 8")
+                try:
+                    out.append(MetricsRecord(*(t(v) for t, v in zip(_FIELD_TYPES, parts))))
+                except ValueError as exc:
+                    raise FormatError(f"{path} line {n}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return out
 
 
 def aggregate_summary(records: list[MetricsRecord]) -> dict:

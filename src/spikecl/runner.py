@@ -124,12 +124,20 @@ class RunConfig:
             raise ConfigurationError("corpus sizes per class must be >= 1")
         if any(n < 1 for n in self.hidden):
             raise ConfigurationError(f"hidden layer sizes must be >= 1, got {self.hidden}")
-        for pair in self.split_pairs or ():
-            if not (
-                isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
-                and all(type(d) is int and 0 <= d <= 9 for d in pair)
-            ):
-                raise ConfigurationError(f"split pair {pair!r} is not two distinct digits")
+        if self.split_pairs is not None:
+            if not self.split_pairs:
+                raise ConfigurationError("split_pairs names no pair; leave it null for the default")
+            for pair in self.split_pairs:
+                if not (
+                    isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(d) is int and 0 <= d <= 9 for d in pair)
+                ):
+                    raise ConfigurationError(f"split pair {pair!r} is not two digits")
+            digits = [d for pair in self.split_pairs for d in pair]
+            if len(set(digits)) != len(digits):
+                raise ConfigurationError(
+                    f"split pairs {self.split_pairs} repeat a digit; each task needs its own two"
+                )
         scales = self.quant.scale_override
         if scales is not None:
             if len(scales) != len(self.hidden) + 1:
@@ -226,9 +234,8 @@ def build_stream(config: RunConfig) -> TaskStream:
     from the ten-digit corpus."""
     if config.scenario == "split-mnist":
         pairs = (
-            tuple(tuple(p) for p in config.split_pairs)
-            if config.split_pairs
-            else DEFAULT_SPLIT_PAIRS
+            DEFAULT_SPLIT_PAIRS if config.split_pairs is None
+            else tuple(tuple(p) for p in config.split_pairs)
         )
         if config.mnist_dir:
             train_x, train_y = load_idx_pair(

@@ -5,12 +5,9 @@ layer and no bias terms anywhere. Classification logits are the per-output-
 neuron spike counts over the simulation window, which is also exactly what
 the chip's readout registers latch.
 
-``forward`` supports two unit nonlinearities sharing one code path:
-
-* ``spike``   -- hard threshold, binary spike trains (the real model);
-* ``relaxed`` -- the surrogate's smooth activation everywhere, making the
-  whole network differentiable so gradients can be checked against finite
-  differences.
+Every unit runs the model the chip runs: a hard threshold gives binary
+spike trains, and a spike subtracts the threshold from the membrane
+potential.
 """
 
 from __future__ import annotations
@@ -23,24 +20,23 @@ from .container import read_bundle, write_bundle
 from .errors import ContractViolation, FormatError
 from .rng import RngStream
 
-RESET_MODES = ("subtract", "zero")
+# The reset that checkpoints and chip images name: a spike subtracts the
+# threshold. It is the only one; a file that names another is malformed.
+RESET = "subtract"
 
 
 @dataclass
 class LifParams:
-    """Leak multiplier per step, spike threshold, and reset behavior."""
+    """Leak multiplier per step and spike threshold."""
 
     decay: float = 0.9
     threshold: float = 1.0
-    reset: str = "subtract"
 
     def __post_init__(self):
         if not (0.0 < self.decay <= 1.0):
             raise ContractViolation(f"decay must be in (0, 1], got {self.decay}")
         if not (self.threshold > 0.0):
             raise ContractViolation(f"threshold must be > 0, got {self.threshold}")
-        if self.reset not in RESET_MODES:
-            raise ContractViolation(f"reset must be one of {RESET_MODES}")
 
 
 @dataclass
@@ -102,7 +98,7 @@ class SpikingNetwork:
         return SpikingNetwork(
             layer_sizes=list(self.layer_sizes),
             weights=[w.copy() for w in self.weights],
-            lif=[LifParams(p.decay, p.threshold, p.reset) for p in self.lif],
+            lif=[LifParams(p.decay, p.threshold) for p in self.lif],
             heads=None if self.heads is None else [h.copy() for h in self.heads],
             head_size=self.head_size,
         )
@@ -138,7 +134,7 @@ def init_network(
             for t in range(n_heads)
         ]
     n_lif = len(weights) + (1 if heads is not None else 0)
-    lifs = [LifParams(lif.decay, lif.threshold, lif.reset) for _ in range(n_lif)]
+    lifs = [LifParams(lif.decay, lif.threshold) for _ in range(n_lif)]
     return SpikingNetwork(list(layer_sizes), weights, lifs, heads, head_size)
 
 
@@ -164,16 +160,15 @@ class ForwardTrace:
         return self.spikes[0].shape[1]
 
 
-def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
+def _layer_dynamics(currents: np.ndarray, p: LifParams):
     """Run the membrane recurrence over time for one layer, in place.
 
     ``currents`` is time-major (T, B, n), so each step reads and writes
     contiguous (B, n) slices; it is overwritten with the pre-reset
     potentials u_t = decay*v_{t-1} + I_t. Returns (spikes, currents), the
-    spikes copied into (B, T, n) order. In relaxed mode the hard threshold
-    is replaced by the surrogate's smooth activation (and reset uses that
-    real-valued output). Every step runs the same IEEE operations as the
-    textbook update, so the bits match it.
+    spikes s_t = [u_t >= threshold] copied into (B, T, n) order; the reset
+    leaves v_t = u_t - threshold*s_t. Every step runs the same IEEE
+    operations as the textbook update, so the bits match it.
     """
     T, B, n = currents.shape
     s_all = np.empty_like(currents)
@@ -181,16 +176,9 @@ def _layer_dynamics(currents: np.ndarray, p: LifParams, mode: str, surrogate):
     for u, s in zip(currents, s_all):
         v *= p.decay
         u += v
-        if mode == "spike":
-            np.greater_equal(u, p.threshold, out=s)
-        else:
-            s[...] = surrogate.relaxed_activation(u - p.threshold)
-        if p.reset == "subtract":
-            np.multiply(s, p.threshold, out=v)
-            np.subtract(u, v, out=v)
-        else:
-            np.subtract(1.0, s, out=v)
-            v *= u
+        np.greater_equal(u, p.threshold, out=s)
+        np.multiply(s, p.threshold, out=v)
+        np.subtract(u, v, out=v)
     return np.ascontiguousarray(s_all.transpose(1, 0, 2)), currents
 
 
@@ -199,8 +187,6 @@ def forward(
     input_spikes: np.ndarray,
     task: int | None = None,
     gates: list[np.ndarray] | None = None,
-    mode: str = "spike",
-    surrogate=None,
 ) -> tuple[ForwardTrace, np.ndarray]:
     """Simulate a batch over T steps; logits are output spike counts.
 
@@ -226,13 +212,8 @@ def forward(
         raise ContractViolation(
             f"input width {x.shape[2]} != input layer size {net.layer_sizes[0]}"
         )
-    if mode == "spike":
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise ContractViolation("input spikes must be binary")
-    elif mode != "relaxed":
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if mode == "relaxed" and surrogate is None:
-        raise ContractViolation("relaxed mode requires a surrogate spec")
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ContractViolation("input spikes must be binary")
     if net.multi_head:
         if task is None:
             raise ContractViolation("multi-head network requires a task id")
@@ -254,7 +235,7 @@ def forward(
         cur.transpose(1, 0, 2)[...] = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
         if gates is not None and l < n_hidden:
             cur *= gates[l]
-        s, u = _layer_dynamics(cur, net.lif[l], mode, surrogate)
+        s, u = _layer_dynamics(cur, net.lif[l])
         spikes.append(s)
         pre_reset.append(u.transpose(1, 0, 2))
     trace = ForwardTrace(spikes, pre_reset, task, gates)
@@ -278,7 +259,7 @@ def save_network(path, net: SpikingNetwork) -> None:
         "kind": "network-checkpoint",
         "version": 1,
         "layer_sizes": [int(s) for s in net.layer_sizes],
-        "lif": [[p.decay, p.threshold, p.reset] for p in net.lif],
+        "lif": [[p.decay, p.threshold, RESET] for p in net.lif],
         "n_heads": 0 if net.heads is None else len(net.heads),
         "head_size": net.head_size,
     }
@@ -314,16 +295,17 @@ def load_network(path) -> SpikingNetwork:
     if not (head_size is None or _is_int(head_size)):
         raise FormatError("checkpoint head_size must be an integer or null")
     lif_ok = isinstance(lif, list) and all(
-        isinstance(p, list) and len(p) == 3 and all(isinstance(v, (int, float)) for v in p[:2])
+        isinstance(p, list) and len(p) == 3 and p[2] == RESET
+        and all(isinstance(v, (int, float)) for v in p[:2])
         for p in lif
     )
     if not lif_ok:
-        raise FormatError("checkpoint lif must be a list of [decay, threshold, reset] triples")
+        raise FormatError(f"checkpoint lif must be a list of [decay, threshold, {RESET!r}] triples")
     names = [f"w{l}" for l in range(len(sizes) - 1)] + [f"head{t}" for t in range(n_heads)]
     missing = [name for name in names if name not in arrays]
     if missing:
         raise FormatError(f"checkpoint lacks weight arrays {missing}")
     weights = [arrays[f"w{l}"] for l in range(len(sizes) - 1)]
     heads = [arrays[f"head{t}"] for t in range(n_heads)] if n_heads else None
-    lifs = [LifParams(decay, thr, reset) for decay, thr, reset in lif]
+    lifs = [LifParams(decay, thr) for decay, thr, _ in lif]
     return SpikingNetwork(sizes, weights, lifs, heads, head_size)

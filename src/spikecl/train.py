@@ -2,13 +2,12 @@
 
 The backward pass differentiates mean softmax cross-entropy on spike-count
 logits with the step nonlinearity's derivative replaced by a surrogate
-pseudo-derivative. The surrogate also defines a smooth "relaxed" activation
-whose true derivative equals that pseudo-derivative, so running forward and
-backward in relaxed mode yields the exact gradient of a differentiable
-model -- which is what the finite-difference oracle checks.
+pseudo-derivative. Gradients flow through the membrane recurrence without
+truncation (the window is short) and through the subtractive reset.
 
-Gradients flow through the membrane recurrence without truncation (the
-window is short) and through the reset term.
+Where the spikes are a smooth function of u - threshold whose derivative
+is exactly that pseudo-derivative, the same pass gives the exact gradient;
+the finite-difference checks rely on this.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ class SurrogateSpec:
     """The fast-sigmoid pseudo-derivative of the spike nonlinearity
     (SuperSpike; Zenke & Ganguli, Neural Computation 2018).
 
-    ``width`` controls its steepness. ``relaxed_activation`` is the smooth
-    stand-in whose derivative is exactly ``pseudo_derivative``.
+    ``width`` controls its steepness.
     """
 
     width: float = 2.0
@@ -45,9 +43,6 @@ class SurrogateSpec:
         out += 1.0
         np.square(out, out=out)
         return np.divide(1.0, out, out=out)
-
-    def relaxed_activation(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 + x / (1.0 + self.width * np.abs(x))
 
 
 @dataclass
@@ -136,14 +131,9 @@ def backward_layers(
         sd = np.subtract(u, p.threshold)
         surrogate.pseudo_derivative(sd, out=sd)
         du = np.multiply(ds, sd, out=np.empty(u.shape))
-        if p.reset == "subtract":  # dv_du = 1 - threshold*sd, over sd
-            sd *= p.threshold
-            dv_du = np.subtract(1.0, sd, out=sd)
-        else:  # dv_du = (1 - s) - u*sd
-            sd *= u
-            s = trace.spikes[l + 1].transpose(1, 0, 2)
-            dv_du = np.subtract(1.0, s, out=np.empty(u.shape))
-            dv_du -= sd
+        # the reset v = u - threshold*s gives dv_du = 1 - threshold*sd, over sd
+        sd *= p.threshold
+        dv_du = np.subtract(1.0, sd, out=sd)
         dv = np.zeros((B, u.shape[2]))
         for t in range(T - 1, -1, -1):
             du_t = du[t]

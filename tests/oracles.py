@@ -13,7 +13,7 @@ from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, EncoderSpec, IdxFil
 from spikecl.errors import ContractViolation, TransportError
 from spikecl.numerics import cross_entropy_grad, require_finite, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
-from spikecl.snn import LifParams, SpikingNetwork, forward
+from spikecl.snn import ForwardTrace, LifParams, SpikingNetwork, forward
 from spikecl.train import backward_dlogits
 
 
@@ -67,8 +67,14 @@ def composite_loss(y: int, yhat_enn, yhat_chip, spec) -> float:
     return spec.lam * loss_enn + spec.mu * loss_chip
 
 
+def relaxed_activation(surrogate, x: np.ndarray) -> np.ndarray:
+    """The smooth stand-in for the spike nonlinearity whose derivative is
+    exactly ``surrogate.pseudo_derivative``."""
+    return 0.5 + x / (1.0 + surrogate.width * np.abs(x))
+
+
 def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surrogate=None):
-    """One LIF update: leak, integrate, threshold, reset.
+    """One LIF update: leak, integrate, threshold, subtractive reset.
 
     Returns ``(new_state, spikes, pre_reset)``. Spikes are 0/1 floats, or the
     surrogate's relaxed activation when ``surrogate`` is given.
@@ -82,12 +88,33 @@ def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surroga
     if surrogate is None:
         spikes = (u >= p.threshold).astype(np.float64)
     else:
-        spikes = surrogate.relaxed_activation(u - p.threshold)
-    if p.reset == "subtract":
-        v = u - p.threshold * spikes
-    else:
-        v = u * (1.0 - spikes)
-    return v, spikes, u
+        spikes = relaxed_activation(surrogate, u - p.threshold)
+    return u - p.threshold * spikes, spikes, u
+
+
+def relaxed_forward(net, input_spikes, surrogate, task=None, gates=None):
+    """``snn.forward`` with the relaxed activation in place of every hard
+    threshold: a differentiable network, whose exact gradient BPTT gives.
+
+    Each layer's currents are multiplied in (b, t) row order, as in
+    ``forward``, and ``lif_step`` is stepped over t. Returns
+    ``(trace, logits)``.
+    """
+    x = np.asarray(input_spikes, dtype=np.float64)
+    B, T, _ = x.shape
+    matrices = list(net.weights) + ([net.heads[task]] if net.multi_head else [])
+    spikes, pre_reset = [x], []
+    for l, w in enumerate(matrices):
+        cur = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
+        if gates is not None and l < len(matrices) - 1:
+            cur = cur * gates[l]
+        v = np.zeros((B, w.shape[1]))
+        s, u = np.empty_like(cur), np.empty_like(cur)
+        for t in range(T):
+            v, s[:, t], u[:, t] = lif_step(v, cur[:, t], net.lif[l], surrogate)
+        spikes.append(s)
+        pre_reset.append(u)
+    return ForwardTrace(spikes, pre_reset, task, gates), spikes[-1].sum(axis=1)
 
 
 def backward(net, trace, logits, labels, surrogate) -> dict[str, np.ndarray]:
@@ -114,10 +141,7 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
         s = trace.spikes[l + 1]
         x = u - p.threshold
         sd = 1.0 / (1.0 + surrogate.width * np.abs(x)) ** 2
-        if p.reset == "subtract":
-            dv_du = 1.0 - p.threshold * sd
-        else:
-            dv_du = (1.0 - s) - u * sd
+        dv_du = 1.0 - p.threshold * sd
         ds = np.broadcast_to(d[:, None, :], s.shape) if l == L - 1 else ds_next
         du = np.empty_like(u)
         dv = np.zeros((B, u.shape[2]))
@@ -140,10 +164,7 @@ def dequantize_to_network(image) -> SpikingNetwork:
     thresholds."""
     decay = 1.0 - 2.0 ** -image.leak_shift
     weights = [q.astype(np.float64) * s for q, s in zip(image.quantized, image.scales)]
-    lifs = [
-        LifParams(decay=decay, threshold=float(t) * s, reset=image.reset)
-        for t, s in zip(image.thresholds, image.scales)
-    ]
+    lifs = [LifParams(decay, float(t) * s) for t, s in zip(image.thresholds, image.scales)]
     return SpikingNetwork(list(image.layer_sizes), weights, lifs, None, None)
 
 

@@ -56,7 +56,14 @@ from spikecl.runner import (
 from spikecl.snn import forward, init_network
 from spikecl.train import LossSpec, SurrogateSpec
 
-from oracles import backward, composite_loss, param_names, serialize_idx, softmax_cross_entropy
+from oracles import (
+    backward,
+    composite_loss,
+    param_names,
+    relaxed_forward,
+    serialize_idx,
+    softmax_cross_entropy,
+)
 
 SEEDS = (1, 2, 3)
 
@@ -254,10 +261,10 @@ def test_criterion_5_gradient_oracle():
     y = rng.fork("y").integers(5, 2)
 
     def loss_of():
-        _, logits = forward(net, x, mode="relaxed", surrogate=sur)
+        _, logits = relaxed_forward(net, x, sur)
         return softmax_cross_entropy_batch(logits, y)[0]
 
-    trace, logits = forward(net, x, mode="relaxed", surrogate=sur)
+    trace, logits = relaxed_forward(net, x, sur)
     grads = backward(net, trace, logits, y, sur)
     h = 1e-6
     worst = 0.0
@@ -399,7 +406,8 @@ def test_criterion_7_protocol_and_format_suites(tmp_path):
             for line in f:
                 cols = line.rstrip("\n").split(",")
                 rows.append(",".join(cols[:7]))  # drop wall_ms
-        summary = open(out["summary"]).read()
+        with open(out["summary"]) as f:
+            summary = f.read()
         return rows, summary
 
     rows_a, summary_a = run_into("run_a")

@@ -41,8 +41,8 @@ from spikecl.train import LossSpec, OptimizerState, SurrogateSpec
 from oracles import decode_frames, dequantize_to_network, encode_frames, float_twin_loss
 
 
-def small_net(weights=None, reset="subtract"):
-    lif = LifParams(decay=0.9, threshold=1.0, reset=reset)
+def small_net(weights=None):
+    lif = LifParams(decay=0.9, threshold=1.0)
     if weights is None:
         weights = [np.array([[1.0, -0.5], [0.25, 1.0]]), np.array([[0.5, 1.0], [-1.0, 0.75]])]
     return SpikingNetwork([2, 2, 2], weights, [lif, lif])
@@ -141,11 +141,13 @@ class TestConfigImage:
             (lambda m, a: m.update(thresholds=m["thresholds"][:1]), FormatError, "thresholds"),
             (lambda m, a: m.update(leak_shift=-1), FormatError, "leak_shift"),
             (lambda m, a: m.update(reset="bogus"), FormatError, "reset"),
+            (lambda m, a: m.update(reset="zero"), FormatError, "reset"),
+            (lambda m, a: m.pop("reset"), FormatError, "reset"),
             (lambda m, a: m.update(scales="x"), FormatError, "scales"),
         ],
         ids=["bias-array", "stray-array", "shape-disagrees", "string-thresholds",
              "string-leak-shift", "string-layer-sizes", "short-thresholds",
-             "negative-leak-shift", "unknown-reset", "string-scales"],
+             "negative-leak-shift", "unknown-reset", "zero-reset", "no-reset", "string-scales"],
     )
     def test_malformed_image_raises_and_leaves_chip_unconfigured(self, mutate, error, named):
         meta, arrays = parse_bundle(serialize_image(quantize_network(small_net(), QuantSpec())))
@@ -337,7 +339,7 @@ def int64_layer_pass_oracle(image, input_spikes):
             v = v - (v >> image.leak_shift) + cur[:, t, :]
             pre[:, t, :] = v
             s = v >= thr
-            v = v - thr * s if image.reset == "subtract" else v * ~s
+            v = v - thr * s
             out[:, t, :] = s
         spikes = out
         layers.append((out, pre))
@@ -348,7 +350,7 @@ def int64_layer_counts_oracle(image, input_spikes):
     return [s.sum(axis=1) for s, _ in int64_layer_pass_oracle(image, input_spikes)]
 
 
-def random_image(rng, sizes, bits, reset, pinned=0.1):
+def random_image(rng, sizes, bits, shift=2, pinned=0.1):
     """Uniform weights in [-qmax, qmax] with a fraction pinned at +-qmax;
     thresholds spread so that some neurons fire often and some rarely."""
     qmax = QuantSpec(bits=bits).qmax
@@ -362,17 +364,22 @@ def random_image(rng, sizes, bits, reset, pinned=0.1):
         quantized.append(q)
     return ConfigImage(
         layer_sizes=list(sizes), quantized=quantized, scales=[1.0] * len(quantized),
-        thresholds=thresholds, leak_shift=2, bits=bits, reset=reset,
+        thresholds=thresholds, leak_shift=shift, bits=bits,
     )
+
+
+# Leak shifts of the integer-core tests: the chip's leak keeps 3/4 of v
+# per step at shift 2, and none of it at shift 0 (v >> 0 is all of v).
+_CORE_SHIFTS = [2, 0]
 
 
 class TestIntegerCore:
     @pytest.mark.parametrize("bits", QUANT_BITS)
-    @pytest.mark.parametrize("reset", ["subtract", "zero"])
+    @pytest.mark.parametrize("shift", _CORE_SHIFTS, ids=lambda s: f"shift{s}")
     @pytest.mark.parametrize("batched", [True, False])
-    def test_blas_core_matches_int64_oracle(self, bits, reset, batched):
+    def test_blas_core_matches_int64_oracle(self, bits, shift, batched):
         rng = RngStream(1000 + bits)
-        image = random_image(rng, [784, 40, 24, 10], bits, reset)
+        image = random_image(rng, [784, 40, 24, 10], bits, shift)
         shape = (6, 12, 784) if batched else (1, 12, 784)
         x = (rng.fork("x").uniform(shape) < 0.5).astype(np.float64)
         if batched:
@@ -388,10 +395,10 @@ class TestIntegerCore:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("bits", QUANT_BITS)
-    @pytest.mark.parametrize("reset", ["subtract", "zero"])
-    def test_pass_yields_the_int64_spikes_and_potentials(self, bits, reset):
+    @pytest.mark.parametrize("shift", _CORE_SHIFTS, ids=lambda s: f"shift{s}")
+    def test_pass_yields_the_int64_spikes_and_potentials(self, bits, shift):
         rng = RngStream(1100 + bits)
-        image = random_image(rng, [784, 40, 24, 10], bits, reset)
+        image = random_image(rng, [784, 40, 24, 10], bits, shift)
         x = (rng.fork("x").uniform((5, 12, 784)) < 0.5).astype(np.float64)
         got = list(chip_module._integer_layers(image, x))
         ref = int64_layer_pass_oracle(image, x)
@@ -413,7 +420,6 @@ class TestIntegerCore:
         image = ConfigImage(
             layer_sizes=[784, 3, 1], quantized=[q0, np.ones((3, 1), dtype=np.int64)],
             scales=[1.0, 1.0], thresholds=[784 * qmax - 1, 1], leak_shift=3, bits=bits,
-            reset="subtract",
         )
         # 784 * qmax is below 2**24 at 4 and 8 bits, above it at 16
         assert exact_float_weights(image)[0].dtype == (np.float64 if bits == 16 else np.float32)
@@ -435,7 +441,6 @@ class TestIntegerCore:
         image = ConfigImage(
             layer_sizes=[n_in, 3, 1], quantized=[q0, np.ones((3, 1), dtype=np.int64)],
             scales=[1.0, 1.0], thresholds=[n_in * peak - 1, 1], leak_shift=3, bits=16,
-            reset="subtract",
         )
         assert [w.dtype for w in exact_float_weights(image)] == [dtype, np.float32]
         x = np.ones((2, 3, n_in))
@@ -448,7 +453,7 @@ class TestIntegerCore:
     def test_accumulate_bound_violation_raises(self):
         image = ConfigImage(
             layer_sizes=[2, 1], quantized=[np.array([[2**52], [1]], dtype=np.int64)],
-            scales=[1.0], thresholds=[1], leak_shift=3, bits=16, reset="subtract",
+            scales=[1.0], thresholds=[1], leak_shift=3, bits=16,
         )
         with pytest.raises(ContractViolation, match="2\\*\\*53"):
             chip_twin_counts(image, np.ones((1, 3, 2)))
@@ -469,7 +474,7 @@ class TestIntegerCore:
         q1 = np.array([[55, 100], [-30, 70]], dtype=np.int64)
         image = ConfigImage(
             layer_sizes=[2, 2, 2], quantized=[q0, q1], scales=[1.0, 1.0],
-            thresholds=[60, 80], leak_shift=3, bits=8, reset="subtract",
+            thresholds=[60, 80], leak_shift=3, bits=8,
         )
         x = np.array([[1, 1], [1, 0], [0, 1]], dtype=np.float64)
         chip = ChipModel()
@@ -514,7 +519,7 @@ class TestIntegerCore:
             assert np.array_equal(w, q.astype(np.float64) * s)
 
 
-def exact_twin_net(rng, bits, reset, shift, steps, multi_head):
+def exact_twin_net(rng, bits, shift, steps, multi_head):
     """A 12-10-3 network (a two-head 12-10 trunk when ``multi_head``) on
     which the float twin and the integer core run the same arithmetic.
 
@@ -532,7 +537,7 @@ def exact_twin_net(rng, bits, reset, shift, steps, multi_head):
         np.rint((2.0 * rng.fork(f"q{l}").uniform(shape) - 1.0) * (qmax // m)) * m * scale
         for l, shape in enumerate([(12, 10), (10, 3), (10, 3)])
     ]
-    lif = LifParams(decay=0.5, threshold=m * scale, reset=reset)
+    lif = LifParams(decay=0.5, threshold=m * scale)
     if multi_head:
         net = SpikingNetwork([12, 10], mats[:1], [lif, lif], mats[1:], 3)
     else:
@@ -544,13 +549,12 @@ class TestTwinLoss:
     SPEC = LossSpec(lam=1.0, mu=1.3)
 
     @pytest.mark.parametrize("multi_head", [False, True], ids=["single-head", "multi-head"])
-    @pytest.mark.parametrize("reset", ["subtract", "zero"])
     @pytest.mark.parametrize("bits, shift, steps", [(4, 1, 3), (8, 1, 4), (16, 2, 5)])
     def test_matches_the_float_twin_oracle_where_their_spikes_agree(
-        self, bits, shift, steps, reset, multi_head
+        self, bits, shift, steps, multi_head
     ):
         rng = RngStream(300 + bits)
-        net, quant = exact_twin_net(rng, bits, reset, shift, steps, multi_head)
+        net, quant = exact_twin_net(rng, bits, shift, steps, multi_head)
         task = 1 if multi_head else None
         x = (rng.fork("x").uniform((9, steps, 12)) < 0.5).astype(np.float64)
         y = rng.fork("y").integers(9, 3)
@@ -571,20 +575,20 @@ class TestTwinLoss:
             assert np.abs(grads[name] - g).max() <= 1e-12 * peak, name
 
     @pytest.mark.parametrize("multi_head", [False, True], ids=["single-head", "multi-head"])
-    @pytest.mark.parametrize("reset", ["subtract", "zero"])
     @pytest.mark.parametrize("bits", QUANT_BITS)
-    def test_loss_is_the_cross_entropy_of_the_registers(self, bits, reset, multi_head):
+    @pytest.mark.parametrize("shift", [1, 3], ids=["shift1", "shift3"])
+    def test_loss_is_the_cross_entropy_of_the_registers(self, bits, shift, multi_head):
         # at 4 and 8 bits the float twin's counts differ from these
         # registers on some samples; its loss would not be this one
         rng = RngStream(40 + bits)
-        lif = LifParams(decay=0.9, threshold=1.0, reset=reset)
+        lif = LifParams(decay=0.9, threshold=1.0)
         if multi_head:
             net = init_network([20, 16], rng.fork("net"), lif=lif, n_heads=2, head_size=3,
                                gain=3.0, head_gain=2.0)
         else:
             net = init_network([20, 16, 3], rng.fork("net"), lif=lif, gain=3.0, head_gain=2.0)
         task = 1 if multi_head else None
-        quant = QuantSpec(bits=bits, leak_shift=1)
+        quant = QuantSpec(bits=bits, leak_shift=shift)
         x = (rng.fork("x").uniform((32, 12, 20)) < 0.5).astype(np.float64)
         y = rng.fork("y").integers(32, 3)
         chip = upload_config(ChipModel(), quantize_network(net, quant, task))

@@ -290,8 +290,8 @@ def _fisher_case(kind, count):
     if kind == "multi-head":
         net = init_network([6, 9, 7], rng, n_heads=3, head_size=4, gain=2.5)
         kwargs["task"] = 1
-    elif kind == "zero-reset":
-        lif = LifParams(decay=0.8, threshold=1.0, reset="zero")
+    elif kind == "leak-free-high-threshold":
+        lif = LifParams(decay=1.0, threshold=1.7)
         net = init_network([6, 9, 7, 4], rng, lif=lif, gain=2.5)
     else:
         net = init_network([6, 9, 7, 4], rng, gain=2.5)
@@ -307,7 +307,7 @@ class TestBatchedFisher:
     BPTT; the per-sample oracle runs each sample on its own."""
 
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
-    @pytest.mark.parametrize("kind", ["single-head", "multi-head", "xdg", "zero-reset"])
+    @pytest.mark.parametrize("kind", ["single-head", "multi-head", "xdg", "leak-free-high-threshold"])
     def test_matches_per_sample_oracle(self, kind, count):
         net, examples, kwargs = _fisher_case(kind, count)
         sur = SurrogateSpec()
@@ -505,6 +505,23 @@ class TestSi:
         drift = theta_log[-1] - theta_log[0]
         expected = np.maximum(w_ref, 0.0) / (drift * drift + 0.05)
         assert np.allclose(strat.omega["w0"], expected, atol=1e-12)
+
+    def test_pending_holds_the_steps_own_gradient_arrays(self):
+        # nothing writes a step's gradients after the step, so they are kept
+        # uncopied; the weights, which the step moves in place, are copied
+        net = init_network([3, 4], RngStream(45), n_heads=2, head_size=2)
+        strat = apply_strategy(StrategyConfig("si"), "task-incremental", 0, SurrogateSpec())
+        ctx = TaskContext(task=1, total_tasks=2)
+        strat.before_task(ctx, net)
+        rng = RngStream(46)
+        grads = {k: rng.fork(k).normal(net.get_param(k).shape) for k in ("w0", "head0", "head1")}
+        assert strat.grad_transform(ctx, net, grads) is grads
+        theta, kept = strat._pending
+        assert set(kept) == set(theta) == set(strat._w_acc) and "w0" in kept
+        for name, g in kept.items():
+            assert g is grads[name]
+            assert theta[name] is not net.get_param(name)
+            assert np.array_equal(theta[name], net.get_param(name))
 
 
 class TestXdg:

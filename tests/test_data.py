@@ -493,7 +493,8 @@ class TestDrift:
         stream = build_synthetic_drift(DriftSpec(days=2, train_per_day=10, test_per_day=5), seed=1)
         paths = export_drift_csv(stream, tmp_path)
         assert len(paths) == 2
-        header = open(paths[0]).readline().strip().split(",")
+        with open(paths[0]) as f:
+            header = f.readline().strip().split(",")
         assert header[-1] == "label" and len(header) == 65
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ContractViolation
+from spikecl.errors import ContractViolation, FormatError
 from spikecl.metrics import (
     MetricsRecord,
     aggregate_summary,
@@ -105,6 +105,30 @@ class TestPersistence:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ContractViolation):
             emit_results([], tmp_path / "r.csv")
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            (b"1,none,task-incremental,1,1,0.5", "6 fields"),
+            (b"1,none,task-incremental,1,1,0.5,0.5,3.0,9", "9 fields"),
+            (b"1,none,task-incremental,1.5,1,0.5,0.5,3.0", "1.5"),
+            (b"1,none,task-incremental,1,1,0.5,0.5,fast", "fast"),
+        ],
+        ids=["short-row", "long-row", "non-integer-task", "non-number-wall"],
+    )
+    def test_malformed_row_is_a_format_error_naming_its_line(self, tmp_path, row, named):
+        path = tmp_path / "results.csv"
+        emit_results(sample_records(), path)
+        path.write_bytes(path.read_bytes() + row + b"\n")
+        with pytest.raises(FormatError, match=f"line 7: .*{named}"):
+            parse_results(path)
+
+    def test_non_utf8_bytes_are_a_format_error(self, tmp_path):
+        path = tmp_path / "results.csv"
+        emit_results(sample_records(), path)
+        path.write_bytes(path.read_bytes().replace(b"none", b"n\xffne", 1))
+        with pytest.raises(FormatError, match="UTF-8"):
+            parse_results(path)
 
     def test_write_failure_raises_ioerror(self, tmp_path):
         with pytest.raises(IOError):

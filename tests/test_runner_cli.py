@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecl.cli import main as cli_main
-from spikecl.container import write_bundle
+from spikecl.container import read_bundle, write_bundle
 from spikecl.continual import StrategyConfig
 from spikecl.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, DriftSpec, IdxFile
 from spikecl.errors import ConfigurationError, FormatError, SpikeclError
-from spikecl.metrics import parse_results
+from spikecl.metrics import CSV_COLUMNS, parse_results
 from spikecl.rng import RngStream
 from spikecl.runner import (
     RunConfig,
@@ -295,12 +295,13 @@ _SMALL_SPLIT = {"corpus_train_per_class": 12, "corpus_test_per_class": 6,
         yaml.safe_dump({**_SMALL_SPLIT, "dropout": 0.1}),
         yaml.safe_dump({**_SMALL_SPLIT, "encoder": {"kind": "direct-repeat"}}),
         yaml.safe_dump({**_SMALL_SPLIT, "surrogate": {"shape": "boxcar"}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "lif": {"decay": 0.9, "reset": "subtract"}}),
     ],
     ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key",
          "int-field-string", "list-field-scalar", "section-float-string",
          "removed-profile", "removed-optimizer", "removed-loss-alpha", "removed-loss-beta",
          "removed-loss-distill-temperature", "removed-dropout", "removed-encoder-kind",
-         "removed-surrogate-shape"],
+         "removed-surrogate-shape", "removed-lif-reset"],
 )
 def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     _assert_run_is_a_configuration_error(tmp_path, text)
@@ -336,9 +337,12 @@ def _assert_run_is_a_configuration_error(tmp_path, text):
         {"split_pairs": [[0, 0]]},
         {"split_pairs": [[0]]},
         {"split_pairs": [[0, 1], [2, 10]]},
+        {"split_pairs": []},
+        {"split_pairs": [[0, 1], [1, 2]]},
     ],
     ids=["test-cap-0", "train-cap-0", "corpus-train-negative", "corpus-test-0",
-         "hidden-0", "pair-repeats-a-digit", "pair-of-one", "pair-not-a-digit"],
+         "hidden-0", "pair-repeats-a-digit", "pair-of-one", "pair-not-a-digit",
+         "no-pairs", "pairs-share-a-digit"],
 )
 def test_out_of_range_size_exits_2_with_one_error_line(tmp_path, override):
     _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_SPLIT, **override}))
@@ -491,6 +495,48 @@ def test_malformed_checkpoint_metadata_exits_2_with_one_error_line(tmp_path, met
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "spikecl.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spikecl-error: FormatError: ")
+
+
+def test_checkpoint_naming_another_reset_exits_2_with_one_error_line(tmp_path):
+    path = tmp_path / "zero-reset.ckpt"
+    save_network(path, init_network([4, 3, 2], RngStream(3)))
+    meta, arrays = read_bundle(path)
+    meta["lif"][0][2] = "zero"
+    write_bundle(path, meta, arrays)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikecl.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spikecl-error: FormatError: ")
+    assert "subtract" in lines[0]
+
+
+_RESULTS_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        (_RESULTS_HEADER + "1,none,task-incremental,1,1,0.5\n").encode(),
+        (_RESULTS_HEADER + "1,none,task-incremental,one,1,0.5,0.5,3.0\n").encode(),
+        _RESULTS_HEADER.encode() + b"1,n\xffne,task-incremental,1,1,0.5,0.5,3.0\n",
+    ],
+    ids=["short-row", "non-integer-field", "non-utf8-bytes"],
+)
+def test_malformed_results_exit_2_with_one_error_line(tmp_path, body):
+    path = tmp_path / "results.csv"
+    path.write_bytes(body)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikecl.cli", "report", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spikecl.chip import validate_constraints
 from spikecl.container import read_bundle, write_bundle
-from spikecl.errors import ContractViolation, SpikeclError
+from spikecl.errors import ContractViolation, FormatError, SpikeclError
 from spikecl.rng import RngStream
 from spikecl.snn import (
     LifParams,
@@ -16,7 +16,6 @@ from spikecl.snn import (
     record_firing_rates,
     save_network,
 )
-from spikecl.train import SurrogateSpec
 
 from oracles import SHIPPED_SHAPES, lif_step
 
@@ -40,7 +39,7 @@ class TestLifStep:
 
     def test_hand_stepped_spike_at_third_step(self):
         # v walks 0.5, 0.95, 1.355 >= 1.0 -> spike, reset-by-subtraction
-        p = LifParams(decay=0.9, threshold=1.0, reset="subtract")
+        p = LifParams(decay=0.9, threshold=1.0)
         v = np.zeros(1)
         spikes = []
         values = []
@@ -53,11 +52,6 @@ class TestLifStep:
         assert values[1] == pytest.approx(0.95)
         assert values[2] == pytest.approx(0.355)  # 1.355 - threshold
         assert values[3] == pytest.approx(0.8195)
-
-    def test_zero_reset(self):
-        p = LifParams(decay=1.0, threshold=1.0, reset="zero")
-        v, s, _ = lif_step(np.array([0.6]), np.array([0.6]), p)
-        assert s[0] == 1.0 and v[0] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
@@ -72,42 +66,53 @@ class TestLifStep:
             LifParams(decay=0.0)
         with pytest.raises(ContractViolation):
             LifParams(threshold=-1.0)
-        with pytest.raises(ContractViolation):
-            LifParams(reset="clamp")
+
+    def test_reset_is_not_a_parameter(self):
+        # every unit resets by subtraction; there is no reset to choose
+        with pytest.raises(TypeError):
+            LifParams(reset="zero")
 
 
-@pytest.mark.parametrize("reset", ["subtract", "zero"])
+# The (decay, threshold) pairs the forward-vs-oracle tests run: the LIF
+# parameters they have always used, a leak-free unit with a high threshold
+# that fires rarely and carries its subtracted residue, and a fast-leaking
+# unit with a low threshold that fires on most steps.
+_LIF_CASES = {
+    "decay0.85-thr0.9": (0.85, 0.9),
+    "decay1-thr1.7": (1.0, 1.7),
+    "decay0.5-thr0.3": (0.5, 0.3),
+}
+
+
+@pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
-@pytest.mark.parametrize("mode", ["spike", "relaxed"])
-def test_forward_matches_stepped_lif_oracle_bit_for_bit(reset, gated, mode):
+def test_forward_matches_stepped_lif_oracle_bit_for_bit(lif, gated):
     """``forward`` builds the recurrence in place; stepping the single-step
     oracle over T on the same currents gives the same bytes."""
-    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, 0.4, reset, gated, mode)
+    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, 0.4, _LIF_CASES[lif], gated)
 
 
-@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
-@pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, reset, gated, mode):
+def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, lif, gated):
     sizes, head_size, batch = SHIPPED_SHAPES[shape]
-    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, 0.2, reset, gated, mode)
+    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, 0.2, _LIF_CASES[lif], gated)
 
 
-def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, reset, gated, mode):
+def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif, gated):
     """The oracle multiplies in (b, t) row order and steps ``lif_step``
     over t; ``forward``'s spikes, pre-reset potentials and logits must have
     its bytes."""
     rng = RngStream(11)
-    lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
+    lif = LifParams(*lif)
     n_heads = None if head_size is None else 2
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
     task = None if head_size is None else 1
-    sur = SurrogateSpec(1.5) if mode == "relaxed" else None
     x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
     hidden = sizes[1:] if head_size is not None else sizes[1:-1]
     gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None
-    trace, logits = forward(net, x, task=task, gates=gates, mode=mode, surrogate=sur)
+    trace, logits = forward(net, x, task=task, gates=gates)
     matrices = net.weights + ([] if task is None else [net.heads[task]])
     prev = x
     for l, w in enumerate(matrices):
@@ -117,35 +122,36 @@ def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, reset, g
         v = np.zeros((B, w.shape[1]))
         spikes, pre_reset = np.empty_like(cur), np.empty_like(cur)
         for t in range(T):
-            v, spikes[:, t], pre_reset[:, t] = lif_step(v, cur[:, t], net.lif[l], sur)
+            v, spikes[:, t], pre_reset[:, t] = lif_step(v, cur[:, t], net.lif[l])
         assert spikes.tobytes() == trace.spikes[l + 1].tobytes()
         assert pre_reset.tobytes() == trace.pre_reset[l].tobytes()
         prev = spikes
     assert logits.tobytes() == prev.sum(axis=1).tobytes()
 
 
-@pytest.mark.parametrize("mode", ["spike", "relaxed"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_forward_in_slices_has_the_bytes_of_one_pass(shape, mode):
+def test_forward_in_slices_has_the_bytes_of_one_pass(shape, gated):
     """A 16-sample slice is 160 rows, whole BLAS kernel blocks, so
-    simulating a batch in 16-sample slices (as evaluation does) gives every
-    sample the bytes of one pass over the whole batch."""
+    simulating a batch in 16-sample slices (as evaluation does, with an
+    XdG run's gates) gives every sample the bytes of one pass over the
+    whole batch."""
     sizes, head_size, B = SHIPPED_SHAPES[shape]
     rng = RngStream(5)
     n_heads = None if head_size is None else 2
     net = init_network(sizes, rng.fork("net"), n_heads=n_heads, head_size=head_size)
     task = None if head_size is None else 0
-    sur = SurrogateSpec() if mode == "relaxed" else None
     x = rng.fork("x").bernoulli(0.2, (B, 10, sizes[0]))
-    whole, logits = forward(net, x, task=task, mode=mode, surrogate=sur)
+    gates = [rng.fork(f"g{l}").bernoulli(0.8, (n,)) for l, n in enumerate(net.hidden_sizes())] if gated else None
+    whole, logits = forward(net, x, task=task, gates=gates)
     for b in range(0, B, 16):
-        part, part_logits = forward(net, x[b : b + 16], task=task, mode=mode, surrogate=sur)
+        part, part_logits = forward(net, x[b : b + 16], task=task, gates=gates)
         assert part_logits.tobytes() == logits[b : b + 16].tobytes()
         for got, want in zip(part.spikes + part.pre_reset, whole.spikes + whole.pre_reset):
             assert got.tobytes() == want[b : b + 16].tobytes()
 
 
-def hand_forward_222(weights, x, decay, threshold, reset):
+def hand_forward_222(weights, x, decay, threshold):
     """Independent step-by-step simulation of a 2-2-2 net, plain Python."""
     T = x.shape[0]
     v = [[0.0, 0.0], [0.0, 0.0]]
@@ -158,20 +164,17 @@ def hand_forward_222(weights, x, decay, threshold, reset):
                 cur = sum(prev[t][i] * w[i][j] for i in range(2))
                 u = decay * v[layer][j] + cur
                 s = 1.0 if u >= threshold else 0.0
-                if reset == "subtract":
-                    v[layer][j] = u - threshold * s
-                else:
-                    v[layer][j] = u * (1.0 - s)
+                v[layer][j] = u - threshold * s
                 spikes[layer][t, j] = s
         prev = spikes[layer]
     return spikes
 
 
 class TestForward:
-    def _net(self, reset="subtract"):
+    def _net(self):
         w0 = np.array([[1.2, 0.3], [0.1, 0.9]])
         w1 = np.array([[0.7, 1.1], [1.4, 0.2]])
-        lif = LifParams(decay=0.9, threshold=1.0, reset=reset)
+        lif = LifParams(decay=0.9, threshold=1.0)
         return SpikingNetwork([2, 2, 2], [w0, w1], [lif, lif])
 
     def test_all_zero_input(self):
@@ -189,12 +192,11 @@ class TestForward:
         _, logits = forward(net, x)
         assert (logits == 0).all()
 
-    @pytest.mark.parametrize("reset", ["subtract", "zero"])
-    def test_matches_hand_simulation(self, reset):
-        net = self._net(reset)
+    def test_matches_hand_simulation(self):
+        net = self._net()
         x = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         trace, logits = forward(net, x[None])
-        ref = hand_forward_222([w.tolist() for w in net.weights], x, 0.9, 1.0, reset)
+        ref = hand_forward_222([w.tolist() for w in net.weights], x, 0.9, 1.0)
         assert np.allclose(trace.spikes[1][0], ref[0])
         assert np.allclose(trace.spikes[2][0], ref[1])
         assert np.allclose(logits, ref[1].sum(axis=0))
@@ -246,17 +248,19 @@ class TestForward:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32))
-    def test_zero_reset_membrane_bound(self, seed):
-        # with zero reset and per-step input bounded by M, v <= decay*theta + M
+    def test_subtract_reset_membrane_bound(self, seed):
+        # with per-step input bounded by M, the post-reset potential stays
+        # at most max(theta, (M - theta) / (1 - decay)): below theta without
+        # a spike, and a spike from at most decay*V + M leaves that minus theta
         rng = RngStream(seed)
-        lif = LifParams(decay=0.9, threshold=1.0, reset="zero")
+        lif = LifParams(decay=0.9, threshold=1.0)
         net = init_network([3, 5, 2], rng, lif=lif, gain=2.0)
         M = [np.abs(w).sum(axis=0).max() for w in net.weights]
         x = (rng.fork("x").uniform((1, 8, 3)) < 0.5).astype(np.float64)
         trace, _ = forward(net, x)
         for l, (u, s) in enumerate(zip(trace.pre_reset, trace.spikes[1:])):
-            v = u * (1.0 - s)  # post-reset membrane potential
-            assert v.max() <= 0.9 * 1.0 + M[l] + 1e-12
+            v = u - 1.0 * s  # post-reset membrane potential
+            assert v.max() <= max(1.0, (M[l] - 1.0) / (1.0 - 0.9)) + 1e-12
 
 
 class TestFiringRates:
@@ -290,7 +294,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = RngStream(77)
         net = init_network([4, 3], rng, n_heads=2, head_size=2,
-                           lif=LifParams(decay=0.8, threshold=1.5, reset="zero"))
+                           lif=LifParams(decay=0.8, threshold=1.5))
         path = tmp_path / "net.ckpt"
         save_network(path, net)
         loaded = load_network(path)
@@ -301,7 +305,23 @@ class TestCheckpoint:
         for a, b in zip(loaded.heads, net.heads):
             assert np.array_equal(a, b)
         for pa, pb in zip(loaded.lif, net.lif):
-            assert (pa.decay, pa.threshold, pa.reset) == (pb.decay, pb.threshold, pb.reset)
+            assert (pa.decay, pa.threshold) == (pb.decay, pb.threshold)
+
+    def test_every_layer_names_the_subtract_reset(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_network(path, init_network([4, 3, 2], RngStream(5), lif=LifParams(0.8, 1.5)))
+        meta, _ = read_bundle(path)
+        assert meta["lif"] == [[0.8, 1.5, "subtract"]] * 2
+
+    @pytest.mark.parametrize("reset", ["zero", None, 0])
+    def test_a_reset_other_than_subtract_is_a_format_error(self, tmp_path, reset):
+        path = tmp_path / "net.ckpt"
+        save_network(path, init_network([4, 3, 2], RngStream(5)))
+        meta, arrays = read_bundle(path)
+        meta["lif"][1][2] = reset
+        write_bundle(path, meta, arrays)
+        with pytest.raises(FormatError, match="subtract"):
+            load_network(path)
 
     def test_stable_bytes(self, tmp_path):
         net = init_network([3, 2], RngStream(5))

@@ -17,16 +17,23 @@ from spikecl.train import (
     optimizer_step,
 )
 
-from oracles import SHIPPED_SHAPES, backward, bptt_oracle, composite_loss
+from oracles import (
+    SHIPPED_SHAPES,
+    backward,
+    bptt_oracle,
+    composite_loss,
+    relaxed_activation,
+    relaxed_forward,
+)
 
 
 class TestSurrogate:
-    @pytest.mark.parametrize("width", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("width", [0.6, 1.0, 2.0, 5.0])
     def test_relaxed_derivative_matches_pseudo_derivative(self, width):
         sur = SurrogateSpec(width)
         x = np.linspace(-2.0, 2.0, 41) + 0.013  # off |x|'s kink at 0
         h = 1e-6
-        fd = (sur.relaxed_activation(x + h) - sur.relaxed_activation(x - h)) / (2 * h)
+        fd = (relaxed_activation(sur, x + h) - relaxed_activation(sur, x - h)) / (2 * h)
         assert np.allclose(fd, sur.pseudo_derivative(x), atol=1e-6)
 
     def test_validation(self):
@@ -78,7 +85,7 @@ class TestCompositeLoss:
 
 class TestBackward:
     def _relaxed_loss(self, net, x, y, sur, task=None):
-        _, logits = forward(net, x, task=task, mode="relaxed", surrogate=sur)
+        _, logits = relaxed_forward(net, x, sur, task)
         return softmax_cross_entropy_batch(np.atleast_2d(logits), np.atleast_1d(y))[0]
 
     def test_finite_difference_oracle(self):
@@ -88,7 +95,7 @@ class TestBackward:
         sur = SurrogateSpec()
         x = (rng.fork("x").uniform((4, 6, 2)) < 0.5).astype(np.float64)
         y = np.array([0, 1, 1, 0])
-        trace, logits = forward(net, x, mode="relaxed", surrogate=sur)
+        trace, logits = relaxed_forward(net, x, sur)
         grads = backward(net, trace, logits, y, sur)
         h = 1e-6
         worst = 0.0
@@ -123,10 +130,10 @@ class TestBackward:
         net = SpikingNetwork([3, 2], [w.copy()], [lif])
         sur = SurrogateSpec()
         x = np.array([[1.0, 0.0, 1.0]])  # (T=1, n=3)
-        trace, logits = forward(net, x[None], mode="relaxed", surrogate=sur)
+        trace, logits = relaxed_forward(net, x[None], sur)
         grads = backward(net, trace, logits, [1], sur)
         u = x[0] @ w
-        s = sur.relaxed_activation(u - 1.0)
+        s = relaxed_activation(sur, u - 1.0)
         probs = softmax(s)
         dlog = probs.copy()
         dlog[1] -= 1.0
@@ -157,31 +164,38 @@ class TestBackward:
             next(backward_layers(net, trace, np.zeros(2), SurrogateSpec()))
 
 
-@pytest.mark.parametrize("reset", ["subtract", "zero"])
+# The (decay, threshold) pairs the BPTT-vs-oracle tests run: the LIF
+# parameters they have always used, and a leak-free unit with a high
+# threshold, whose reset term 1 - threshold*sd goes negative near it.
+_LIF_CASES = {"decay0.85-thr0.9": (0.85, 0.9), "decay1-thr1.7": (1.0, 1.7)}
+
+
+@pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("width", [0.6, 5.0], ids=["width0.6", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("heads", [False, True], ids=["single-head", "multi-head"])
-def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(reset, width, mode, gated, heads):
+def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(lif, width, mode, gated, heads):
     sizes, head_size = ([14, 11, 9], 4) if heads else ([14, 11, 9, 4], None)
-    _check_bptt_against_oracle(sizes, head_size, 6, 7, 0.4, width, reset, mode, gated)
+    _check_bptt_against_oracle(sizes, head_size, 6, 7, 0.4, width, _LIF_CASES[lif], mode, gated)
 
 
-@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("width", [2.0, 5.0], ids=["width2", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
 @pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
-def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, reset, width, mode, gated):
+def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, lif, width, mode, gated):
     sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
-    _check_bptt_against_oracle(sizes, head_size, batch, 10, 0.2, width, reset, mode, gated)
+    _check_bptt_against_oracle(sizes, head_size, batch, 10, 0.2, width, _LIF_CASES[lif], mode, gated)
 
 
-def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, reset, mode, gated):
+def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode, gated):
     """``backward_dlogits`` works in place on time-major storage; the
-    oracle allocates per expression on (B, T, n) arrays. Same bytes."""
+    oracle allocates per expression on (B, T, n) arrays. Same bytes. The
+    relaxed mode takes its trace from ``oracles.relaxed_forward``."""
     rng = RngStream(23)
-    lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
+    lif = LifParams(*lif)
     n_heads = None if head_size is None else 3
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
     sur = SurrogateSpec(width)
@@ -189,7 +203,10 @@ def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, reset, mode,
     hidden = sizes[1:] if head_size is not None else sizes[1:-1]
     gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None
     task = None if head_size is None else 2
-    trace, logits = forward(net, x, task=task, gates=gates, mode=mode, surrogate=sur)
+    if mode == "relaxed":
+        trace, logits = relaxed_forward(net, x, sur, task, gates)
+    else:
+        trace, logits = forward(net, x, task=task, gates=gates)
     dlogits = rng.fork("d").normal(logits.shape)
     grads = backward_dlogits(net, trace, dlogits, sur)
     want = bptt_oracle(net, trace, dlogits, sur)
@@ -364,7 +381,7 @@ def test_memorization_loss_decreases():
     opt = OptimizerState(lr=2e-3)
     losses = []
     for _ in range(20):
-        trace, logits = forward(net, x, mode="relaxed", surrogate=sur)
+        trace, logits = relaxed_forward(net, x, sur)
         loss, probs = softmax_cross_entropy_batch(logits, y)
         losses.append(loss)
         grads = backward_dlogits(net, trace, cross_entropy_grad(probs, y), sur)
@@ -373,13 +390,13 @@ def test_memorization_loss_decreases():
     assert losses[-1] < losses[0] - 0.05
 
 
-@pytest.mark.parametrize("reset", ["subtract", "zero"])
+@pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
-def test_bptt_never_reads_the_first_matrix(net_shape, reset):
+def test_bptt_never_reads_the_first_matrix(net_shape, lif):
     # chip.twin_loss holds NaNs in the first matrix's place
     sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
     rng = RngStream(29)
-    lif = LifParams(decay=0.85, threshold=0.9, reset=reset)
+    lif = LifParams(*_LIF_CASES[lif])
     n_heads = None if head_size is None else 3
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
     task = None if head_size is None else 2

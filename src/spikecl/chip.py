@@ -484,7 +484,7 @@ def twin_loss(
     decay = 1.0 - 2.0 ** -image.leak_shift
     lifs = [LifParams(decay, float(t) * scale) for t, scale in zip(image.thresholds, image.scales)]
     twin = SpikingNetwork(list(image.layer_sizes), matrices, lifs)
-    trace = ForwardTrace(spikes, pre_reset, None, None)
+    trace = ForwardTrace(spikes, pre_reset, None)
     grads = backward_dlogits(twin, trace, mu * cross_entropy_grad(probs, labels), surrogate)
     if net.multi_head:
         grads[f"head{task}"] = grads.pop(f"w{len(matrices) - 1}")

@@ -8,15 +8,16 @@ synapse -- continuous (``soft``: P = 1 - max) or thresholded binary
 (``hard``) -- which multiplies every raw gradient update. Synapses that
 fired together for an earlier task stop moving; the rest stay free to learn.
 
-Baselines (EWC, SI, LwF, XdG) and the none/joint reference modes expose the
-same four training-loop hooks: before_task, batch_loss, grad_transform,
-after_task. On the first task every strategy except XdG is a bit-exact
-no-op relative to ``none``. The final task of a stream is not consolidated:
+Baselines (EWC, SI) and the none/joint reference modes expose the same
+four training-loop hooks: before_task, batch_loss, grad_transform,
+after_task. On the first task every strategy is a bit-exact no-op
+relative to ``none``. The final task of a stream is not consolidated:
 consolidation protects a task against later ones, and none follow it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -24,17 +25,16 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .numerics import matmul, softmax_cross_entropy_batch
-from .rng import RngStream
 from .snn import SpikingNetwork, forward, record_firing_rates
-from .train import SurrogateSpec, add_grads, backward_dlogits, backward_layers, distillation_grad, distillation_loss
+from .train import SurrogateSpec, backward_dlogits, backward_layers
 
-# Nothing calls ``backward``. bench/tracer.py still times
-# ``spikecl.continual.backward`` and warns when a patch point is missing, so
-# the name stays bound, to a function it can wrap, until the benchmark drops
-# that point.
+# Nothing here calls ``backward`` or ``backward_dlogits``. bench/tracer.py
+# still times both names in ``spikecl.continual`` and warns when a patch
+# point is missing, so they stay bound, to a function it can wrap, until the
+# benchmark drops those points.
 backward = backward_dlogits
 
-STRATEGIES = ("none", "joint", "hwc-soft", "hwc-hard", "ewc", "si", "lwf", "xdg")
+STRATEGIES = ("none", "joint", "hwc-soft", "hwc-hard", "ewc", "si")
 
 
 @dataclass
@@ -192,7 +192,6 @@ def ewc_fisher(
     examples,
     surrogate: SurrogateSpec,
     task: int | None = None,
-    gates: list[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Diagonal Fisher estimate: mean squared log-likelihood gradient.
 
@@ -208,9 +207,7 @@ def ewc_fisher(
     examples = iter(examples)
     while chunk := list(islice(examples, _FISHER_CHUNK)):
         labels = np.array([int(label) for _, label in chunk])
-        trace, logits = forward(
-            net, np.stack([spikes for spikes, _ in chunk]), task=task, gates=gates
-        )
+        trace, logits = forward(net, np.stack([spikes for spikes, _ in chunk]), task=task)
         _, dlogits = softmax_cross_entropy_batch(logits, labels)
         dlogits[np.arange(len(chunk)), labels] -= 1.0
         for name, prev, du in backward_layers(net, trace, dlogits, surrogate):
@@ -279,26 +276,6 @@ def si_update_omega(
     return out
 
 
-def xdg_gates(
-    hidden_sizes: list[int],
-    task_id: int,
-    fraction: float,
-    seed: int,
-) -> list[np.ndarray]:
-    """Deterministic per-task binary unit gates keeping ceil(fraction*n) units."""
-    if not (0.0 < fraction < 1.0):
-        raise ContractViolation("fraction must be in (0, 1)")
-    gates = []
-    for layer_idx, n in enumerate(hidden_sizes):
-        stream = RngStream(seed).fork(f"xdg/task{task_id}/layer{layer_idx}")
-        keep = int(np.ceil(fraction * n))
-        order = stream.permutation(n)
-        g = np.zeros(n)
-        g[order[:keep]] = 1.0
-        gates.append(g)
-    return gates
-
-
 # ---------------------------------------------------------------------------
 # Strategy objects
 
@@ -312,15 +289,26 @@ class StrategyConfig:
     ewc_fisher_samples: int = 200
     si_strength: float = 0.1
     si_damping: float = 0.1
-    xdg_fraction: float = 0.8
-    lwf_strength: float = 1.0
-    lwf_temperature: float = 2.0
 
     def __post_init__(self):
         if self.name not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.name!r}; expected one of {STRATEGIES}"
             )
+        for key in ("hwc_threshold_rel", "hwc_threshold_abs"):
+            v = getattr(self, key)
+            if v is not None and not (0.0 < v < 1.0):
+                raise ConfigurationError(f"strategy.{key} must be in (0, 1), got {v}")
+        for key in ("ewc_strength", "si_strength"):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ConfigurationError(f"strategy.{key} must be finite and >= 0, got {v}")
+        if self.ewc_fisher_samples < 1:
+            raise ConfigurationError(
+                f"strategy.ewc_fisher_samples must be >= 1, got {self.ewc_fisher_samples}"
+            )
+        if not (math.isfinite(self.si_damping) and self.si_damping > 0.0):
+            raise ConfigurationError(f"strategy.si_damping must be finite and > 0, got {self.si_damping}")
 
 
 class Strategy:
@@ -349,13 +337,6 @@ class Strategy:
         """Consolidate the task just trained. In the final task
         (``ctx.is_final_task``) strategies skip it and draw nothing from
         ``sample_provider``: only a later task would read the result."""
-
-    # -- gating queries (test-time behavior is part of the strategy) ---------
-    def train_gates(self, ctx: TaskContext, net: SpikingNetwork):
-        return None
-
-    def eval_gates(self, eval_task: int, trained_task: int, net: SpikingNetwork):
-        return None
 
     def consolidated_names(self, net: SpikingNetwork) -> list[str]:
         """Parameters subject to consolidation: every trunk matrix. Per-task
@@ -525,57 +506,6 @@ class SiStrategy(Strategy):
         self._theta_start, self._w_acc = {}, {}
 
 
-class LwfStrategy(Strategy):
-    def __init__(self, cfg, scenario, seed, surrogate):
-        super().__init__(cfg, scenario, seed, surrogate)
-        self.snapshot: SpikingNetwork | None = None
-        self.seen_tasks: list[int] = []
-
-    def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
-        if self.snapshot is None:
-            return 0.0, None
-        strength = self.cfg.lwf_strength
-        temp = self.cfg.lwf_temperature
-        total = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for h in self.seen_tasks if net.multi_head else [None]:
-            _, old_logits = forward(self.snapshot, x_enc, task=h)
-            if h is None or h == ctx.task - 1:
-                trace_h, new_logits = trace, logits
-            else:
-                trace_h, new_logits = forward(net, x_enc, task=h)
-            total += strength * distillation_loss(old_logits, new_logits, temp)
-            dlog = strength * distillation_grad(old_logits, new_logits, temp)
-            add_grads(grads, backward_dlogits(net, trace_h, dlog, self.surrogate))
-        return total, grads
-
-    def after_task(self, ctx, net, sample_provider=None):
-        if ctx.is_final_task:
-            return
-        self.snapshot = net.copy()
-        self.seen_tasks.append(ctx.task - 1)
-
-
-class XdgStrategy(Strategy):
-    def __init__(self, cfg, scenario, seed, surrogate):
-        super().__init__(cfg, scenario, seed, surrogate)
-        self._cache: dict[int, list[np.ndarray]] = {}
-
-    def gates_for(self, task: int, net: SpikingNetwork) -> list[np.ndarray]:
-        if task not in self._cache:
-            self._cache[task] = xdg_gates(net.hidden_sizes(), task, self.cfg.xdg_fraction, self.seed)
-        return self._cache[task]
-
-    def train_gates(self, ctx, net):
-        return self.gates_for(ctx.task, net)
-
-    def eval_gates(self, eval_task, trained_task, net):
-        if self.scenario == "task-incremental":
-            return self.gates_for(eval_task, net)
-        # no task identity at test time: evaluate with the deployed gates
-        return self.gates_for(trained_task, net)
-
-
 _STRATEGY_CLASSES = {
     "none": Strategy,
     "joint": JointStrategy,
@@ -583,8 +513,6 @@ _STRATEGY_CLASSES = {
     "hwc-hard": HwcStrategy,
     "ewc": EwcStrategy,
     "si": SiStrategy,
-    "lwf": LwfStrategy,
-    "xdg": XdgStrategy,
 }
 
 

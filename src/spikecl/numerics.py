@@ -61,18 +61,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probability vector (or row-wise for 2-D input), max-subtracted.
-
-    The max of each row is subtracted before exponentiation; this is part of
-    the loss contract, making the computation stable for any finite logits.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch; returns (mean loss, probs (B, K))."""
     z = np.asarray(logits, dtype=np.float64)

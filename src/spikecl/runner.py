@@ -116,8 +116,10 @@ class RunConfig:
             raise ConfigurationError("batch_size and epochs_per_task must be >= 1")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
-        if self.chip and self.strategy.name == "xdg":
-            raise ConfigurationError("unit gating is not supported in the chip loop")
+        for key in ("learning_rate", "init_gain", "head_gain"):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigurationError(f"{key} must be finite and > 0, got {v}")
         if any(cap is not None and cap < 1 for cap in (self.train_cap, self.test_cap)):
             raise ConfigurationError("train_cap and test_cap must be >= 1 or null")
         if min(self.corpus_train_per_class, self.corpus_test_per_class) < 1:
@@ -327,17 +329,15 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext) 
 
     ``batch`` is ``(x_enc, labels)``, which trains head ``state.task``, or
     ``(x_enc, labels, tasks)``, a pooled multi-head batch with one task id
-    per sample. The strategy's ``train_gates`` gate the hidden units. One
-    loop runs a forward and backward per head, weighted by its share of the
-    batch (1 when unpooled). The cross-entropy gradient is scaled by
-    ``loss.lam``. With ``state.quant_spec`` set, the chip's term
-    (``chip.twin_loss``) is added, then the strategy's ``batch_loss`` (which
-    sees no trace or logits for a pooled batch), and ``grad_transform``
-    shapes the step.
+    per sample. One loop runs a forward and backward of the whole network
+    per head, weighted by its share of the batch (1 when unpooled). The
+    cross-entropy gradient is scaled by ``loss.lam``. With
+    ``state.quant_spec`` set, the chip's term (``chip.twin_loss``) is added,
+    then the strategy's ``batch_loss`` (which sees no trace or logits for a
+    pooled batch), and ``grad_transform`` shapes the step.
     """
     x_enc, labels, *pooled = batch
     net, spec = state.net, state.loss_spec
-    gates = strategy.train_gates(ctx, net)
     labels = np.asarray(labels, dtype=np.int64)
     if pooled:
         heads = [(int(t), pooled[0] == t) for t in np.unique(pooled[0])]
@@ -347,7 +347,7 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext) 
     for task, rows in heads:
         y = labels[rows]
         share = len(y) / len(labels)
-        trace, logits = forward(net, x_enc[rows], task=task, gates=gates)
+        trace, logits = forward(net, x_enc[rows], task=task)
         ce, probs = softmax_cross_entropy_batch(logits, y)
         dlog = spec.lam * cross_entropy_grad(probs, y) * share
         add_grads(grads, backward_dlogits(net, trace, dlog, state.surrogate))
@@ -427,12 +427,12 @@ def evaluate_task(
     trained_idx: int,
     config: RunConfig,
     run_rng: RngStream,
-    strategy: Strategy,
 ) -> float:
     """Test accuracy on one task; read-only on the network.
 
-    Task identity selects the head and gates in task-incremental runs and is
-    withheld (single shared head) in domain-incremental runs.
+    Task identity selects the head in task-incremental runs and is withheld
+    (single shared head) in domain-incremental runs. No strategy takes part:
+    every strategy acts on training only.
 
     Each chunk of ``_EVAL_CHUNK`` test samples has its own named fork, from
     which its ``config.batch_size`` slices are encoded in order and
@@ -445,7 +445,6 @@ def evaluate_task(
     """
     task = stream.tasks[eval_idx]
     head = _head_for(net, eval_idx)
-    gates = strategy.eval_gates(eval_idx + 1, trained_idx + 1, net)
     if config.chip:
         image = quantize_network(net, config.quant, task=head)
         weights = exact_float_weights(image)
@@ -459,7 +458,7 @@ def evaluate_task(
             if config.chip:
                 logits = chip_twin_counts(image, x_enc, weights)
             else:  # keep only the logits, so no trace outlives its slice
-                logits = forward(net, x_enc, task=head, gates=gates)[1]
+                logits = forward(net, x_enc, task=head)[1]
             correct += int((logits.argmax(axis=1) == task.test_y[rows]).sum())
     return correct / len(task.test_y)
 
@@ -513,7 +512,7 @@ def run_seed(config: RunConfig, seed: int) -> tuple[list[MetricsRecord], Spiking
         strategy.after_task(ctx, net, provider)
 
         accs = [
-            evaluate_task(net, stream, i, task_idx, config, run_rng, strategy)
+            evaluate_task(net, stream, i, task_idx, config, run_rng)
             for i in range(task_idx + 1)
         ]
         wall = (time.perf_counter() - t0) * 1000.0

@@ -79,10 +79,6 @@ class SpikingNetwork:
     def n_outputs(self) -> int:
         return self.head_size if self.multi_head else self.layer_sizes[-1]
 
-    def hidden_sizes(self) -> list[int]:
-        """Widths of the hidden layers, one per unit-gate vector."""
-        return list(self.layer_sizes[1:] if self.multi_head else self.layer_sizes[1:-1])
-
     def get_param(self, name: str) -> np.ndarray:
         if name.startswith("head"):
             return self.heads[int(name[4:])]
@@ -153,7 +149,6 @@ class ForwardTrace:
     spikes: list[np.ndarray]
     pre_reset: list[np.ndarray]
     task: int | None
-    gates: list[np.ndarray] | None
 
     @property
     def timesteps(self) -> int:
@@ -186,14 +181,11 @@ def forward(
     net: SpikingNetwork,
     input_spikes: np.ndarray,
     task: int | None = None,
-    gates: list[np.ndarray] | None = None,
 ) -> tuple[ForwardTrace, np.ndarray]:
     """Simulate a batch over T steps; logits are output spike counts.
 
-    ``input_spikes`` is a (B, T, n_in) batch; logits are (B, K). ``gates``
-    optionally silences hidden units (one 0/1 vector per hidden layer,
-    multiplied into that layer's input current). Multi-head networks
-    require ``task``. Read-only on the network.
+    ``input_spikes`` is a (B, T, n_in) batch; logits are (B, K). Multi-head
+    networks require ``task``. Read-only on the network.
 
     The recurrence runs on time-major (T, B, n) storage, so every step
     works on contiguous (B, n) slices. Every product still multiplies rows
@@ -223,9 +215,6 @@ def forward(
     matrices = list(net.weights)
     if net.multi_head:
         matrices.append(net.heads[task])
-    n_hidden = len(matrices) - 1
-    if gates is not None and len(gates) != n_hidden:
-        raise ContractViolation(f"{n_hidden} gate vectors expected, got {len(gates)}")
 
     B, T, _ = x.shape
     spikes = [x]
@@ -233,12 +222,10 @@ def forward(
     for l, w in enumerate(matrices):
         cur = np.empty((T, B, w.shape[1]))
         cur.transpose(1, 0, 2)[...] = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
-        if gates is not None and l < n_hidden:
-            cur *= gates[l]
         s, u = _layer_dynamics(cur, net.lif[l])
         spikes.append(s)
         pre_reset.append(u.transpose(1, 0, 2))
-    trace = ForwardTrace(spikes, pre_reset, task, gates)
+    trace = ForwardTrace(spikes, pre_reset, task)
     return trace, spikes[-1].sum(axis=1)
 
 
@@ -296,7 +283,7 @@ def load_network(path) -> SpikingNetwork:
         raise FormatError("checkpoint head_size must be an integer or null")
     lif_ok = isinstance(lif, list) and all(
         isinstance(p, list) and len(p) == 3 and p[2] == RESET
-        and all(isinstance(v, (int, float)) for v in p[:2])
+        and all(_is_int(v) or isinstance(v, float) for v in p[:2])
         for p in lif
     )
     if not lif_ok:

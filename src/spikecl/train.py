@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import require_finite, softmax
+from .numerics import require_finite
 from .snn import ForwardTrace, SpikingNetwork
 
 
@@ -63,32 +63,6 @@ class LossSpec:
             raise ContractViolation("loss weights must be nonnegative")
         if self.lam + self.mu <= 0.0:
             raise ContractViolation("lam + mu must be positive")
-
-
-def distillation_loss(old_logits, new_logits, temperature: float) -> float:
-    """Cross-entropy between temperature-softened old and new distributions.
-
-    Takes equal-shape (B, K) batches of logits and gives the mean of the
-    per-sample losses; one sample is a batch of one.
-    """
-    old = np.asarray(old_logits, dtype=np.float64)
-    new = np.asarray(new_logits, dtype=np.float64)
-    if old.shape != new.shape or old.ndim != 2:
-        raise ContractViolation("logits must be equal-shape (B, K) batches")
-    if not (temperature > 0.0):
-        raise ContractViolation("temperature must be > 0")
-    p_old = softmax(old / temperature)
-    z = new / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    log_p_new = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-(p_old * log_p_new).sum(axis=1).mean())
-
-
-def distillation_grad(old_logits: np.ndarray, new_logits: np.ndarray, temperature: float) -> np.ndarray:
-    """d(mean distillation loss)/d(new logits) for a batch (B, K)."""
-    p_old = softmax(np.asarray(old_logits, dtype=np.float64) / temperature)
-    p_new = softmax(np.asarray(new_logits, dtype=np.float64) / temperature)
-    return (p_new - p_old) / (temperature * p_new.shape[0])
 
 
 def backward_layers(
@@ -140,8 +114,6 @@ def backward_layers(
             dv *= dv_du[t]
             du_t += dv
             np.multiply(du_t, p.decay, out=dv)
-        if trace.gates is not None and l < L - 1:
-            du *= trace.gates[l]
         du = np.ascontiguousarray(du.transpose(1, 0, 2))
 
         yield names[l], trace.spikes[l], du
@@ -173,7 +145,7 @@ def add_grads(grads: dict[str, np.ndarray], extra: dict[str, np.ndarray] | None)
 
     ``grads`` takes ownership of ``extra``'s arrays, so callers pass only
     fresh arrays that nothing else holds: BPTT's (``backward_dlogits``),
-    ``chip.twin_loss``'s, ``regularizer_penalty``'s and LwF's own sums.
+    ``chip.twin_loss``'s and ``regularizer_penalty``'s.
     """
     for name, g in (extra or {}).items():
         if name in grads:

@@ -30,6 +30,13 @@ SHIPPED_SHAPES = {
 }
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Probability vector (or row-wise for 2-D input), max-subtracted."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
     """Cross-entropy of softmax(logits) against a class index.
 
@@ -92,7 +99,7 @@ def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surroga
     return u - p.threshold * spikes, spikes, u
 
 
-def relaxed_forward(net, input_spikes, surrogate, task=None, gates=None):
+def relaxed_forward(net, input_spikes, surrogate, task=None):
     """``snn.forward`` with the relaxed activation in place of every hard
     threshold: a differentiable network, whose exact gradient BPTT gives.
 
@@ -106,15 +113,13 @@ def relaxed_forward(net, input_spikes, surrogate, task=None, gates=None):
     spikes, pre_reset = [x], []
     for l, w in enumerate(matrices):
         cur = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
-        if gates is not None and l < len(matrices) - 1:
-            cur = cur * gates[l]
         v = np.zeros((B, w.shape[1]))
         s, u = np.empty_like(cur), np.empty_like(cur)
         for t in range(T):
             v, s[:, t], u[:, t] = lif_step(v, cur[:, t], net.lif[l], surrogate)
         spikes.append(s)
         pre_reset.append(u)
-    return ForwardTrace(spikes, pre_reset, task, gates), spikes[-1].sum(axis=1)
+    return ForwardTrace(spikes, pre_reset, task), spikes[-1].sum(axis=1)
 
 
 def backward(net, trace, logits, labels, surrogate) -> dict[str, np.ndarray]:
@@ -149,8 +154,6 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
             du_t = ds[:, t, :] * sd[:, t, :] + dv * dv_du[:, t, :]
             du[:, t, :] = du_t
             dv = p.decay * du_t
-        if trace.gates is not None and l < L - 1:
-            du = du * trace.gates[l]
         prev = trace.spikes[l]
         grads[names[l]] = prev.reshape(B * T, -1).T @ du.reshape(B * T, -1)
         if l > 0:

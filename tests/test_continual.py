@@ -17,7 +17,6 @@ from spikecl.continual import (
     potential,
     regularizer_penalty,
     si_update_omega,
-    xdg_gates,
 )
 from spikecl.container import read_bundle
 from spikecl.errors import ConfigurationError, ContractViolation
@@ -268,12 +267,12 @@ class TestEwc:
             ewc_fisher(net, [], sur)
 
 
-def _ewc_fisher_oracle(net, examples, surrogate, task=None, gates=None):
+def _ewc_fisher_oracle(net, examples, surrogate, task=None):
     """One forward and one backward per sample; squares summed in sample order."""
     sums = {}
     n = 0
     for spikes, label in examples:
-        trace, logits = forward(net, spikes[None], task=task, gates=gates)
+        trace, logits = forward(net, spikes[None], task=task)
         grads = backward(net, trace, logits, [int(label)], surrogate)
         for name, g in grads.items():
             if name not in sums:
@@ -295,8 +294,6 @@ def _fisher_case(kind, count):
         net = init_network([6, 9, 7, 4], rng, lif=lif, gain=2.5)
     else:
         net = init_network([6, 9, 7, 4], rng, gain=2.5)
-    if kind == "xdg":
-        kwargs["gates"] = xdg_gates([9, 7], 2, 0.6, seed=5)
     xs = rng.fork("x").bernoulli(0.4, (count, 8, 6))
     ys = np.arange(count) % 4
     return net, list(zip(xs, ys)), kwargs
@@ -307,7 +304,7 @@ class TestBatchedFisher:
     BPTT; the per-sample oracle runs each sample on its own."""
 
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
-    @pytest.mark.parametrize("kind", ["single-head", "multi-head", "xdg", "leak-free-high-threshold"])
+    @pytest.mark.parametrize("kind", ["single-head", "multi-head", "leak-free-high-threshold"])
     def test_matches_per_sample_oracle(self, kind, count):
         net, examples, kwargs = _fisher_case(kind, count)
         sur = SurrogateSpec()
@@ -524,36 +521,6 @@ class TestSi:
             assert np.array_equal(theta[name], net.get_param(name))
 
 
-class TestXdg:
-    def test_fraction_near_one_keeps_all(self):
-        gates = xdg_gates([8, 8], task_id=1, fraction=0.999, seed=5)
-        for g in gates:
-            assert (g == 1.0).all()
-
-    def test_deterministic(self):
-        a = xdg_gates([16], 3, 0.5, seed=9)
-        b = xdg_gates([16], 3, 0.5, seed=9)
-        assert np.array_equal(a[0], b[0])
-
-    def test_keep_count(self):
-        g = xdg_gates([10], 1, 0.75, seed=2)[0]
-        assert g.sum() == int(np.ceil(0.75 * 10))
-
-    def test_overlap_statistics(self):
-        # two tasks' kept sets overlap at ~fraction^2 of units
-        fraction, n, trials = 0.8, 256, 60
-        overlaps = []
-        for seed in range(trials):
-            a = xdg_gates([n], 1, fraction, seed)[0]
-            b = xdg_gates([n], 2, fraction, seed)[0]
-            overlaps.append((a * b).sum() / n)
-        assert abs(np.mean(overlaps) - fraction**2) < 0.05
-
-    def test_fraction_validation(self):
-        with pytest.raises(ContractViolation):
-            xdg_gates([4], 1, 1.0, seed=0)
-
-
 class TestApplyStrategy:
     def _ctx(self):
         return TaskContext(task=1, total_tasks=2)
@@ -564,7 +531,6 @@ class TestApplyStrategy:
         grads = {"w0": np.ones((2, 2))}
         assert strat.grad_transform(self._ctx(), net, grads) is grads
         assert strat.batch_loss(self._ctx(), net, None, None, None, None) == (0.0, None)
-        assert strat.train_gates(self._ctx(), net) is None
         assert not strat.pooled
 
     def test_joint_signals_pooled(self):

@@ -7,7 +7,7 @@ import pytest
 
 import spikecl.runner as runner
 from spikecl.chip import chip_twin_counts, quantize_network
-from spikecl.continual import StrategyConfig, apply_strategy
+from spikecl.continual import StrategyConfig
 from spikecl.data import DriftSpec, encode_batch
 from spikecl.rng import RngStream
 from spikecl.runner import RunConfig, build_network, build_stream, evaluate_task
@@ -22,18 +22,16 @@ _DRIFT = dict(scenario="synthetic-drift", drift=DriftSpec(days=2, train_per_day=
 CASES = {
     "single-head": dict(_DRIFT, strategy=StrategyConfig("none")),
     "multi-head": dict(_SPLIT, strategy=StrategyConfig("none")),
-    "xdg-gates": dict(_SPLIT, strategy=StrategyConfig("xdg")),
     "chip-multi-head": dict(_SPLIT, strategy=StrategyConfig("hwc-hard"), chip=True),
     "chip-single-head": dict(_DRIFT, strategy=StrategyConfig("none"), chip=True),
 }
 
 
-def one_pass_accuracy(net, stream, eval_idx, trained_idx, config, run_rng, strategy, chunk):
+def one_pass_accuracy(net, stream, eval_idx, trained_idx, config, run_rng, chunk):
     """``evaluate_task`` as it was before slicing: each encoded chunk goes
     through ``forward`` or ``chip_twin_counts`` whole."""
     task = stream.tasks[eval_idx]
     head = eval_idx if net.multi_head else None
-    gates = strategy.eval_gates(eval_idx + 1, trained_idx + 1, net)
     image = quantize_network(net, config.quant, task=head) if config.chip else None
     correct = 0
     for ci, start in enumerate(range(0, len(task.test_y), chunk)):
@@ -42,7 +40,7 @@ def one_pass_accuracy(net, stream, eval_idx, trained_idx, config, run_rng, strat
         if config.chip:
             logits = chip_twin_counts(image, x_enc)
         else:
-            _, logits = forward(net, x_enc, task=head, gates=gates)
+            _, logits = forward(net, x_enc, task=head)
         correct += int((logits.argmax(axis=1) == task.test_y[start : start + chunk]).sum())
     return correct / len(task.test_y)
 
@@ -57,10 +55,9 @@ def test_sliced_evaluation_equals_one_pass_oracle(case, chunk, monkeypatch):
     stream = build_stream(config)
     run_rng = RngStream(3)
     net = build_network(config, stream, run_rng.fork("init"))
-    strategy = apply_strategy(config.strategy, stream.scenario, 3, config.surrogate)
     for eval_idx in range(len(stream.tasks)):
-        got = evaluate_task(net, stream, eval_idx, 1, config, run_rng, strategy)
-        want = one_pass_accuracy(net, stream, eval_idx, 1, config, run_rng, strategy, chunk)
+        got = evaluate_task(net, stream, eval_idx, 1, config, run_rng)
+        want = one_pass_accuracy(net, stream, eval_idx, 1, config, run_rng, chunk)
         assert got == want
 
 
@@ -69,12 +66,11 @@ def evaluation_peak_above_entry(config):
     stream = build_stream(config)
     run_rng = RngStream(1)
     net = build_network(config, stream, run_rng.fork("init"))
-    strategy = apply_strategy(config.strategy, stream.scenario, 1, config.surrogate)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        evaluate_task(net, stream, 0, 0, config, run_rng, strategy)
+        evaluate_task(net, stream, 0, 0, config, run_rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

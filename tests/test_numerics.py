@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikecl.errors import ContractViolation
-from spikecl.numerics import (
-    matmul,
-    softmax,
-    softmax_cross_entropy_batch,
-)
+from spikecl.numerics import matmul, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from oracles import softmax_cross_entropy
 
@@ -147,8 +143,3 @@ class TestSoftmaxCrossEntropy:
         assert mean_loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
         for i, (_, p) in enumerate(singles):
             assert np.allclose(probs[i], p)
-
-    def test_softmax_rows(self):
-        p = softmax(np.array([[1.0, 1.0], [0.0, 100.0]]))
-        assert np.allclose(p[0], [0.5, 0.5])
-        assert p[1, 1] == pytest.approx(1.0)

@@ -86,10 +86,6 @@ class TestConfig:
         cfg = apply_profile(cfg, "ci")
         assert cfg.train_cap == 2000 and cfg.test_cap == 500
 
-    def test_chip_with_xdg_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tiny_config(strategy=StrategyConfig("xdg"), chip=True)
-
 
 class TestRunSeed:
     def test_record_counts_sequential(self):
@@ -120,11 +116,8 @@ class TestRunSeed:
         stream = build_stream(cfg)
         rng = RngStream(1)
         net = build_network(cfg, stream, rng.fork("init"))
-        from spikecl.continual import apply_strategy
-
-        strat = apply_strategy(cfg.strategy, stream.scenario, 1, cfg.surrogate)
         before = [w.copy() for w in net.weights]
-        evaluate_task(net, stream, 0, 0, cfg, rng, strat)
+        evaluate_task(net, stream, 0, 0, cfg, rng)
         for w, b in zip(net.weights, before):
             assert np.array_equal(w, b)
 
@@ -296,12 +289,18 @@ _SMALL_SPLIT = {"corpus_train_per_class": 12, "corpus_test_per_class": 6,
         yaml.safe_dump({**_SMALL_SPLIT, "encoder": {"kind": "direct-repeat"}}),
         yaml.safe_dump({**_SMALL_SPLIT, "surrogate": {"shape": "boxcar"}}),
         yaml.safe_dump({**_SMALL_SPLIT, "lif": {"decay": 0.9, "reset": "subtract"}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "strategy": {"name": "lwf"}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "strategy": {"name": "xdg"}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "strategy": {"name": "none", "xdg_fraction": 0.8}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "strategy": {"name": "none", "lwf_strength": 1.0}}),
+        yaml.safe_dump({**_SMALL_SPLIT, "strategy": {"name": "none", "lwf_temperature": 2.0}}),
     ],
     ids=["top-level-list", "section-scalar", "yaml-error", "section-int-key",
          "int-field-string", "list-field-scalar", "section-float-string",
          "removed-profile", "removed-optimizer", "removed-loss-alpha", "removed-loss-beta",
          "removed-loss-distill-temperature", "removed-dropout", "removed-encoder-kind",
-         "removed-surrogate-shape", "removed-lif-reset"],
+         "removed-surrogate-shape", "removed-lif-reset", "removed-lwf", "removed-xdg",
+         "removed-xdg-fraction", "removed-lwf-strength", "removed-lwf-temperature"],
 )
 def test_malformed_config_file_exits_2_with_one_error_line(tmp_path, text):
     _assert_run_is_a_configuration_error(tmp_path, text)
@@ -362,6 +361,41 @@ _SMALL_DRIFT = {"scenario": "synthetic-drift", "hidden": [16], "epochs_per_task"
 def test_out_of_range_drift_size_exits_2_with_one_error_line(tmp_path, override):
     drift = {**_SMALL_DRIFT["drift"], **override}
     _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_DRIFT, "drift": drift}))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"strategy": {"name": "hwc-hard", "hwc_threshold_rel": -1.0}},
+        {"strategy": {"name": "hwc-hard", "hwc_threshold_rel": 1.0}},
+        {"strategy": {"name": "hwc-hard", "hwc_threshold_abs": float("nan")}},
+        {"strategy": {"name": "hwc-hard", "hwc_threshold_abs": 0.0}},
+        {"strategy": {"name": "hwc-hard", "hwc_threshold_abs": 1.0}},
+        {"strategy": {"name": "ewc", "ewc_strength": float("inf")}},
+        {"strategy": {"name": "ewc", "ewc_strength": -1.0}},
+        {"strategy": {"name": "ewc", "ewc_fisher_samples": 0}},
+        {"strategy": {"name": "si", "si_strength": -1.0}},
+        {"strategy": {"name": "si", "si_strength": float("inf")}},
+        {"strategy": {"name": "si", "si_damping": 0.0}},
+        {"strategy": {"name": "si", "si_damping": -1.0}},
+        {"learning_rate": -1.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": float("nan")},
+        {"init_gain": float("nan")},
+        {"init_gain": 0.0},
+        {"head_gain": float("inf")},
+        {"head_gain": -1.0},
+    ],
+    ids=["hwc-rel-negative", "hwc-rel-1", "hwc-abs-nan", "hwc-abs-0", "hwc-abs-1",
+         "ewc-strength-inf", "ewc-strength-negative", "ewc-fisher-samples-0",
+         "si-strength-negative", "si-strength-inf", "si-damping-0", "si-damping-negative",
+         "lr-negative", "lr-0", "lr-nan", "init-gain-nan", "init-gain-0",
+         "head-gain-inf", "head-gain-negative"],
+)
+def test_out_of_range_training_value_exits_2_with_one_error_line(tmp_path, override):
+    # each value is checked when the config is built, before any data or
+    # output exists; the drift run is small enough to finish if one slips by
+    _assert_run_is_a_configuration_error(tmp_path, yaml.safe_dump({**_SMALL_DRIFT, **override}))
 
 
 _SMALL_DRIFT_CHIP = {**_SMALL_DRIFT, "chip": True,
@@ -502,11 +536,16 @@ def test_malformed_checkpoint_metadata_exits_2_with_one_error_line(tmp_path, met
     assert len(lines) == 1 and lines[0].startswith("spikecl-error: FormatError: ")
 
 
-def test_checkpoint_naming_another_reset_exits_2_with_one_error_line(tmp_path):
-    path = tmp_path / "zero-reset.ckpt"
+@pytest.mark.parametrize(
+    "triple",
+    [[0.9, 1.0, "zero"], [True, 1.0, "subtract"], [0.9, False, "subtract"]],
+    ids=["zero-reset", "bool-decay", "bool-threshold"],
+)
+def test_checkpoint_with_a_malformed_lif_triple_exits_2_with_one_error_line(tmp_path, triple):
+    path = tmp_path / "bad-lif.ckpt"
     save_network(path, init_network([4, 3, 2], RngStream(3)))
     meta, arrays = read_bundle(path)
-    meta["lif"][0][2] = "zero"
+    meta["lif"][0] = triple
     write_bundle(path, meta, arrays)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

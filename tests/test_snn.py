@@ -84,23 +84,26 @@ _LIF_CASES = {
 }
 
 
+# The forward-vs-oracle and slicing tests also run a second input rate: a
+# dense one at the small widths, where most units fire on most steps, and a
+# sparse one at the shipped widths, where many units stay below threshold.
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
-@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
-def test_forward_matches_stepped_lif_oracle_bit_for_bit(lif, gated):
+@pytest.mark.parametrize("rate", [0.4, 0.8], ids=["rate0.4", "rate0.8"])
+def test_forward_matches_stepped_lif_oracle_bit_for_bit(lif, rate):
     """``forward`` builds the recurrence in place; stepping the single-step
     oracle over T on the same currents gives the same bytes."""
-    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, 0.4, _LIF_CASES[lif], gated)
+    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, rate, _LIF_CASES[lif])
 
 
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
-@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("rate", [0.2, 0.05], ids=["rate0.2", "rate0.05"])
 @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, lif, gated):
+def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, lif, rate):
     sizes, head_size, batch = SHIPPED_SHAPES[shape]
-    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, 0.2, _LIF_CASES[lif], gated)
+    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, rate, _LIF_CASES[lif])
 
 
-def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif, gated):
+def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif):
     """The oracle multiplies in (b, t) row order and steps ``lif_step``
     over t; ``forward``'s spikes, pre-reset potentials and logits must have
     its bytes."""
@@ -110,15 +113,11 @@ def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif, gat
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
     task = None if head_size is None else 1
     x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
-    hidden = sizes[1:] if head_size is not None else sizes[1:-1]
-    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None
-    trace, logits = forward(net, x, task=task, gates=gates)
+    trace, logits = forward(net, x, task=task)
     matrices = net.weights + ([] if task is None else [net.heads[task]])
     prev = x
     for l, w in enumerate(matrices):
         cur = (prev.reshape(B * T, -1) @ w).reshape(B, T, -1)
-        if gated and l < len(hidden):
-            cur = cur * gates[l]
         v = np.zeros((B, w.shape[1]))
         spikes, pre_reset = np.empty_like(cur), np.empty_like(cur)
         for t in range(T):
@@ -129,23 +128,21 @@ def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif, gat
     assert logits.tobytes() == prev.sum(axis=1).tobytes()
 
 
-@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("rate", [0.2, 0.05], ids=["rate0.2", "rate0.05"])
 @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_forward_in_slices_has_the_bytes_of_one_pass(shape, gated):
+def test_forward_in_slices_has_the_bytes_of_one_pass(shape, rate):
     """A 16-sample slice is 160 rows, whole BLAS kernel blocks, so
-    simulating a batch in 16-sample slices (as evaluation does, with an
-    XdG run's gates) gives every sample the bytes of one pass over the
-    whole batch."""
+    simulating a batch in 16-sample slices (as evaluation does) gives every
+    sample the bytes of one pass over the whole batch."""
     sizes, head_size, B = SHIPPED_SHAPES[shape]
     rng = RngStream(5)
     n_heads = None if head_size is None else 2
     net = init_network(sizes, rng.fork("net"), n_heads=n_heads, head_size=head_size)
     task = None if head_size is None else 0
-    x = rng.fork("x").bernoulli(0.2, (B, 10, sizes[0]))
-    gates = [rng.fork(f"g{l}").bernoulli(0.8, (n,)) for l, n in enumerate(net.hidden_sizes())] if gated else None
-    whole, logits = forward(net, x, task=task, gates=gates)
+    x = rng.fork("x").bernoulli(rate, (B, 10, sizes[0]))
+    whole, logits = forward(net, x, task=task)
     for b in range(0, B, 16):
-        part, part_logits = forward(net, x[b : b + 16], task=task, gates=gates)
+        part, part_logits = forward(net, x[b : b + 16], task=task)
         assert part_logits.tobytes() == logits[b : b + 16].tobytes()
         for got, want in zip(part.spikes + part.pre_reset, whole.spikes + whole.pre_reset):
             assert got.tobytes() == want[b : b + 16].tobytes()
@@ -321,6 +318,18 @@ class TestCheckpoint:
         meta["lif"][1][2] = reset
         write_bundle(path, meta, arrays)
         with pytest.raises(FormatError, match="subtract"):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "triple", [[True, 1.0, "subtract"], [0.9, False, "subtract"]], ids=["bool-decay", "bool-threshold"]
+    )
+    def test_a_bool_decay_or_threshold_is_a_format_error(self, tmp_path, triple):
+        path = tmp_path / "net.ckpt"
+        save_network(path, init_network([4, 3, 2], RngStream(5)))
+        meta, arrays = read_bundle(path)
+        meta["lif"][0] = triple
+        write_bundle(path, meta, arrays)
+        with pytest.raises(FormatError, match="triples"):
             load_network(path)
 
     def test_stable_bytes(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spikecl.errors import ContractViolation
-from spikecl.numerics import cross_entropy_grad, softmax, softmax_cross_entropy_batch
+from spikecl.numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from spikecl.snn import LifParams, SpikingNetwork, forward, init_network
 from spikecl.train import (
@@ -13,7 +13,6 @@ from spikecl.train import (
     SurrogateSpec,
     backward_dlogits,
     backward_layers,
-    distillation_loss,
     optimizer_step,
 )
 
@@ -24,6 +23,7 @@ from oracles import (
     composite_loss,
     relaxed_activation,
     relaxed_forward,
+    softmax,
 )
 
 
@@ -166,31 +166,33 @@ class TestBackward:
 
 # The (decay, threshold) pairs the BPTT-vs-oracle tests run: the LIF
 # parameters they have always used, and a leak-free unit with a high
-# threshold, whose reset term 1 - threshold*sd goes negative near it.
+# threshold, whose reset term 1 - threshold*sd goes negative near it. Each
+# test also runs a second input rate: dense at the small widths, sparse at
+# the shipped ones.
 _LIF_CASES = {"decay0.85-thr0.9": (0.85, 0.9), "decay1-thr1.7": (1.0, 1.7)}
 
 
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("width", [0.6, 5.0], ids=["width0.6", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
-@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("rate", [0.4, 0.8], ids=["rate0.4", "rate0.8"])
 @pytest.mark.parametrize("heads", [False, True], ids=["single-head", "multi-head"])
-def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(lif, width, mode, gated, heads):
+def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(lif, width, mode, rate, heads):
     sizes, head_size = ([14, 11, 9], 4) if heads else ([14, 11, 9, 4], None)
-    _check_bptt_against_oracle(sizes, head_size, 6, 7, 0.4, width, _LIF_CASES[lif], mode, gated)
+    _check_bptt_against_oracle(sizes, head_size, 6, 7, rate, width, _LIF_CASES[lif], mode)
 
 
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("width", [2.0, 5.0], ids=["width2", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
-@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("rate", [0.2, 0.05], ids=["rate0.2", "rate0.05"])
 @pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
-def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, lif, width, mode, gated):
+def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, lif, width, mode, rate):
     sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
-    _check_bptt_against_oracle(sizes, head_size, batch, 10, 0.2, width, _LIF_CASES[lif], mode, gated)
+    _check_bptt_against_oracle(sizes, head_size, batch, 10, rate, width, _LIF_CASES[lif], mode)
 
 
-def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode, gated):
+def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode):
     """``backward_dlogits`` works in place on time-major storage; the
     oracle allocates per expression on (B, T, n) arrays. Same bytes. The
     relaxed mode takes its trace from ``oracles.relaxed_forward``."""
@@ -200,13 +202,11 @@ def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode, g
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
     sur = SurrogateSpec(width)
     x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
-    hidden = sizes[1:] if head_size is not None else sizes[1:-1]
-    gates = [rng.fork(f"g{l}").bernoulli(0.7, (n,)) for l, n in enumerate(hidden)] if gated else None
     task = None if head_size is None else 2
     if mode == "relaxed":
-        trace, logits = relaxed_forward(net, x, sur, task, gates)
+        trace, logits = relaxed_forward(net, x, sur, task)
     else:
-        trace, logits = forward(net, x, task=task, gates=gates)
+        trace, logits = forward(net, x, task=task)
     dlogits = rng.fork("d").normal(logits.shape)
     grads = backward_dlogits(net, trace, dlogits, sur)
     want = bptt_oracle(net, trace, dlogits, sur)
@@ -330,42 +330,6 @@ class TestInPlaceOptimizer:
         assert np.array_equal(net.weights[0], before_w)
         assert np.array_equal(opt.slots["w0"]["m"], before_m)
         assert opt.slots["w0"]["t"] == 1
-
-
-class TestDistillation:
-    def test_self_distillation_equals_softened_entropy(self):
-        z = np.array([[1.0, 2.0, 0.5]])
-        temp = 2.0
-        p = softmax(z / temp)
-        entropy = float(-(p * np.log(p)).sum())
-        assert distillation_loss(z, z, temp) == pytest.approx(entropy, rel=1e-12)
-
-    def test_large_temperature_limit(self):
-        old = np.array([[3.0, -1.0, 0.5]])
-        new = np.array([[-2.0, 4.0, 1.0]])
-        assert distillation_loss(old, new, 1e6) == pytest.approx(math.log(3), abs=1e-5)
-
-    def test_reference_value(self):
-        # computed at 60-digit precision
-        val = distillation_loss([[1.0, 2.0, 0.5]], [[0.5, 1.5, 1.0]], 2.0)
-        assert val == pytest.approx(1.0720210095245482, abs=1e-14)
-
-    def test_batch_is_mean_of_samples(self):
-        rng = RngStream(90)
-        old = rng.fork("old").normal((7, 5)) * 3.0
-        new = rng.fork("new").normal((7, 5)) * 3.0
-        per = [distillation_loss(o[None], n[None], 1.5) for o, n in zip(old, new)]
-        assert distillation_loss(old, new, 1.5) == pytest.approx(float(np.mean(per)), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            distillation_loss([[1.0]], [[1.0, 2.0]], 1.0)
-        with pytest.raises(ContractViolation):
-            distillation_loss([[1.0]], [[1.0]], 0.0)
-
-    def test_rejects_logits_without_a_batch_axis(self):
-        with pytest.raises(ContractViolation):
-            distillation_loss([1.0, 2.0, 0.5], [0.5, 1.5, 1.0], 2.0)
 
 
 def test_memorization_loss_decreases():

@@ -7,6 +7,7 @@ the format suite and are selectable via config for full-scale runs.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,29 @@ def test_criterion_3_chip_degradation_bound():
     )
     assert ext_acc >= 0.9
     assert gap <= 0.05
+
+
+@pytest.mark.slow
+def test_criterion_8_on_chip_hwc_gain():
+    """Criterion 1's config in the chip loop, evaluated on the integer chip:
+    consolidation must keep its gain over the unprotected run on chip."""
+    means = {}
+    for strategy in ("none", "hwc-hard"):
+        cfg = replace(
+            split_cfg(strategy),
+            chip=True,
+            loss=LossSpec(lam=1.0, mu=1.0),
+            quant=QuantSpec(bits=8, leak_shift=3),
+        )
+        vals = [final_incremental(cfg, s, stage=5) for s in SEEDS]
+        means[strategy] = float(np.mean(vals))
+    ok = means["hwc-hard"] >= means["none"] + 0.05
+    announce(
+        "criterion 8 (on-chip hwc gain)",
+        ok,
+        f"Acc<=5 on chip none={means['none']:.4f}, hwc-hard={means['hwc-hard']:.4f}",
+    )
+    assert ok
 
 
 def _toy_two_task_cfg(threshold_abs=None):

@@ -177,7 +177,9 @@ def quantize_codes(
     task: int | None = None,
 ) -> ConfigImage:
     """Symmetric per-layer quantization q = clamp(round(w / scale)), each
-    layer's codes built in one float64 buffer: the one quantizer.
+    layer's codes built in one float64 buffer: the one quantizer. The
+    division runs in float64, so a float32 weight and its float64 upcast
+    give the same codes.
 
     The default scale max|w| / qmax maps the largest weight onto the signed
     range; an all-zero layer degenerates to scale 1; ``spec.scale_override``
@@ -195,7 +197,7 @@ def quantize_codes(
             scale = spec.scale_override[len(scales)]
         else:
             scale = peak / spec.qmax if peak > 0.0 else 1.0
-        q = np.divide(w, scale)
+        q = np.divide(w, scale, dtype=np.float64)
         np.rint(q, out=q)
         np.clip(q, -spec.qmax, spec.qmax, out=q)
         codes.append(q)
@@ -305,8 +307,9 @@ def _integer_layers(
     the chip keeps its copy from the upload). Only the thresholds and leak
     shift of ``image`` are read when they are given.
 
-    Yields ``(spikes, u)`` per layer: the (B, T, n) float64 0/1 spikes and
-    the int64 pre-reset potentials u_t = v_{t-1} - (v_{t-1} >> shift) + I_t.
+    Yields ``(spikes, u)`` per layer: the (B, T, n) 0/1 spikes, float32
+    for a float32 input and float64 for any other, and the int64 pre-reset
+    potentials u_t = v_{t-1} - (v_{t-1} >> shift) + I_t.
     ``u`` is a (B, T, n) view of the time-major (T, B, n) buffer that held
     the currents (``u.transpose(1, 0, 2)`` is C-contiguous), the layout of
     ``snn.ForwardTrace``. The generator overwrites neither after yielding
@@ -327,6 +330,7 @@ def _integer_layers(
         weights = exact_float_weights(image)
     B, T, _ = x.shape
     shift = image.leak_shift
+    spike_dtype = np.float32 if x.dtype == np.float32 else np.float64
     fired = x.transpose(1, 0, 2)  # the time-major spikes feeding the next layer
     for w, thr in zip(weights, image.thresholds):
         rows = np.ascontiguousarray(fired, dtype=w.dtype).reshape(T * B, -1)
@@ -341,7 +345,7 @@ def _integer_layers(
             np.greater_equal(u, thr, out=s)
             np.multiply(s, thr, out=drop)
             np.subtract(u, drop, out=v)
-        spikes = np.ascontiguousarray(fired.transpose(1, 0, 2), dtype=np.float64)
+        spikes = np.ascontiguousarray(fired.transpose(1, 0, 2), dtype=spike_dtype)
         yield spikes, cur.transpose(1, 0, 2)
 
 
@@ -461,26 +465,29 @@ def twin_loss(
     storage, as ``snn.ForwardTrace`` documents. BPTT reads the weights of
     layers 1 and up only, to carry the gradient down a layer, so only those
     codes are scaled, in place, and the first layer's place holds NaNs.
+    The trace, the scaled codes and the gradients have the dtype of the
+    network's weights, as in ``snn.forward``.
     """
     mu = loss_spec.mu
     if mu == 0.0:
         return 0.0, {}
+    dtype = net.weights[0].dtype
     image = quantize_codes(net, quant_spec, task)
     weights = [_exact_float(l, q, quant_spec.qmax) for l, q in enumerate(image.quantized)]
     # the pass reads ``weights``; BPTT reads only the later layers' codes
     first, later = image.quantized[0].shape, image.quantized[1:]
     image.quantized = []
-    x = np.asarray(x_enc, dtype=np.float64)
+    x = np.asarray(x_enc, dtype=dtype)
     spikes, pre_reset = [x], []
     for (s, u), scale in zip(_integer_layers(image, x, weights), image.scales):
         spikes.append(s)
-        pre_reset.append(np.multiply(u.transpose(1, 0, 2), scale).transpose(1, 0, 2))
+        pre_reset.append(np.multiply(u.transpose(1, 0, 2), scale, dtype=dtype).transpose(1, 0, 2))
     del weights
     ce, probs = softmax_cross_entropy_batch(spikes[-1].sum(axis=1), labels)
     matrices = [np.broadcast_to(np.nan, first)]
     for q, scale in zip(later, image.scales[1:]):
         q *= scale  # the same bits as q.astype(float64) * scale
-        matrices.append(q)
+        matrices.append(q.astype(dtype, copy=False))
     decay = 1.0 - 2.0 ** -image.leak_shift
     lifs = [LifParams(decay, float(t) * scale) for t, scale in zip(image.thresholds, image.scales)]
     twin = SpikingNetwork(list(image.layer_sizes), matrices, lifs)

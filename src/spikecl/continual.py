@@ -201,6 +201,7 @@ def ewc_fisher(
     gradient at the logits is left unscaled, so each row is one sample's
     own gradient. The per-sample weight gradients are then formed, squared
     and summed one at a time in sample order; only one exists at a time.
+    The estimate has the dtype of the network's weights.
     """
     sums: dict[str, np.ndarray] = {}
     n = 0
@@ -211,7 +212,7 @@ def ewc_fisher(
         _, dlogits = softmax_cross_entropy_batch(logits, labels)
         dlogits[np.arange(len(chunk)), labels] -= 1.0
         for name, prev, du in backward_layers(net, trace, dlogits, surrogate):
-            acc = sums.setdefault(name, np.zeros((prev.shape[2], du.shape[2])))
+            acc = sums.setdefault(name, np.zeros((prev.shape[2], du.shape[2]), dtype=du.dtype))
             for b in range(len(chunk)):
                 g = prev[b].T @ du[b]
                 g *= g

@@ -498,9 +498,15 @@ class EncoderSpec:
             raise ContractViolation("max_rate must be in (0, 1]")
 
 
-def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream) -> np.ndarray:
+def encode_batch(
+    features: np.ndarray, spec: EncoderSpec, rng: RngStream | list[RngStream]
+) -> np.ndarray:
     """Poisson-rate spike trains (B, T, n) for a batch, one contiguous draw
     block: each step spikes with probability feature * ``spec.max_rate``.
+
+    ``rng`` is one stream for the whole batch, or one stream per row; then
+    row i has the bytes ``encode_batch(features[i:i+1], spec, rng[i])``
+    gives (``RngStream.bernoulli_each``).
 
     uint8 features are 8-bit intensity codes (image pixels), encoded as
     code / 255; any other features (drift) must be intensities in [0, 1].
@@ -516,4 +522,9 @@ def encode_batch(features: np.ndarray, spec: EncoderSpec, rng: RngStream) -> np.
             raise ContractViolation("features must lie in [0, 1]")
     B, n = f.shape
     # (B, 1, n) broadcasts over the T steps, so bernoulli checks B*n values
-    return rng.bernoulli((f * spec.max_rate)[:, None, :], (B, spec.timesteps, n))
+    p = (f * spec.max_rate)[:, None, :]
+    if isinstance(rng, RngStream):
+        return rng.bernoulli(p, (B, spec.timesteps, n))
+    if len(rng) != B:
+        raise ContractViolation(f"{len(rng)} streams for {B} rows")
+    return RngStream.bernoulli_each(rng, p, (spec.timesteps, n))

@@ -1,7 +1,11 @@
 """Deterministic dense linear algebra primitives.
 
-A "matrix" throughout the package is a 2-D C-contiguous float64 numpy array
-(row-major, dimensionless values); helpers here validate that convention.
+A "matrix" here is a 2-D C-contiguous float64 numpy array (row-major,
+dimensionless values); ``as_matrix`` validates that convention. The
+training path's weights, gradients and traces are float32 instead
+(``runner.build_network``); what this module computes stays float64: the
+exact Hebbian product on float64 rates, and softmax and cross-entropy on
+the spike counts.
 
 ``matmul`` accumulates each output entry strictly in ascending inner-index
 order with separate IEEE multiply and add, so its result is bit-identical to

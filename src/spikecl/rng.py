@@ -26,6 +26,9 @@ power of two are exact), so the integer test draws the same bits.
 Streams are single-owner. Parallel or per-purpose randomness goes through
 ``fork``, which derives an independent child stream from the parent's base
 and a string tag (FNV-1a hashed), without touching the parent's counter.
+``bernoulli_each`` draws from several streams in one block, words
+``bases[:, None] + counters * GAMMA``; each row has the bits its stream's
+own ``bernoulli`` call would draw.
 """
 
 from __future__ import annotations
@@ -101,12 +104,7 @@ class RngStream:
 
     def _raw(self, n: int) -> np.ndarray:
         """Next ``n`` 64-bit outputs as a uint64 array; advances the counter."""
-        start = self._counter + 1
-        words = np.arange(start, start + n, dtype=np.uint64)
-        words *= _U64_GAMMA
-        words += np.uint64(self._base)
-        self._counter += n
-        return _mix_array(words)
+        return _raw_each([self], n)[0]
 
     def uniform(self, shape: tuple[int, ...] | int) -> np.ndarray:
         """Uniform float64 matrix on [0, 1)."""
@@ -139,14 +137,24 @@ class RngStream:
 
     def bernoulli(self, p, shape: tuple[int, ...] | int) -> np.ndarray:
         """0/1 float64 matrix; ``p`` is a scalar or array broadcastable to shape."""
+        return RngStream.bernoulli_each([self], p, shape)[0]
+
+    @staticmethod
+    def bernoulli_each(streams: list["RngStream"], p, shape: tuple[int, ...] | int) -> np.ndarray:
+        """(len(streams), *shape) 0/1 float64 array whose row i is what
+        ``streams[i].bernoulli(p[i], shape)`` draws, in one block; ``p``
+        broadcasts to (len(streams), *shape). Each stream's counter advances
+        by the size of ``shape``."""
         p = np.asarray(p, dtype=np.float64)
         if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ContractViolation(f"bernoulli p outside [0, 1]: {p!r}")
         shape = _as_shape(shape)
-        k = self._raw(math.prod(shape))
+        n = math.prod(shape)
+        # one stream draws through ``_raw``, the name bench/tracer.py times
+        k = streams[0]._raw(n)[None] if len(streams) == 1 else _raw_each(streams, n)
         k >>= np.uint64(11)
         bound = np.ceil(p * 2.0**53).astype(np.uint64)
-        return (k.reshape(shape) < bound).astype(np.float64)
+        return (k.reshape((len(streams),) + shape) < bound).astype(np.float64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of uniforms)."""
@@ -157,6 +165,19 @@ class RngStream:
         if upper <= 0:
             raise ContractViolation("upper must be positive")
         return np.minimum((self.uniform((n,)) * upper).astype(np.int64), upper - 1)
+
+
+def _raw_each(streams: list[RngStream], n: int) -> np.ndarray:
+    """The next ``n`` outputs of each stream, (len(streams), n) uint64:
+    words base + (counter + i) * GAMMA for i = 1..n, mixed in place.
+    Advances every counter by ``n``."""
+    starts = np.array([s._counter + 1 for s in streams], dtype=np.uint64)
+    words = np.add.outer(starts, np.arange(n, dtype=np.uint64))
+    words *= _U64_GAMMA
+    words += np.array([s._base for s in streams], dtype=np.uint64)[:, None]
+    for s in streams:
+        s._counter += n
+    return _mix_array(words)
 
 
 def _as_shape(shape) -> tuple[int, ...]:

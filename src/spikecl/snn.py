@@ -144,6 +144,8 @@ class ForwardTrace:
     (B, T, n) view of the time-major (T, B, n) storage the recurrence ran
     on, in ``forward`` and in the chip's integer pass (``chip.twin_loss``)
     alike; ``u.transpose(1, 0, 2)`` gives that storage back without a copy.
+    Every array has the dtype of the weights that made it: float32 in
+    training (``runner.build_network``), float64 for a float64 network.
     """
 
     spikes: list[np.ndarray]
@@ -167,7 +169,7 @@ def _layer_dynamics(currents: np.ndarray, p: LifParams):
     """
     T, B, n = currents.shape
     s_all = np.empty_like(currents)
-    v = np.zeros((B, n))
+    v = np.zeros((B, n), dtype=currents.dtype)
     for u, s in zip(currents, s_all):
         v *= p.decay
         u += v
@@ -185,7 +187,9 @@ def forward(
     """Simulate a batch over T steps; logits are output spike counts.
 
     ``input_spikes`` is a (B, T, n_in) batch; logits are (B, K). Multi-head
-    networks require ``task``. Read-only on the network.
+    networks require ``task``. Read-only on the network. The pass computes
+    in the dtype of the first weight matrix; the input is cast to it, which
+    is exact for 0/1 spikes.
 
     The recurrence runs on time-major (T, B, n) storage, so every step
     works on contiguous (B, n) slices. Every product still multiplies rows
@@ -195,9 +199,14 @@ def forward(
     a 2-wide head at an odd batch does), so a row's bits can depend on its
     position. In that order a batch simulated in slices gives each sample
     the bits of one pass over the whole batch when a slice's B*T rows fill
-    whole kernel blocks, as the 160 rows of 16 samples at T = 10 do.
+    whole kernel blocks, as the 160 rows of 16 samples at T = 10 do on the
+    784-256-256 split networks, in float32 and float64. On the drift
+    network (64-256-256-8) that holds in float64 only: in float32 the
+    8-wide output layer's potentials of a 200-sample pass differ from its
+    16-sample slices' (OpenBLAS on x86-64), though its spikes and counts
+    match. A call's bits depend only on its inputs and shape.
     """
-    x = np.asarray(input_spikes, dtype=np.float64)
+    x = np.asarray(input_spikes, dtype=net.weights[0].dtype)
     if x.ndim != 3:
         raise ContractViolation(f"input must be a (B, T, n) batch, got {x.shape}")
     if x.shape[2] != net.layer_sizes[0]:
@@ -220,7 +229,7 @@ def forward(
     spikes = [x]
     pre_reset: list[np.ndarray] = []
     for l, w in enumerate(matrices):
-        cur = np.empty((T, B, w.shape[1]))
+        cur = np.empty((T, B, w.shape[1]), dtype=x.dtype)
         cur.transpose(1, 0, 2)[...] = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
         s, u = _layer_dynamics(cur, net.lif[l])
         spikes.append(s)
@@ -233,15 +242,21 @@ def record_firing_rates(trace: ForwardTrace) -> list[np.ndarray]:
     """Per-layer firing rates f_i = spike count / T, (B, n) per layer.
 
     Layer 0 is the input layer, so adjacent entries line up with the weight
-    matrix between them.
+    matrix between them. Rates are float64 whatever the trace's dtype: the
+    count of 0/1 spikes is exact in either width, so a float32 trace gives
+    the bits a float64 trace of the same spikes gives.
     """
     if not trace.spikes or trace.timesteps == 0:
         raise ContractViolation("empty trace")
-    return [s.mean(axis=1) for s in trace.spikes]
+    return [s.mean(axis=1, dtype=np.float64) for s in trace.spikes]
 
 
 def save_network(path, net: SpikingNetwork) -> None:
-    """Write a checkpoint (format: versioned bundle, layout in container.py)."""
+    """Write a checkpoint (format: versioned bundle, layout in container.py).
+
+    Arrays are stored as float64; a float32 network's weights upcast
+    exactly. ``load_network`` returns them as stored.
+    """
     meta = {
         "kind": "network-checkpoint",
         "version": 1,
@@ -250,9 +265,9 @@ def save_network(path, net: SpikingNetwork) -> None:
         "n_heads": 0 if net.heads is None else len(net.heads),
         "head_size": net.head_size,
     }
-    arrays = {f"w{l}": w for l, w in enumerate(net.weights)}
+    arrays = {f"w{l}": w.astype(np.float64) for l, w in enumerate(net.weights)}
     if net.heads is not None:
-        arrays.update({f"head{t}": h for t, h in enumerate(net.heads)})
+        arrays.update({f"head{t}": h.astype(np.float64) for t, h in enumerate(net.heads)})
     write_bundle(path, meta, arrays)
 
 

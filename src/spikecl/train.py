@@ -82,7 +82,9 @@ def backward_layers(
 
     The recurrence steps over contiguous (B, n) slices of time-major
     (T, B, n) storage, like the forward's (see ``snn.forward``); ``du`` is
-    then copied into (b, t) order, in which every product is formed.
+    then copied into (b, t) order, in which every product is formed. The
+    pass computes in the dtype of the trace's potentials, and ``dlogits``
+    is cast to it.
     """
     matrices = list(net.weights)
     names = [f"w{l}" for l in range(len(net.weights))]
@@ -91,7 +93,8 @@ def backward_layers(
         names.append(f"head{trace.task}")
     L = len(matrices)
     B, T, _ = trace.spikes[0].shape
-    d = np.asarray(dlogits, dtype=np.float64)
+    dtype = trace.pre_reset[0].dtype
+    d = np.asarray(dlogits, dtype=dtype)
     if d.shape != (B, net.n_outputs()):
         raise ContractViolation(f"dlogits shape {d.shape} does not match trace")
 
@@ -104,11 +107,11 @@ def backward_layers(
         # first product for every step at once, then add the recurrence.
         sd = np.subtract(u, p.threshold)
         surrogate.pseudo_derivative(sd, out=sd)
-        du = np.multiply(ds, sd, out=np.empty(u.shape))
+        du = np.multiply(ds, sd, out=np.empty(u.shape, dtype=dtype))
         # the reset v = u - threshold*s gives dv_du = 1 - threshold*sd, over sd
         sd *= p.threshold
         dv_du = np.subtract(1.0, sd, out=sd)
-        dv = np.zeros((B, u.shape[2]))
+        dv = np.zeros((B, u.shape[2]), dtype=dtype)
         for t in range(T - 1, -1, -1):
             du_t = du[t]
             dv *= dv_du[t]
@@ -154,8 +157,9 @@ def add_grads(grads: dict[str, np.ndarray], extra: dict[str, np.ndarray] | None)
             grads[name] = g
 
 
-# Rows per in-place optimizer block: a (128, 256) float64 block and its
-# slots stay in L2 while every operation of the update runs over them.
+# Rows per in-place optimizer block: a (128, 256) block of a float32
+# weight (128 KB; 256 KB in float64) and its slots stay in L2 while every
+# operation of the update runs over them.
 _STEP_ROWS = 128
 
 
@@ -163,9 +167,9 @@ _STEP_ROWS = 128
 class OptimizerState:
     """Adam's hyperparameters plus per-parameter moment slots.
 
-    A parameter's slots are created, as float64 zeros of the weight's shape,
-    on the first step that gives it a gradient; later steps update them in
-    place.
+    A parameter's slots are created, as zeros of the weight's shape and
+    dtype (float32 in training), on the first step that gives it a
+    gradient; later steps update them in place.
     """
 
     lr: float = 1e-3
@@ -182,10 +186,11 @@ class OptimizerState:
 def optimizer_step(opt: OptimizerState, net: SpikingNetwork, grads: dict[str, np.ndarray]) -> None:
     """Apply one Adam update in place; parameters without gradients are untouched.
 
-    Weights, slots and the step count change in place. A weight that is not
-    a writeable C-contiguous float64 array is first replaced by a copy that
-    is. Each block of rows goes through the textbook expressions with the
-    same IEEE operations in the same order:
+    Weights, slots and the step count change in place. A float32 weight
+    stays float32 and is updated in float32; any other weight is float64. A
+    weight that is not a writeable C-contiguous array of its width is first
+    replaced by a copy that is. Each block of rows goes through the
+    textbook expressions with the same IEEE operations in the same order:
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         w = w - (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
@@ -195,12 +200,13 @@ def optimizer_step(opt: OptimizerState, net: SpikingNetwork, grads: dict[str, np
         if g.shape != w.shape:
             raise ContractViolation(f"gradient {name} shape {g.shape} != weight {w.shape}")
         require_finite(g, f"gradient {name}")
-        if not (w.dtype == np.float64 and w.flags.c_contiguous and w.flags.writeable):
-            w = np.array(w, dtype=np.float64, order="C")
+        dtype = np.float32 if w.dtype == np.float32 else np.float64
+        if not (w.dtype == dtype and w.flags.c_contiguous and w.flags.writeable):
+            w = np.array(w, dtype=dtype, order="C")
             net.set_param(name, w)
         slot = opt.slots.get(name)
         if slot is None:
-            slot = opt.slots[name] = {"m": np.zeros(w.shape), "v": np.zeros(w.shape), "t": 0}
+            slot = opt.slots[name] = {"m": np.zeros_like(w), "v": np.zeros_like(w), "t": 0}
         slot["t"] += 1
         _adam_rows(opt, w, g, slot["m"], slot["v"], slot["t"])
 
@@ -208,7 +214,7 @@ def optimizer_step(opt: OptimizerState, net: SpikingNetwork, grads: dict[str, np
 def _adam_rows(opt: OptimizerState, w, g, m, v, t: int) -> None:
     c1 = 1.0 - opt.beta1 ** t
     c2 = 1.0 - opt.beta2 ** t
-    num = np.empty((min(_STEP_ROWS, w.shape[0]),) + w.shape[1:])
+    num = np.empty((min(_STEP_ROWS, w.shape[0]),) + w.shape[1:], dtype=w.dtype)
     den = np.empty_like(num)
     for r in range(0, w.shape[0], _STEP_ROWS):
         rows = slice(r, r + _STEP_ROWS)

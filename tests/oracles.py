@@ -30,6 +30,20 @@ SHIPPED_SHAPES = {
 }
 
 
+# The two widths the bit-for-bit oracle tests run a network in: float32,
+# the width ``runner.build_network`` trains in, and float64.
+DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
+def cast_network(net: SpikingNetwork, dtype) -> SpikingNetwork:
+    """``net`` with every weight and head rounded to ``dtype``, in place,
+    as ``runner.build_network`` rounds ``init_network``'s draws."""
+    net.weights = [w.astype(dtype) for w in net.weights]
+    if net.heads is not None:
+        net.heads = [h.astype(dtype) for h in net.heads]
+    return net
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Probability vector (or row-wise for 2-D input), max-subtracted."""
     z = np.asarray(logits, dtype=np.float64)
@@ -84,16 +98,19 @@ def lif_step(state: np.ndarray, input_current: np.ndarray, p: LifParams, surroga
     """One LIF update: leak, integrate, threshold, subtractive reset.
 
     Returns ``(new_state, spikes, pre_reset)``. Spikes are 0/1 floats, or the
-    surrogate's relaxed activation when ``surrogate`` is given.
+    surrogate's relaxed activation when ``surrogate`` is given. Everything
+    is computed in float32 for a float32 input current, else in float64.
     """
-    state = np.asarray(state, dtype=np.float64)
-    input_current = np.asarray(input_current, dtype=np.float64)
+    input_current = np.asarray(input_current)
+    dtype = np.float32 if input_current.dtype == np.float32 else np.float64
+    input_current = input_current.astype(dtype, copy=False)
+    state = np.asarray(state, dtype=dtype)
     if state.shape != input_current.shape:
         raise ContractViolation("state and input current shapes differ")
     require_finite(input_current, "input current")
     u = p.decay * state + input_current
     if surrogate is None:
-        spikes = (u >= p.threshold).astype(np.float64)
+        spikes = (u >= p.threshold).astype(dtype)
     else:
         spikes = relaxed_activation(surrogate, u - p.threshold)
     return u - p.threshold * spikes, spikes, u
@@ -104,16 +121,16 @@ def relaxed_forward(net, input_spikes, surrogate, task=None):
     threshold: a differentiable network, whose exact gradient BPTT gives.
 
     Each layer's currents are multiplied in (b, t) row order, as in
-    ``forward``, and ``lif_step`` is stepped over t. Returns
-    ``(trace, logits)``.
+    ``forward``, and ``lif_step`` is stepped over t, in the dtype of the
+    first weight matrix. Returns ``(trace, logits)``.
     """
-    x = np.asarray(input_spikes, dtype=np.float64)
+    x = np.asarray(input_spikes, dtype=net.weights[0].dtype)
     B, T, _ = x.shape
     matrices = list(net.weights) + ([net.heads[task]] if net.multi_head else [])
     spikes, pre_reset = [x], []
     for l, w in enumerate(matrices):
         cur = (spikes[-1].reshape(B * T, -1) @ w).reshape(B, T, -1)
-        v = np.zeros((B, w.shape[1]))
+        v = np.zeros((B, w.shape[1]), dtype=x.dtype)
         s, u = np.empty_like(cur), np.empty_like(cur)
         for t in range(T):
             v, s[:, t], u[:, t] = lif_step(v, cur[:, t], net.lif[l], surrogate)
@@ -130,7 +147,8 @@ def backward(net, trace, logits, labels, surrogate) -> dict[str, np.ndarray]:
 
 def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
     """Surrogate BPTT with one freshly allocated array per expression, as
-    ``train.backward_dlogits`` computed it before it worked in place."""
+    ``train.backward_dlogits`` computed it before it worked in place, in
+    the dtype of the trace's potentials."""
     matrices = list(net.weights)
     names = [f"w{l}" for l in range(len(net.weights))]
     if net.multi_head:
@@ -138,7 +156,8 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
         names.append(f"head{trace.task}")
     L = len(matrices)
     B, T, _ = trace.spikes[0].shape
-    d = np.atleast_2d(np.asarray(dlogits, dtype=np.float64))
+    dtype = trace.pre_reset[0].dtype
+    d = np.atleast_2d(np.asarray(dlogits, dtype=dtype))
     grads, ds_next = {}, None
     for l in range(L - 1, -1, -1):
         p = net.lif[l]
@@ -149,7 +168,7 @@ def bptt_oracle(net, trace, dlogits, surrogate) -> dict[str, np.ndarray]:
         dv_du = 1.0 - p.threshold * sd
         ds = np.broadcast_to(d[:, None, :], s.shape) if l == L - 1 else ds_next
         du = np.empty_like(u)
-        dv = np.zeros((B, u.shape[2]))
+        dv = np.zeros((B, u.shape[2]), dtype=dtype)
         for t in range(T - 1, -1, -1):
             du_t = ds[:, t, :] * sd[:, t, :] + dv * dv_du[:, t, :]
             du[:, t, :] = du_t

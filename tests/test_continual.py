@@ -19,8 +19,10 @@ from spikecl.continual import (
     si_update_omega,
 )
 from spikecl.container import read_bundle
+from spikecl.data import DriftSpec, encode_batch
 from spikecl.errors import ConfigurationError, ContractViolation
 from spikecl.rng import RngStream
+from spikecl.runner import RunConfig, _make_sample_provider, build_stream
 from spikecl.snn import LifParams, forward, init_network
 from spikecl.train import OptimizerState, SurrogateSpec, optimizer_step
 
@@ -332,6 +334,31 @@ class TestBatchedFisher:
         net, _, _ = _fisher_case("single-head", 1)
         with pytest.raises(ContractViolation):
             ewc_fisher(net, iter(()), SurrogateSpec())
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        dict(scenario="synthetic-drift", drift=DriftSpec(days=2, train_per_day=208, test_per_day=8)),
+        dict(scenario="split-mnist", split_pairs=[[0, 1], [2, 3]], corpus_train_per_class=104,
+             corpus_test_per_class=2),
+    ],
+    ids=["drift", "split"],
+)
+def test_sample_provider_has_the_bytes_of_per_sample_encoding(scenario):
+    # the provider encodes 16 samples per call; sample i of task k still
+    # has the bytes of its own encode_batch call on fork fisher/task{k}/s{i}
+    config = RunConfig(**scenario)
+    stream = build_stream(config)
+    run_rng = RngStream(7)
+    for k, task in enumerate(stream.tasks):
+        got = list(_make_sample_provider(task, config, run_rng, k)(200))
+        assert len(got) == 200 < len(task.train_y)
+        fork = run_rng.fork(f"fisher/task{k}")
+        for i, (x, y) in enumerate(got):
+            want = encode_batch(task.train_x[i : i + 1], config.encoder, fork.fork(f"s{i}"))
+            assert x.tobytes() == want[0].tobytes()
+            assert y == int(task.train_y[i])
 
 
 class TestRegularizerPenalty:

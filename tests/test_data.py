@@ -551,6 +551,17 @@ class TestEncode:
         assert enc.tobytes() == ref.bernoulli(np.ascontiguousarray(p), (3, 6, 5)).tobytes()
         assert stream._counter == ref._counter == 3 * 6 * 5
 
+    def test_one_stream_per_row_gives_each_row_the_bytes_of_its_own_call(self):
+        spec = EncoderSpec(timesteps=6, max_rate=0.8)
+        x = (RngStream(8).uniform((4, 5)) * 255).astype(np.uint8)
+        forks = [RngStream(2).fork(f"s{i}") for i in range(4)]
+        enc = encode_batch(x, spec, forks)
+        for i in range(4):
+            want = encode_batch(x[i : i + 1], spec, RngStream(2).fork(f"s{i}"))
+            assert enc[i].tobytes() == want[0].tobytes()
+        with pytest.raises(ContractViolation, match="streams"):
+            encode_batch(x, spec, forks[:3])
+
     @settings(max_examples=80, deadline=None)
     @given(
         codes=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)),

@@ -105,3 +105,15 @@ def test_split_evaluation_allocates_under_8_mb_above_entry(chip):
     assert build_stream(config).tasks[0].test_x.shape == (500, 784)
     used = evaluation_peak_above_entry(config)
     assert used < 8 * 2**20, f"{used / 2**20:.1f} MB above entry"
+
+
+def test_split_chip_evaluation_allocates_under_5_mb_above_entry():
+    # The chip case of the test above. Evaluation quantizes with
+    # ``quantize_codes`` and keeps only the exact float codes, with no int64
+    # image; it peaked at 4.3 MB when the bound was set.
+    config = RunConfig(
+        split_pairs=[[0, 1]], corpus_train_per_class=4, corpus_test_per_class=250, chip=True
+    )
+    assert build_stream(config).tasks[0].test_x.shape == (500, 784)
+    used = evaluation_peak_above_entry(config)
+    assert used < 5 * 2**20, f"{used / 2**20:.1f} MB above entry"

@@ -11,7 +11,10 @@ chip digests were recorded again when the chip's loss term moved from a
 float twin of the quantized network to the chip's own integer pass, whose
 leak floors. The drift-si-chip case set spike dropout (0.1) until that
 option was removed; its digest was recorded again without it, on the code
-before the removal, so the removal itself is checked to keep its bits. Each
+before the removal, so the removal itself is checked to keep its bits.
+Every digest was recorded again when training moved from float64 to
+float32; split-chip-alpha0's rows came out the same, the other four
+changed. Each
 run is a child process with one BLAS thread, since the float matmuls sum in
 an order that depends on the thread count. Pinned on x86-64 with numpy 2.4:
 the corpus renderer's np.sin/np.cos and the BLAS kernels may differ in the
@@ -75,11 +78,11 @@ CASES = {
 }
 
 DIGESTS = {
-    "split-hwc-hard": "1a13308fbf6867b0b27476caa989945699fc5d3b6f9efb7580a0108cdb629c22",
-    "split-ewc": "5ae835ebb8f80a714cf8b449ed03416ec3881e78b8bd2af2ede28aff60bcf81f",
+    "split-hwc-hard": "437493b66d65fdbc33e3123b4a21f907ec0fc312f9d2a088523b03520de8a1ff",
+    "split-ewc": "6550a9d5d4e2c2a1824e27a8203d585e3b3c1082a24640a1078a61214e5a2b0a",
     "split-chip-alpha0": "c04526664e6e81492de08cf2cbac7fd23b08ea1323641c3dd7febb9743473e6a",
-    "drift-ewc": "20a360a6ae90d8c1407148ba58c876cfc4a3ab6a9df541c823c5e1d3d71f0019",
-    "drift-si-chip": "03c06df862cd58486a035205b40d93486111225cc66b7ffab1ec1b7312880957",
+    "drift-ewc": "7dc639b26d7e2a5689d6f8ad82b39d9a151e527aa962186fba960b8acdfe0fe4",
+    "drift-si-chip": "ef759b30cee18cd1479e3e0193bf6f25253cbc67722e159af7f75ff3cd3053e1",
 }
 
 TESTS = os.path.dirname(os.path.abspath(__file__))

@@ -165,3 +165,25 @@ def test_bernoulli_rejects_nan():
         RngStream(3).bernoulli(float("nan"), (3,))
     with pytest.raises(ContractViolation):
         RngStream(3).bernoulli(np.array([0.5, np.nan]), (4, 2))
+
+
+def test_bernoulli_each_rows_have_the_bits_of_each_streams_own_draw():
+    # forks at counter 0 plus streams that have drawn before, whose blocks
+    # start at their own counters; p per row and broadcast over the rows
+    shape = (6, 11)
+    parent = RngStream(17)
+    streams = [parent.fork(f"s{i}") for i in range(5)]
+    streams[1].uniform((3,))
+    streams[4].bernoulli(0.5, (7,))
+    refs = [parent.fork(f"s{i}") for i in range(5)]
+    refs[1].uniform((3,))
+    refs[4].bernoulli(0.5, (7,))
+    p = RngStream(3).uniform((5, 1, 11))
+    got = RngStream.bernoulli_each(streams, p, shape)
+    assert got.shape == (5,) + shape
+    for i, ref in enumerate(refs):
+        assert got[i].tobytes() == ref.bernoulli(p[i], shape).tobytes()
+        assert streams[i]._counter == ref._counter
+    again = RngStream.bernoulli_each(streams, 0.3, shape)
+    for i, ref in enumerate(refs):
+        assert again[i].tobytes() == ref.bernoulli(0.3, shape).tobytes()

@@ -17,7 +17,7 @@ from spikecl.snn import (
     save_network,
 )
 
-from oracles import SHIPPED_SHAPES, lif_step
+from oracles import DTYPES, SHIPPED_SHAPES, cast_network, lif_step
 
 
 class TestLifStep:
@@ -87,57 +87,73 @@ _LIF_CASES = {
 # The forward-vs-oracle and slicing tests also run a second input rate: a
 # dense one at the small widths, where most units fire on most steps, and a
 # sparse one at the shipped widths, where many units stay below threshold.
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("rate", [0.4, 0.8], ids=["rate0.4", "rate0.8"])
-def test_forward_matches_stepped_lif_oracle_bit_for_bit(lif, rate):
+def test_forward_matches_stepped_lif_oracle_bit_for_bit(lif, rate, dtype):
     """``forward`` builds the recurrence in place; stepping the single-step
     oracle over T on the same currents gives the same bytes."""
-    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, rate, _LIF_CASES[lif])
+    _check_forward_against_stepped_oracle([12, 9, 7], 3, 5, 8, rate, _LIF_CASES[lif], dtype)
 
 
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("rate", [0.2, 0.05], ids=["rate0.2", "rate0.05"])
 @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, lif, rate):
+def test_forward_matches_stepped_lif_oracle_at_shipped_widths(shape, lif, rate, dtype):
     sizes, head_size, batch = SHIPPED_SHAPES[shape]
-    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, rate, _LIF_CASES[lif])
+    _check_forward_against_stepped_oracle(sizes, head_size, batch, 10, rate, _LIF_CASES[lif], dtype)
 
 
-def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif):
+def _check_forward_against_stepped_oracle(sizes, head_size, B, T, rate, lif, dtype):
     """The oracle multiplies in (b, t) row order and steps ``lif_step``
     over t; ``forward``'s spikes, pre-reset potentials and logits must have
-    its bytes."""
+    its bytes, in the network's dtype."""
     rng = RngStream(11)
     lif = LifParams(*lif)
     n_heads = None if head_size is None else 2
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
+    cast_network(net, DTYPES[dtype])
     task = None if head_size is None else 1
     x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
     trace, logits = forward(net, x, task=task)
     matrices = net.weights + ([] if task is None else [net.heads[task]])
-    prev = x
+    prev = x.astype(DTYPES[dtype])
     for l, w in enumerate(matrices):
         cur = (prev.reshape(B * T, -1) @ w).reshape(B, T, -1)
-        v = np.zeros((B, w.shape[1]))
+        v = np.zeros((B, w.shape[1]), dtype=w.dtype)
         spikes, pre_reset = np.empty_like(cur), np.empty_like(cur)
         for t in range(T):
             v, spikes[:, t], pre_reset[:, t] = lif_step(v, cur[:, t], net.lif[l])
+        assert spikes.dtype == trace.spikes[l + 1].dtype == DTYPES[dtype]
         assert spikes.tobytes() == trace.spikes[l + 1].tobytes()
         assert pre_reset.tobytes() == trace.pre_reset[l].tobytes()
         prev = spikes
     assert logits.tobytes() == prev.sum(axis=1).tobytes()
 
 
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
 @pytest.mark.parametrize("rate", [0.2, 0.05], ids=["rate0.2", "rate0.05"])
 @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_forward_in_slices_has_the_bytes_of_one_pass(shape, rate):
+def test_forward_in_slices_has_the_bytes_of_one_pass(shape, rate, dtype, request):
     """A 16-sample slice is 160 rows, whole BLAS kernel blocks, so
     simulating a batch in 16-sample slices (as evaluation does) gives every
-    sample the bytes of one pass over the whole batch."""
+    sample the bytes of one pass over the whole batch.
+
+    In float32 this holds at the three 784-wide shapes only. On the drift
+    network, the 8-wide output layer's potentials of a 200-sample pass
+    differ from those of its 16-sample slices (OpenBLAS 0.3.31 on x86-64,
+    at one and two threads); the spikes and logits still match.
+    """
+    if dtype == "float32" and shape == "64-256-256-8-B200":
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="float32 output potentials of one pass differ from its slices"
+        ))
     sizes, head_size, B = SHIPPED_SHAPES[shape]
     rng = RngStream(5)
     n_heads = None if head_size is None else 2
     net = init_network(sizes, rng.fork("net"), n_heads=n_heads, head_size=head_size)
+    cast_network(net, DTYPES[dtype])
     task = None if head_size is None else 0
     x = rng.fork("x").bernoulli(rate, (B, 10, sizes[0]))
     whole, logits = forward(net, x, task=task)

@@ -17,9 +17,11 @@ from spikecl.train import (
 )
 
 from oracles import (
+    DTYPES,
     SHIPPED_SHAPES,
     backward,
     bptt_oracle,
+    cast_network,
     composite_loss,
     relaxed_activation,
     relaxed_forward,
@@ -172,34 +174,38 @@ class TestBackward:
 _LIF_CASES = {"decay0.85-thr0.9": (0.85, 0.9), "decay1-thr1.7": (1.0, 1.7)}
 
 
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("width", [0.6, 5.0], ids=["width0.6", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("rate", [0.4, 0.8], ids=["rate0.4", "rate0.8"])
 @pytest.mark.parametrize("heads", [False, True], ids=["single-head", "multi-head"])
-def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(lif, width, mode, rate, heads):
+def test_in_place_bptt_matches_allocating_oracle_bit_for_bit(lif, width, mode, rate, heads, dtype):
     sizes, head_size = ([14, 11, 9], 4) if heads else ([14, 11, 9, 4], None)
-    _check_bptt_against_oracle(sizes, head_size, 6, 7, rate, width, _LIF_CASES[lif], mode)
+    _check_bptt_against_oracle(sizes, head_size, 6, 7, rate, width, _LIF_CASES[lif], mode, dtype)
 
 
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
 @pytest.mark.parametrize("lif", sorted(_LIF_CASES))
 @pytest.mark.parametrize("width", [2.0, 5.0], ids=["width2", "width5"])
 @pytest.mark.parametrize("mode", ["spike", "relaxed"])
 @pytest.mark.parametrize("rate", [0.2, 0.05], ids=["rate0.2", "rate0.05"])
 @pytest.mark.parametrize("net_shape", sorted(SHIPPED_SHAPES))
-def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, lif, width, mode, rate):
+def test_in_place_bptt_matches_allocating_oracle_at_shipped_widths(net_shape, lif, width, mode, rate, dtype):
     sizes, head_size, batch = SHIPPED_SHAPES[net_shape]
-    _check_bptt_against_oracle(sizes, head_size, batch, 10, rate, width, _LIF_CASES[lif], mode)
+    _check_bptt_against_oracle(sizes, head_size, batch, 10, rate, width, _LIF_CASES[lif], mode, dtype)
 
 
-def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode):
+def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode, dtype):
     """``backward_dlogits`` works in place on time-major storage; the
-    oracle allocates per expression on (B, T, n) arrays. Same bytes. The
-    relaxed mode takes its trace from ``oracles.relaxed_forward``."""
+    oracle allocates per expression on (B, T, n) arrays. Same bytes, in the
+    network's dtype. The relaxed mode takes its trace from
+    ``oracles.relaxed_forward``."""
     rng = RngStream(23)
     lif = LifParams(*lif)
     n_heads = None if head_size is None else 3
     net = init_network(sizes, rng.fork("net"), lif=lif, n_heads=n_heads, head_size=head_size)
+    cast_network(net, DTYPES[dtype])
     sur = SurrogateSpec(width)
     x = rng.fork("x").bernoulli(rate, (B, T, sizes[0]))
     task = None if head_size is None else 2
@@ -212,6 +218,7 @@ def _check_bptt_against_oracle(sizes, head_size, B, T, rate, width, lif, mode):
     want = bptt_oracle(net, trace, dlogits, sur)
     assert set(grads) == set(want)
     for name in want:
+        assert grads[name].dtype == want[name].dtype == DTYPES[dtype], name
         assert grads[name].tobytes() == want[name].tobytes(), name
 
 
@@ -274,15 +281,16 @@ def _assert_same_state(opt, net, ref_opt, ref_net):
 class TestInPlaceOptimizer:
     """The blocked in-place step is bit-identical to the out-of-place oracle."""
 
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
     @pytest.mark.parametrize("shape", [(784, 256), (300, 7), (1, 1)])
-    def test_fifty_steps_match_oracle(self, shape):
+    def test_fifty_steps_match_oracle(self, shape, dtype):
         rng = RngStream(11).fork(f"adam/{shape}")
-        w = rng.fork("w").normal(shape)
+        w = rng.fork("w").normal(shape).astype(DTYPES[dtype])
         net, ref_net = _one_layer(w.copy()), _one_layer(w.copy())
         opt, ref_opt = OptimizerState(lr=0.01), OptimizerState(lr=0.01)
         for step in range(50):
             draw = rng.fork(f"g{step}")
-            g = draw.normal(shape) * 10.0 ** (4 * draw.uniform(()) - 3)
+            g = (draw.normal(shape) * 10.0 ** (4 * draw.uniform(()) - 3)).astype(w.dtype)
             g[draw.uniform((shape[0],)) < 0.3] = 0.0  # rows without gradient
             optimizer_step(opt, net, {"w0": g})
             _optimizer_step_oracle(ref_opt, ref_net, {"w0": g})
@@ -302,13 +310,18 @@ class TestInPlaceOptimizer:
         net, ref_net = _one_layer(w), _one_layer(original.copy())
         opt, ref_opt = OptimizerState(lr=0.01), OptimizerState(lr=0.01)
         for step in range(3):
-            g = rng.fork(f"g{step}").normal((130, 5))
+            g = rng.fork(f"g{step}").normal((130, 5)).astype(original.dtype)
             optimizer_step(opt, net, {"w0": g})
             _optimizer_step_oracle(ref_opt, ref_net, {"w0": g})
-        assert net.weights[0].dtype == np.float64
+        # a float32 weight stays float32; the others are float64 copies
+        assert net.weights[0].dtype == original.dtype
+        assert opt.slots["w0"]["m"].dtype == opt.slots["w0"]["v"].dtype == original.dtype
         assert net.weights[0].flags.c_contiguous and net.weights[0].flags.writeable
         _assert_same_state(opt, net, ref_opt, ref_net)
-        assert np.array_equal(w, original)  # the caller's array is left alone
+        if layout == "float32":  # a writeable C-contiguous float32 weight is updated in place
+            assert net.weights[0] is w
+        else:
+            assert np.array_equal(w, original)  # the caller's array is left alone
 
     def test_slots_created_once_and_updated_in_place(self):
         net = _one_layer(RngStream(4).normal((3, 2)))

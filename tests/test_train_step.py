@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spikecl.chip as chip_mod
+import spikecl.runner as runner_mod
 from spikecl.chip import QuantSpec, chip_twin_counts, quantize_network
 from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
 from spikecl.data import DriftSpec
@@ -193,3 +194,68 @@ def test_joint_phase_of_a_chip_run_trains_without_the_chip_term(tmp_path):
         return (out / "checkpoint_seed1.bin").read_bytes()
 
     assert checkpoint(True) == checkpoint(False)
+
+
+_F32_SPLIT = dict(
+    scenario="split-mnist", hidden=[24, 16], split_pairs=[[0, 1], [2, 3]],
+    corpus_train_per_class=16, corpus_test_per_class=4, epochs_per_task=1,
+)
+_F32_DRIFT = dict(
+    scenario="synthetic-drift", hidden=[24, 16], epochs_per_task=1,
+    drift=DriftSpec(days=2, train_per_day=32, test_per_day=8),
+)
+_F32_CASES = {
+    "split-hwc-hard-chip": dict(
+        _F32_SPLIT, strategy=StrategyConfig("hwc-hard"), chip=True, loss=LossSpec(mu=1.0)
+    ),
+    "split-ewc": dict(_F32_SPLIT, strategy=StrategyConfig("ewc", ewc_fisher_samples=20)),
+    "split-joint": dict(_F32_SPLIT, strategy=StrategyConfig("joint")),
+    "drift-si-chip": dict(
+        _F32_DRIFT, strategy=StrategyConfig("si"), chip=True, loss=LossSpec(lam=0.6, mu=0.4)
+    ),
+    "drift-ewc": dict(_F32_DRIFT, strategy=StrategyConfig("ewc", ewc_fisher_samples=20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_F32_CASES))
+def test_training_keeps_every_array_float32(case, monkeypatch):
+    # a build_network net trains in float32 throughout: one silent float64
+    # promotion anywhere in the step would double that array's work
+    arrays = []
+
+    def spy_step(opt, net, grads):
+        optimizer_step(opt, net, grads)
+        arrays.extend(("gradient " + k, g) for k, g in grads.items())
+        for k, slot in opt.slots.items():
+            arrays.extend((f"adam {key} {k}", slot[key]) for key in ("m", "v"))
+        arrays.extend((k, net.get_param(k)) for k in param_names(net))
+
+    def spy_backward(module):
+        real = module.backward_dlogits
+
+        def spy(net, trace, dlogits, surrogate):
+            arrays.extend((f"{module.__name__} trace", a) for a in trace.spikes + trace.pre_reset)
+            return real(net, trace, dlogits, surrogate)
+
+        monkeypatch.setattr(module, "backward_dlogits", spy)
+
+    strategies = []
+
+    def spy_apply(*args):
+        strategies.append(real_apply(*args))
+        return strategies[-1]
+
+    real_apply = runner_mod.apply_strategy
+    monkeypatch.setattr(runner_mod, "optimizer_step", spy_step)
+    monkeypatch.setattr(runner_mod, "apply_strategy", spy_apply)
+    spy_backward(runner_mod)
+    spy_backward(chip_mod)
+    run_seed(RunConfig(**_F32_CASES[case]), 2)
+    (strategy,) = strategies
+    for store in ("fisher_sum", "anchor", "omega"):
+        arrays.extend((f"{store} {k}", a) for k, a in getattr(strategy, store, {}).items())
+    assert any("trace" in name for name, _ in arrays) and any("adam" in name for name, _ in arrays)
+    if case.endswith("chip"):
+        assert any(name.startswith("spikecl.chip") for name, _ in arrays)
+    promoted = sorted({name for name, a in arrays if a.dtype != np.float32})
+    assert not promoted

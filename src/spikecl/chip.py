@@ -464,19 +464,28 @@ def twin_loss(
     made. The trace's potentials are (B, T, n) views of time-major
     storage, as ``snn.ForwardTrace`` documents. BPTT reads the weights of
     layers 1 and up only, to carry the gradient down a layer, so only those
-    codes are scaled, in place, and the first layer's place holds NaNs.
-    The trace, the scaled codes and the gradients have the dtype of the
-    network's weights, as in ``snn.forward``.
+    codes are scaled, and the first layer's place holds NaNs. The float64
+    codes go before the pass, as soon as the pass's exact float weights and
+    BPTT's scaled matrices exist (a layer whose weights are its float64
+    codes keeps them); the weights go after the pass. The trace, the scaled
+    matrices and the gradients have the dtype of the network's weights, as
+    in ``snn.forward``; a batch of that dtype (``data.encode_batch``'s
+    float32 in training) is used as it is, not copied.
     """
     mu = loss_spec.mu
     if mu == 0.0:
         return 0.0, {}
     dtype = net.weights[0].dtype
     image = quantize_codes(net, quant_spec, task)
-    weights = [_exact_float(l, q, quant_spec.qmax) for l, q in enumerate(image.quantized)]
-    # the pass reads ``weights``; BPTT reads only the later layers' codes
-    first, later = image.quantized[0].shape, image.quantized[1:]
-    image.quantized = []
+    codes, image.quantized = image.quantized, []  # the pass reads only ``weights``
+    weights = [_exact_float(l, q, quant_spec.qmax) for l, q in enumerate(codes)]
+    # q * scale has the bits of q.astype(float64) * scale; it scales in
+    # place unless the pass multiplies by the codes themselves
+    matrices = [np.broadcast_to(np.nan, codes[0].shape)] + [
+        np.multiply(q, scale, out=None if q is w else q).astype(dtype, copy=False)
+        for q, w, scale in zip(codes[1:], weights[1:], image.scales[1:])
+    ]
+    del codes
     x = np.asarray(x_enc, dtype=dtype)
     spikes, pre_reset = [x], []
     for (s, u), scale in zip(_integer_layers(image, x, weights), image.scales):
@@ -484,10 +493,6 @@ def twin_loss(
         pre_reset.append(np.multiply(u.transpose(1, 0, 2), scale, dtype=dtype).transpose(1, 0, 2))
     del weights
     ce, probs = softmax_cross_entropy_batch(spikes[-1].sum(axis=1), labels)
-    matrices = [np.broadcast_to(np.nan, first)]
-    for q, scale in zip(later, image.scales[1:]):
-        q *= scale  # the same bits as q.astype(float64) * scale
-        matrices.append(q.astype(dtype, copy=False))
     decay = 1.0 - 2.0 ** -image.leak_shift
     lifs = [LifParams(decay, float(t) * scale) for t, scale in zip(image.thresholds, image.scales)]
     twin = SpikingNetwork(list(image.layer_sizes), matrices, lifs)

@@ -317,18 +317,17 @@ class Strategy:
 
     pooled = False
 
-    def __init__(self, cfg: StrategyConfig, scenario: str, seed: int, surrogate: SurrogateSpec):
+    def __init__(self, cfg: StrategyConfig, surrogate: SurrogateSpec):
         self.cfg = cfg
-        self.scenario = scenario
-        self.seed = seed
         self.surrogate = surrogate
 
     # -- the four loop hooks -------------------------------------------------
     def before_task(self, ctx: TaskContext, net: SpikingNetwork) -> None:
         pass
 
-    def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
-        """Extra loss term and its gradients, or (0.0, None)."""
+    def batch_loss(self, ctx, net, trace):
+        """Extra loss term and its gradients, or (0.0, None). ``trace`` is
+        the batch's float forward, or None for a pooled batch."""
         return 0.0, None
 
     def grad_transform(self, ctx, net, grads):
@@ -353,8 +352,8 @@ class JointStrategy(Strategy):
 class HwcStrategy(Strategy):
     """Coincidence-gated plasticity in soft or hard masking mode."""
 
-    def __init__(self, cfg, scenario, seed, surrogate):
-        super().__init__(cfg, scenario, seed, surrogate)
+    def __init__(self, cfg, surrogate):
+        super().__init__(cfg, surrogate)
         self.mode = "hard" if cfg.name == "hwc-hard" else "soft"
         self.store = HebbianStore()
         self.mask: PotentialMask | None = None
@@ -381,7 +380,7 @@ class HwcStrategy(Strategy):
             for name in self.consolidated_names(net)
         }
 
-    def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
+    def batch_loss(self, ctx, net, trace):
         if self._acc and ctx.is_final_epoch:
             rates = record_firing_rates(trace)
             for name, acc in self._acc.items():
@@ -411,13 +410,13 @@ class EwcStrategy(Strategy):
     re-association (bit-equal after one task), not gamma-decayed online EWC.
     """
 
-    def __init__(self, cfg, scenario, seed, surrogate):
-        super().__init__(cfg, scenario, seed, surrogate)
+    def __init__(self, cfg, surrogate):
+        super().__init__(cfg, surrogate)
         self.fisher_sum: dict[str, np.ndarray] = {}  # S
         self.anchor: dict[str, np.ndarray] = {}  # abar
         self.residual = 0.0  # R
 
-    def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
+    def batch_loss(self, ctx, net, trace):
         if not self.fisher_sum:
             return 0.0, None
         loss, grads = regularizer_penalty(self.fisher_sum, self.anchor, net, self.cfg.ewc_strength)
@@ -452,8 +451,8 @@ class EwcStrategy(Strategy):
 
 
 class SiStrategy(Strategy):
-    def __init__(self, cfg, scenario, seed, surrogate):
-        super().__init__(cfg, scenario, seed, surrogate)
+    def __init__(self, cfg, surrogate):
+        super().__init__(cfg, surrogate)
         self.omega: dict[str, np.ndarray] = {}
         self.anchor: dict[str, np.ndarray] = {}
         self._w_acc: dict[str, np.ndarray] = {}
@@ -466,7 +465,7 @@ class SiStrategy(Strategy):
         self._w_acc = {k: np.zeros_like(net.get_param(k)) for k in names}
         self._pending = None
 
-    def batch_loss(self, ctx, net, x_enc, labels, trace, logits):
+    def batch_loss(self, ctx, net, trace):
         if not self.omega:
             return 0.0, None
         return regularizer_penalty(self.omega, self.anchor, net, self.cfg.si_strength)
@@ -523,8 +522,9 @@ def apply_strategy(
     seed: int,
     surrogate: SurrogateSpec,
 ) -> Strategy:
-    """Instantiate the hook bundle for a named strategy."""
+    """Instantiate the hook bundle for a named strategy. No strategy reads
+    ``scenario`` or ``seed``; the parameters stay while callers pass them."""
     cls = _STRATEGY_CLASSES.get(cfg.name)
     if cls is None:
         raise ConfigurationError(f"unknown strategy {cfg.name!r}")
-    return cls(cfg, scenario, seed, surrogate)
+    return cls(cfg, surrogate)

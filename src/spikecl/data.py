@@ -409,6 +409,10 @@ class DriftSpec:
             raise ConfigurationError("drift days, classes, features and per-day sizes must be >= 1")
         if self.planes is not None and not 0 <= self.planes <= self.features // 2:
             raise ConfigurationError(f"drift planes {self.planes} outside [0, features // 2]")
+        if not all(map(math.isfinite, (self.theta_deg, self.noise, self.proto_low, self.proto_spread))):
+            raise ConfigurationError("drift theta_deg, noise, proto_low and proto_spread must be finite")
+        if not (self.noise >= 0.0 and 0.0 <= self.p_drop <= 1.0):
+            raise ConfigurationError(f"drift noise {self.noise} < 0 or p_drop {self.p_drop} outside [0, 1]")
 
 
 def _day_rotation(features: int, planes: int, theta: float, rng: RngStream) -> np.ndarray:
@@ -504,6 +508,10 @@ def encode_batch(
     """Poisson-rate spike trains (B, T, n) for a batch, one contiguous draw
     block: each step spikes with probability feature * ``spec.max_rate``.
 
+    The trains are float32 0/1, the width training runs in, so the forward,
+    the chip's twin and evaluation use the batch as it is; they hold the
+    bits ``RngStream.bernoulli`` draws as float64 on the same stream.
+
     ``rng`` is one stream for the whole batch, or one stream per row; then
     row i has the bytes ``encode_batch(features[i:i+1], spec, rng[i])``
     gives (``RngStream.bernoulli_each``).
@@ -524,7 +532,7 @@ def encode_batch(
     # (B, 1, n) broadcasts over the T steps, so bernoulli checks B*n values
     p = (f * spec.max_rate)[:, None, :]
     if isinstance(rng, RngStream):
-        return rng.bernoulli(p, (B, spec.timesteps, n))
+        return rng.bernoulli(p, (B, spec.timesteps, n), np.float32)
     if len(rng) != B:
         raise ContractViolation(f"{len(rng)} streams for {B} rows")
-    return RngStream.bernoulli_each(rng, p, (spec.timesteps, n))
+    return RngStream.bernoulli_each(rng, p, (spec.timesteps, n), np.float32)

@@ -135,13 +135,16 @@ class RngStream:
         out[1::2] = r * np.sin(2.0 * math.pi * u2)
         return out[:n].reshape(shape)
 
-    def bernoulli(self, p, shape: tuple[int, ...] | int) -> np.ndarray:
-        """0/1 float64 matrix; ``p`` is a scalar or array broadcastable to shape."""
-        return RngStream.bernoulli_each([self], p, shape)[0]
+    def bernoulli(self, p, shape: tuple[int, ...] | int, dtype=np.float64) -> np.ndarray:
+        """0/1 matrix of ``dtype``; ``p`` is a scalar or array broadcastable
+        to shape. The drawn bits do not depend on ``dtype``."""
+        return RngStream.bernoulli_each([self], p, shape, dtype)[0]
 
     @staticmethod
-    def bernoulli_each(streams: list["RngStream"], p, shape: tuple[int, ...] | int) -> np.ndarray:
-        """(len(streams), *shape) 0/1 float64 array whose row i is what
+    def bernoulli_each(
+        streams: list["RngStream"], p, shape: tuple[int, ...] | int, dtype=np.float64
+    ) -> np.ndarray:
+        """(len(streams), *shape) 0/1 array of ``dtype`` whose row i is what
         ``streams[i].bernoulli(p[i], shape)`` draws, in one block; ``p``
         broadcasts to (len(streams), *shape). Each stream's counter advances
         by the size of ``shape``."""
@@ -154,7 +157,7 @@ class RngStream:
         k = streams[0]._raw(n)[None] if len(streams) == 1 else _raw_each(streams, n)
         k >>= np.uint64(11)
         bound = np.ceil(p * 2.0**53).astype(np.uint64)
-        return (k.reshape((len(streams),) + shape) < bound).astype(np.float64)
+        return (k.reshape((len(streams),) + shape) < bound).astype(dtype)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (argsort of uniforms)."""

@@ -340,10 +340,13 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext) 
     ``(x_enc, labels, tasks)``, a pooled multi-head batch with one task id
     per sample. One loop runs a forward and backward of the whole network
     per head, weighted by its share of the batch (1 when unpooled). The
-    cross-entropy gradient is scaled by ``loss.lam``. With
-    ``state.quant_spec`` set, the chip's term (``chip.twin_loss``) is added,
-    then the strategy's ``batch_loss`` (which sees no trace or logits for a
-    pooled batch), and ``grad_transform`` shapes the step.
+    cross-entropy gradient is scaled by ``loss.lam``.
+
+    Hooks run in this order: after the float backward, the strategy's
+    ``batch_loss``, the float trace's last reader (it sees no trace for a
+    pooled batch); then the trace is dropped, and with ``state.quant_spec``
+    set the chip's term (``chip.twin_loss``) runs without it. Gradients are
+    summed float, chip, strategy, and ``grad_transform`` shapes the step.
     """
     x_enc, labels, *pooled = batch
     net, spec = state.net, state.loss_spec
@@ -361,15 +364,15 @@ def train_step(state: MentorState, batch, strategy: Strategy, ctx: TaskContext) 
         dlog = spec.lam * cross_entropy_grad(probs, y) * share
         add_grads(grads, backward_dlogits(net, trace, dlog, state.surrogate))
         loss += spec.lam * ce * share
-    if pooled:  # no one head's trace covers the batch
-        trace = logits = None
+    # no one head's trace covers a pooled batch
+    extra_loss, extra_grads = strategy.batch_loss(ctx, net, None if pooled else trace)
+    del trace, logits
     if state.quant_spec is not None:
         chip_loss, chip_grads = twin_loss(
             net, x_enc, labels, spec, state.quant_spec, state.surrogate, state.task
         )
         loss += chip_loss
         add_grads(grads, chip_grads)
-    extra_loss, extra_grads = strategy.batch_loss(ctx, net, x_enc, labels, trace, logits)
     add_grads(grads, extra_grads)
     grads = strategy.grad_transform(ctx, net, grads)
     optimizer_step(state.optimizer, net, grads)

@@ -90,15 +90,6 @@ class SpikingNetwork:
         else:
             self.weights[int(name[1:])] = value
 
-    def copy(self) -> "SpikingNetwork":
-        return SpikingNetwork(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            lif=[LifParams(p.decay, p.threshold) for p in self.lif],
-            heads=None if self.heads is None else [h.copy() for h in self.heads],
-            head_size=self.head_size,
-        )
-
 
 def init_network(
     layer_sizes: list[int],
@@ -138,7 +129,9 @@ def init_network(
 class ForwardTrace:
     """Everything the backward pass and rate recording need from one forward.
 
-    Per layer (index 0 is the input layer): spikes (B, T, n). For non-input
+    Per layer (index 0 is the input layer): spikes (B, T, n); ``spikes[0]``
+    is the batch ``forward`` was given, the encoder's own array when it
+    already has the weights' dtype (``data.encode_batch``). For non-input
     layers additionally the pre-reset potentials ``u``; the post-reset
     membrane potential follows from ``u`` and the spikes. Each ``u`` is a
     (B, T, n) view of the time-major (T, B, n) storage the recurrence ran
@@ -189,7 +182,8 @@ def forward(
     ``input_spikes`` is a (B, T, n_in) batch; logits are (B, K). Multi-head
     networks require ``task``. Read-only on the network. The pass computes
     in the dtype of the first weight matrix; the input is cast to it, which
-    is exact for 0/1 spikes.
+    is exact for 0/1 spikes, and used uncopied when it has that dtype, as
+    ``data.encode_batch``'s float32 batches do in training.
 
     The recurrence runs on time-major (T, B, n) storage, so every step
     works on contiguous (B, n) slices. Every product still multiplies rows

@@ -12,11 +12,12 @@ the finite-difference checks rely on this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .numerics import require_finite
 from .snn import ForwardTrace, SpikingNetwork
 
@@ -59,6 +60,8 @@ class LossSpec:
     mu: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise ConfigurationError(f"loss.lam and loss.mu must be finite, got {self.lam}, {self.mu}")
         if min(self.lam, self.mu) < 0.0:
             raise ContractViolation("loss weights must be nonnegative")
         if self.lam + self.mu <= 0.0:

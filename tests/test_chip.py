@@ -661,6 +661,27 @@ class TestTwinLoss:
         assert loss == want[0] and loss > 0.0
         assert all(grads[k].tobytes() == g.tobytes() for k, g in want[1].items())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pass_reads_unscaled_codes_where_a_later_layer_accumulates_in_float64(self, dtype):
+        # at 16 bits a 520-wide hidden layer gives 520 * qmax >= 2**24, so the
+        # head's exact weights are its float64 codes themselves; the scaled
+        # matrix BPTT reads must not overwrite them before the pass
+        rng = RngStream(71)
+        net = init_network([20, 520], rng.fork("net"), n_heads=2, head_size=3,
+                           gain=3.0, head_gain=2.0)
+        net.weights = [w.astype(dtype) for w in net.weights]
+        net.heads = [h.astype(dtype) for h in net.heads]
+        quant = QuantSpec(bits=16, leak_shift=1)
+        assert 520 * quant.qmax >= 2**24
+        x = (rng.fork("x").uniform((9, 6, 20)) < 0.5).astype(dtype)
+        y = rng.fork("y").integers(9, 3)
+        counts = chip_twin_counts(quantize_network(net, quant, 1), x)
+        assert counts.any()
+        ce, _ = softmax_cross_entropy_batch(counts.astype(np.float64), y)
+        loss, grads = twin_loss(net, x, y, self.SPEC, quant, SurrogateSpec(), 1)
+        assert loss == self.SPEC.mu * ce
+        assert all(g.dtype == dtype and np.isfinite(g).all() for g in grads.values())
+
     def test_one_call_allocates_under_5_5_mb_at_split_chip_shapes(self):
         # 784-256-256 with a 2-wide head, B = 16, T = 10, at the shipped
         # loss (mu 1) and 8 bits; 5.09 MB when the bound was set

@@ -548,8 +548,25 @@ class TestEncode:
         stream = RngStream(2)
         enc = encode_batch(x, spec, stream)
         ref = RngStream(2)
-        assert enc.tobytes() == ref.bernoulli(np.ascontiguousarray(p), (3, 6, 5)).tobytes()
+        want = ref.bernoulli(np.ascontiguousarray(p), (3, 6, 5)).astype(np.float32)
+        assert enc.tobytes() == want.tobytes()
         assert stream._counter == ref._counter == 3 * 6 * 5
+
+    def test_batch_is_float32_with_the_draws_of_bernoulli_on_the_same_fork(self):
+        # training's width, so no step casts the batch; float64 draws of
+        # the same words give the same 0/1 values
+        spec = EncoderSpec(timesteps=6, max_rate=0.8)
+        x = (RngStream(8).uniform((4, 5)) * 255).astype(np.uint8)
+        p = (x / 255.0 * 0.8)[:, None, :]
+        one = encode_batch(x, spec, RngStream(3).fork("batch"))
+        assert one.dtype == np.float32
+        want = RngStream(3).fork("batch").bernoulli(p, (4, 6, 5))
+        assert want.dtype == np.float64
+        assert np.array_equal(one, want)
+        each = encode_batch(x, spec, [RngStream(3).fork(f"s{i}") for i in range(4)])
+        assert each.dtype == np.float32
+        for i in range(4):
+            assert np.array_equal(each[i], RngStream(3).fork(f"s{i}").bernoulli(p[i], (6, 5)))
 
     def test_one_stream_per_row_gives_each_row_the_bytes_of_its_own_call(self):
         spec = EncoderSpec(timesteps=6, max_rate=0.8)

@@ -385,12 +385,25 @@ def test_out_of_range_drift_size_exits_2_with_one_error_line(tmp_path, override)
         {"init_gain": 0.0},
         {"head_gain": float("inf")},
         {"head_gain": -1.0},
+        {"loss": {"lam": float("nan")}},
+        {"loss": {"mu": float("inf")}},
+        {"drift": {**_SMALL_DRIFT["drift"], "theta_deg": float("nan")}},
+        {"drift": {**_SMALL_DRIFT["drift"], "noise": float("inf")}},
+        {"drift": {**_SMALL_DRIFT["drift"], "noise": -0.5}},
+        {"drift": {**_SMALL_DRIFT["drift"], "proto_low": float("nan")}},
+        {"drift": {**_SMALL_DRIFT["drift"], "proto_spread": float("-inf")}},
+        {"drift": {**_SMALL_DRIFT["drift"], "p_drop": 1.5}},
+        {"drift": {**_SMALL_DRIFT["drift"], "p_drop": -0.1}},
+        {"drift": {**_SMALL_DRIFT["drift"], "p_drop": float("nan")}},
     ],
     ids=["hwc-rel-negative", "hwc-rel-1", "hwc-abs-nan", "hwc-abs-0", "hwc-abs-1",
          "ewc-strength-inf", "ewc-strength-negative", "ewc-fisher-samples-0",
          "si-strength-negative", "si-strength-inf", "si-damping-0", "si-damping-negative",
          "lr-negative", "lr-0", "lr-nan", "init-gain-nan", "init-gain-0",
-         "head-gain-inf", "head-gain-negative"],
+         "head-gain-inf", "head-gain-negative", "loss-lam-nan", "loss-mu-inf",
+         "drift-theta-nan", "drift-noise-inf", "drift-noise-negative", "drift-proto-low-nan",
+         "drift-proto-spread-inf", "drift-p-drop-1.5", "drift-p-drop-negative",
+         "drift-p-drop-nan"],
 )
 def test_out_of_range_training_value_exits_2_with_one_error_line(tmp_path, override):
     # each value is checked when the config is built, before any data or

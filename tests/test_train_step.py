@@ -1,7 +1,10 @@
 """The single training step: pooled multi-head batches, the chip's loss term,
-chip runs at mu = 0 and chip runs without a chip."""
+chip runs at mu = 0, chip runs without a chip and the step's working set."""
 
+import copy
 import platform
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import spikecl.chip as chip_mod
 import spikecl.runner as runner_mod
 from spikecl.chip import QuantSpec, chip_twin_counts, quantize_network
 from spikecl.continual import StrategyConfig, TaskContext, apply_strategy
-from spikecl.data import DriftSpec
+from spikecl.data import DriftSpec, EncoderSpec, encode_batch
 from spikecl.numerics import cross_entropy_grad, softmax_cross_entropy_batch
 from spikecl.rng import RngStream
 from spikecl.runner import MentorState, RunConfig, run_experiment, run_seed, train_step
@@ -57,7 +60,7 @@ def _pooled_step_oracle(net, opt, x_enc, labels, tasks, surrogate):
 def test_pooled_multi_head_step_matches_per_head_loop():
     rng = RngStream(21)
     net = init_network([12, 16], rng.fork("net"), n_heads=3, head_size=2)
-    ref = net.copy()
+    ref = copy.deepcopy(net)
     ref_opt = OptimizerState(lr=5e-3)
     state = _state(net)
     strategy = _strategy("joint")
@@ -259,3 +262,65 @@ def test_training_keeps_every_array_float32(case, monkeypatch):
         assert any(name.startswith("spikecl.chip") for name, _ in arrays)
     promoted = sorted({name for name, a in arrays if a.dtype != np.float32})
     assert not promoted
+
+
+def _split_chip_step():
+    """A consolidating hwc-hard step of the split chip loop at shipped
+    widths: 784-256-256 in float32 with two heads, mu = 1, the Hebbian
+    accumulator live. Returns (state, strategy, ctx, make_batch); the
+    strategy and the optimizer have taken one step already."""
+    rng = RngStream(7)
+    net = init_network([784, 256, 256], rng.fork("net"), n_heads=2, head_size=2)
+    net.weights = [w.astype(np.float32) for w in net.weights]  # as runner.build_network
+    net.heads = [h.astype(np.float32) for h in net.heads]
+    state = _state(net, LossSpec(lam=1.0, mu=1.0), QuantSpec(bits=8, leak_shift=3))
+    state.task = 0
+    strategy = _strategy("hwc-hard")
+    ctx = TaskContext(task=1, total_tasks=2)
+    strategy.before_task(ctx, net)
+    assert strategy._acc and ctx.is_final_epoch  # the step accumulates H
+    pixels = (rng.fork("pixels").uniform((16, 784)) * 255).astype(np.uint8)
+    labels = rng.fork("labels").integers(16, 2)
+
+    def make_batch(i):
+        return encode_batch(pixels, EncoderSpec(), rng.fork(f"batch{i}")), labels
+
+    train_step(state, make_batch(0), strategy, ctx)
+    return state, strategy, ctx, make_batch
+
+
+def test_split_chip_step_allocates_under_7_5_mb_above_entry():
+    # the batch is encoded inside the window: one float32 (16, 10, 784)
+    # batch that the forward and the twin use as it is. 6.91 MB when the
+    # bound was set; 8.88 MB when a step held a float64 batch, two float32
+    # casts of it, and the float trace through the chip term
+    state, strategy, ctx, make_batch = _split_chip_step()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_step(state, make_batch(1), strategy, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 7.5 * 2**20, f"{(peak - entry) / 2**20:.2f} MB above entry"
+
+
+def test_float_trace_is_dead_when_the_chip_term_starts(monkeypatch):
+    state, strategy, ctx, make_batch = _split_chip_step()
+    traces, entered = [], []
+
+    def spy_forward(*args, **kwargs):
+        trace, logits = forward(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace, logits
+
+    def spy_twin_loss(*args, **kwargs):
+        entered.append([ref() is None for ref in traces])
+        return real_twin_loss(*args, **kwargs)
+
+    real_twin_loss = runner_mod.twin_loss
+    monkeypatch.setattr(runner_mod, "forward", spy_forward)
+    monkeypatch.setattr(runner_mod, "twin_loss", spy_twin_loss)
+    train_step(state, make_batch(1), strategy, ctx)
+    assert entered == [[True]]
